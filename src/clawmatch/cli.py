@@ -13,11 +13,9 @@ from pathlib import Path
 from . import counting, cyclespace, expansion, formats, graphs, structure
 from .errors import (
     BoundFailure,
-    CapExceeded,
     DegreeViolation,
     GraphError,
     NoTwoFactor,
-    ParseError,
     StructureViolation,
 )
 
@@ -186,19 +184,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GraphError, ValueError) as exc:
+    except (GraphError, ValueError, OSError) as exc:
+        # GraphError covers ParseError and CapExceeded; OSError an input path that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import CapExceeded, NoTwoFactor
+from .errors import CapExceeded, NoTwoFactor, StructureViolation
 from .graphs import EdgeSubset, Multigraph, is_cubic, is_two_edge_connected
 
 
@@ -127,7 +127,11 @@ def count_report(g: Multigraph) -> CountReport:
     report = CountReport(count_perfect_matchings(g), count_two_factors(g), "backtracking")
     if is_cubic(g):
         # complement bijection: in a cubic graph these counts must agree
-        assert report.perfect_matchings == report.two_factors
+        if report.perfect_matchings != report.two_factors:
+            raise StructureViolation(
+                f"cubic graph with {report.perfect_matchings} perfect matchings "
+                f"but {report.two_factors} 2-factors"
+            )
     return report
 
 
@@ -156,6 +160,8 @@ def max_length_two_factor(h: Multigraph, lengths: Mapping[int, int]) -> EdgeSubs
         raise NoTwoFactor("host has no perfect matching, hence no 2-factor")
     total = sum(lengths.get(e, 0) for e in range(h.m))
     # the averaging bound is only guaranteed on bridgeless hosts
-    if is_two_edge_connected(h):
-        assert best_score >= -(-2 * total // 3)
+    if is_two_edge_connected(h) and best_score < -(-2 * total // 3):
+        raise StructureViolation(
+            f"longest 2-factor has length {best_score}, below 2/3 of the total {total}"
+        )
     return EdgeSubset(h, best)

@@ -2,9 +2,10 @@
 
 The cycle space is the set of edge subsets in which every vertex has even
 degree; it is a vector space over GF(2) of dimension m - n + c.  Edge
-subsets are carried as bitmask integers internally so that symmetric
-difference is a single XOR, and enumeration walks a Gray code so that
-consecutive members differ by one basis vector.
+subsets are carried as bitmask integers so that symmetric difference is a
+single XOR, and enumeration walks a Gray code so that consecutive members
+differ by one basis vector; cycle_space_masks hands the walk out as
+bitmasks, for callers that keep computing on them.
 
 Parallel edges and loops are first-class: a parallel pair is a 2-cycle
 and a loop is a 1-cycle, each a legitimate basis element.
@@ -13,8 +14,9 @@ and a loop is a 1-cycle, each a legitimate basis element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count
 
-from .errors import CapExceeded
+from .errors import CapExceeded, StructureViolation
 from .graphs import EdgeSubset, Multigraph, connected_components, subset_degrees
 
 
@@ -32,13 +34,12 @@ def _mask(members) -> int:
     return m
 
 
-def _unmask(mask: int) -> frozenset[int]:
-    out = set()
-    while mask:
-        low = mask & -mask
-        out.add(low.bit_length() - 1)
-        mask ^= low
-    return frozenset(out)
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _unmask(mask: int) -> tuple[int, ...]:
+    """Ascending edge ids of a bitmask; the bit string is walked in C, not bit by bit."""
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_VALUES)))
 
 
 def cycle_basis(h: Multigraph) -> CycleBasis:
@@ -76,7 +77,8 @@ def cycle_basis(h: Multigraph) -> CycleBasis:
         basis.append(EdgeSubset(h, _unmask(root_mask[u] ^ root_mask[v] ^ (1 << e))))
     c = len(connected_components(h))
     dim = h.m - h.n + c
-    assert len(basis) == dim
+    if len(basis) != dim:
+        raise StructureViolation(f"cycle basis has {len(basis)} elements, dimension is {dim}")
     return CycleBasis(h, tuple(basis), dim)
 
 
@@ -87,8 +89,8 @@ def is_even_subgraph(h: Multigraph, s: EdgeSubset) -> bool:
     return all(d % 2 == 0 for d in subset_degrees(h, s.members))
 
 
-def enumerate_cycle_space(h: Multigraph, cap: int) -> list[EdgeSubset]:
-    """All 2^dimension members, Gray-code order, empty set first."""
+def cycle_space_masks(h: Multigraph, cap: int) -> list[int]:
+    """All 2^dimension members as edge bitmasks, Gray-code order, empty set first."""
     cb = cycle_basis(h)
     total = 1 << cb.dimension
     if total > cap:
@@ -99,4 +101,9 @@ def enumerate_cycle_space(h: Multigraph, cap: int) -> list[EdgeSubset]:
     for i in range(1, total):
         cur ^= masks[(i & -i).bit_length() - 1]
         out.append(cur)
-    return [EdgeSubset(h, _unmask(m)) for m in out]
+    return out
+
+
+def enumerate_cycle_space(h: Multigraph, cap: int) -> list[EdgeSubset]:
+    """All 2^dimension members, Gray-code order, empty set first."""
+    return [EdgeSubset(h, _unmask(m)) for m in cycle_space_masks(h, cap)]

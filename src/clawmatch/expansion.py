@@ -8,19 +8,34 @@ two ways (the binary routing choice), and a diamond on an unused edge
 contributes its internal 4-cycle.  Complementing 2-factors of a cubic
 graph gives perfect matchings; collecting enough of them certifies the
 exponential lower bound with exact integer arithmetic.
+
+Lifting is table driven and edge sets are int bitmasks over edge ids.
+The gadget tables of a decomposition are built once per certify, expand
+or verify_3ec_remark call, and are the only place that looks host edges
+up by their ends:
+- per base vertex, the triangle edges taken for each pair of used base
+  edges and for none;
+- per base edge, the host edges taken when the member traverses it
+  (connectors and every diamond's bit-0 walk) and when it does not
+  (every diamond's 4-cycle);
+- per diamond, the XOR that turns its bit-0 walk into its bit-1 walk.
+A lift is then an OR of table entries, a routing an XOR of flips, and the
+matching the complement full ^ factor.  Every lifted factor is still
+checked to be a 2-factor of the host, vertex by vertex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from itertools import combinations
+from typing import Iterable, Iterator, Mapping
 
 from .counting import (
     count_perfect_matchings,
     enumerate_two_factors,
     max_length_two_factor,
 )
-from .cyclespace import enumerate_cycle_space
+from .cyclespace import _mask, _unmask, cycle_space_masks
 from .errors import BoundFailure, CapExceeded, DegreeViolation
 from .graphs import (
     EdgeSubset,
@@ -81,56 +96,99 @@ def all_routings(member: EdgeSubset, d: Decomposition) -> Iterator[RoutingChoice
         yield RoutingChoice({slot: (value >> i) & 1 for i, slot in enumerate(slots)})
 
 
+class _Gadgets:
+    """The lift tables of one expanded decomposition (see the module docstring)."""
+
+    def __init__(self, d: Decomposition):
+        if d.kind != KIND_EXPANDED:
+            raise ValueError("expand needs an expanded decomposition")
+        g, h = d.graph, d.base
+        if not is_cubic(g):
+            raise ValueError("complementing a 2-factor needs a cubic expanded graph")
+
+        def bits(*pairs: tuple[int, int]) -> int:
+            return _mask(g.edge_between(u, w) for u, w in pairs)
+
+        self.full = (1 << g.m) - 1
+        self.host_inc = [_mask(g.incident(v)) for v in range(g.n)]
+        # (v, mask of the base edges at v, {member & that mask: triangle edges})
+        self.vertex: list[tuple[int, int, dict[int, int]]] = []
+        for v, corners in enumerate(d.triangles):
+            inc = _mask(h.incident(v))
+            sides = [(pair, bits(pair)) for pair in combinations(corners, 2)]
+            states = {0: sum(side for _, side in sides)}
+            for e in h.incident(v):
+                # the member uses the other two edges at v: route through e's corner
+                x = d.corner(e, v)
+                states[inc ^ 1 << e] = sum(side for pair, side in sides if x in pair)
+            self.vertex.append((v, inc, states))
+        # (bit of base edge e, host edges when traversed, host edges when idle)
+        self.edges: list[tuple[int, int, int]] = []
+        self.flip: dict[tuple[int, int], int] = {}
+        for e, rep in enumerate(d.replacements):
+            walk, idle = _mask(rep.connectors), 0
+            if rep.string:
+                for i, (entry, exit_port, s, t) in enumerate(string_passages(g, rep.string)):
+                    zero = bits((entry, s), (s, t), (t, exit_port))
+                    one = bits((entry, t), (t, s), (s, exit_port))
+                    walk |= zero
+                    idle |= bits((entry, s), (s, exit_port), (exit_port, t), (t, entry))
+                    self.flip[(e, i)] = zero ^ one
+            self.edges.append((1 << e, walk, idle))
+
+    def lift(self, member: int) -> int:
+        """The bit-0 lift of a base member mask; odd members raise DegreeViolation."""
+        factor = 0
+        for v, inc, states in self.vertex:
+            state = states.get(member & inc)
+            if state is None:
+                raise DegreeViolation(
+                    f"base vertex {v} has degree {(member & inc).bit_count()} in the member, "
+                    "expected 0 or 2"
+                )
+            factor |= state
+        for bit, walk, idle in self.edges:
+            factor |= walk if member & bit else idle
+        return factor
+
+    def routed(self, factor: int, slots: Iterable[tuple[int, int]]) -> Iterator[int]:
+        """factor under every routing of the slots, Gray-code order: one flip per step."""
+        flips = [self.flip[slot] for slot in slots]
+        yield factor
+        for i in range(1, 1 << len(flips)):
+            factor ^= flips[(i & -i).bit_length() - 1]
+            yield factor
+
+    def checked(self, factor: int) -> int:
+        """factor itself, once every host vertex is seen to have degree 2 in it."""
+        for inc in self.host_inc:
+            if (factor & inc).bit_count() != 2:
+                bad = [v for v, at in enumerate(self.host_inc) if (factor & at).bit_count() != 2]
+                raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
+        return factor
+
+    def matching(self, factor: int) -> tuple[int, ...]:
+        """Edge ids of the perfect matching complementary to factor, once it is checked."""
+        return _unmask(self.full ^ self.checked(factor))
+
+
 def expand(member: EdgeSubset, d: Decomposition, routing: RoutingChoice) -> EdgeSubset:
-    """Lift an even subgraph of the base to a 2-factor of the expanded graph."""
-    if d.kind != KIND_EXPANDED:
-        raise ValueError("expand needs an expanded decomposition")
-    h, g = d.base, d.graph
-    if member.host != h:
+    """Lift an even subgraph of the base to a 2-factor of the expanded graph.
+
+    Builds the decomposition's gadget tables for this one lift; certify
+    builds them once for all of its rows.
+    """
+    gadgets = _Gadgets(d)
+    if member.host != d.base:
         raise ValueError("member is not hosted on the decomposition's base")
-    deg = subset_degrees(h, member.members)
-    for v, dv in enumerate(deg):
-        if dv not in (0, 2):
-            raise DegreeViolation(f"base vertex {v} has degree {dv} in the member, expected 0 or 2")
+    factor = gadgets.lift(_mask(member.members))
     slots = traversed_diamonds(member, d)
     if set(routing.bits) != set(slots):
         raise ValueError("routing must select exactly the traversed diamonds")
-
-    picked: set[int] = set()
-    for v in range(h.n):
-        a, b, c = d.triangles[v]
-        if deg[v] == 0:
-            picked.update((g.edge_between(a, b), g.edge_between(a, c), g.edge_between(b, c)))
-        else:
-            used = [e for e in h.incident(v) if e in member.members]
-            c1, c2 = (d.corner(e, v) for e in used)
-            (third,) = set(d.triangles[v]) - {c1, c2}
-            picked.update((g.edge_between(c1, third), g.edge_between(third, c2)))
-
-    for e in range(h.m):
-        rep = d.replacements[e]
-        if e in member.members:
-            picked.update(rep.connectors)
-            if rep.string:
-                for i, (entry, exit_port, s, t) in enumerate(string_passages(g, rep.string)):
-                    if routing.bits[(e, i)] == 0:
-                        walk = ((entry, s), (s, t), (t, exit_port))
-                    else:
-                        walk = ((entry, t), (t, s), (s, exit_port))
-                    picked.update(g.edge_between(u, w) for u, w in walk)
-        elif rep.string:
-            for dia in rep.string.diamonds:
-                p, q = dia.ports
-                s, t = dia.internals
-                picked.update(
-                    g.edge_between(u, w) for u, w in ((p, s), (s, q), (q, t), (t, p))
-                )
-
-    result = EdgeSubset(g, frozenset(picked))
-    bad = [v for v, dv in enumerate(subset_degrees(g, result.members)) if dv != 2]
-    if bad:
-        raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
-    return result
+    for slot in slots:
+        if routing.bits[slot]:
+            factor ^= gadgets.flip[slot]
+    return EdgeSubset(d.graph, _unmask(gadgets.checked(factor)))
 
 
 def complement_matching(g: Multigraph, factor: EdgeSubset) -> EdgeSubset:
@@ -163,16 +221,15 @@ def _ring_family(g: Multigraph, ring) -> list[tuple[int, ...]]:
     connecting = [e for e, (u, v) in enumerate(g.edges) if owner[u] != owner[v]]
     chords = [g.edge_between(*dia.internals) for dia in ring]
     family = [tuple(sorted(connecting + chords))]
-    d = len(ring)
-    for bits in range(1 << d):
-        rows: list[int] = []
-        for i, dia in enumerate(ring):
-            p, q = dia.ports
-            s, t = dia.internals
-            if (bits >> i) & 1:
-                rows += [g.edge_between(p, t), g.edge_between(q, s)]
-            else:
-                rows += [g.edge_between(p, s), g.edge_between(q, t)]
+    pairings = []
+    for dia in ring:
+        p, q = dia.ports
+        s, t = dia.internals
+        straight = (g.edge_between(p, s), g.edge_between(q, t))
+        crossed = (g.edge_between(p, t), g.edge_between(q, s))
+        pairings.append((straight, crossed))
+    for bits in range(1 << len(ring)):
+        rows = [e for i, pair in enumerate(pairings) for e in pair[(bits >> i) & 1]]
         family.append(tuple(sorted(rows)))
     return family
 
@@ -198,20 +255,18 @@ def certify(g: Multigraph, *, both_branches: bool = False, cap: int = 1 << 22) -
         use_cycle = 6 * k >= n
         run_cycle = use_cycle or both_branches
         run_long = (not use_cycle) or both_branches
+        gadgets = _Gadgets(d)
         rows = []
         if run_cycle:
-            for c in enumerate_cycle_space(d.base, cap):
-                factor = expand(c, d, zero_routing(c, d))
-                rows.append(complement_matching(g, factor).sorted_tuple())
+            rows += map(gadgets.matching, map(gadgets.lift, cycle_space_masks(d.base, cap)))
         if run_long:
             lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
             chosen = max_length_two_factor(d.base, lengths)
-            span = len(traversed_diamonds(chosen, d))
-            if 1 << span > cap:
-                raise CapExceeded(1 << span, cap)
-            for r in all_routings(chosen, d):
-                factor = expand(chosen, d, r)
-                rows.append(complement_matching(g, factor).sorted_tuple())
+            slots = traversed_diamonds(chosen, d)
+            if 1 << len(slots) > cap:
+                raise CapExceeded(1 << len(slots), cap)
+            factor = gadgets.lift(_mask(chosen.members))
+            rows += map(gadgets.matching, gadgets.routed(factor, slots))
         if run_cycle and run_long:
             branch = "both"
         elif run_cycle:
@@ -290,8 +345,9 @@ def verify_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
     d = classify(g)
     if d.kind != KIND_EXPANDED or d.total_length() != 0:
         return False
-    members = enumerate_cycle_space(d.base, cap)
-    lifted = {expand(c, d, zero_routing(c, d)).sorted_tuple() for c in members}
+    gadgets = _Gadgets(d)
+    members = cycle_space_masks(d.base, cap)
+    lifted = {_unmask(gadgets.checked(gadgets.lift(c))) for c in members}
     if len(lifted) != len(members):
         return False
     try:

@@ -149,12 +149,6 @@ class EdgeSubset:
         return tuple(sorted(self.members))
 
 
-# EdgeSubsets specialized by degree invariants; the names document intent.
-CycleSpaceElement = EdgeSubset
-TwoFactor = EdgeSubset
-PerfectMatching = EdgeSubset
-
-
 @dataclass(frozen=True)
 class Claw:
     """An induced K_{1,3}: a center adjacent to three pairwise nonadjacent leaves."""

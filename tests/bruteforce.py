@@ -3,13 +3,20 @@
 These deliberately share no code with the library paths they check:
 bridges by remove-and-test, claws and diamonds by exhaustive vertex
 scans, cycle space and matchings by filtering all 2^m edge subsets,
-isomorphism by permutation search.
+isomorphism by permutation search, and the lift of a base member by
+looking every host edge up by its ends instead of through gadget tables.
 """
 
 from itertools import combinations, permutations
 from collections import Counter
 
-from clawmatch import Multigraph, is_perfect_matching, is_two_factor, subset_degrees
+from clawmatch import (
+    Multigraph,
+    is_perfect_matching,
+    is_two_factor,
+    string_passages,
+    subset_degrees,
+)
 
 
 def component_count(g: Multigraph, banned=frozenset()) -> int:
@@ -139,3 +146,42 @@ def decomposes_into_cycles(g: Multigraph, members) -> bool:
             remaining.remove(e)
             cur = g.other_end(e, cur)
     return True
+
+
+def reference_lift(member, d, routing) -> frozenset:
+    """Host edge ids of the 2-factor lifting an even base member under a routing.
+
+    Walks the decomposition directly: every triangle, connector and diamond
+    edge is found with edge_between, one base vertex and base edge at a time.
+    """
+    h, g = d.base, d.graph
+    deg = subset_degrees(h, member.members)
+    if any(dv not in (0, 2) for dv in deg):
+        raise ValueError("member is not an even subgraph with degrees 0 or 2")
+    picked = set()
+    for v in range(h.n):
+        a, b, c = d.triangles[v]
+        if deg[v] == 0:
+            picked.update((g.edge_between(a, b), g.edge_between(a, c), g.edge_between(b, c)))
+        else:
+            used = [e for e in h.incident(v) if e in member.members]
+            c1, c2 = (d.corner(e, v) for e in used)
+            (third,) = set(d.triangles[v]) - {c1, c2}
+            picked.update((g.edge_between(c1, third), g.edge_between(third, c2)))
+    for e in range(h.m):
+        rep = d.replacements[e]
+        if e in member.members:
+            picked.update(rep.connectors)
+            if rep.string:
+                for i, (entry, exit_port, s, t) in enumerate(string_passages(g, rep.string)):
+                    if routing.bits[(e, i)] == 0:
+                        walk = ((entry, s), (s, t), (t, exit_port))
+                    else:
+                        walk = ((entry, t), (t, s), (s, exit_port))
+                    picked.update(g.edge_between(u, w) for u, w in walk)
+        elif rep.string:
+            for dia in rep.string.diamonds:
+                p, q = dia.ports
+                s, t = dia.internals
+                picked.update(g.edge_between(u, w) for u, w in ((p, s), (s, q), (q, t), (t, p)))
+    return frozenset(picked)

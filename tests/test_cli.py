@@ -1,11 +1,14 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import clawmatch
 from clawmatch import parse_graph, serialize_graph
 from clawmatch.cli import main
-from corpus import K4, PRISM, TRIPLE_BOND
+from corpus import K4, PRISM, TRIPLE_BOND, certify_corpus
 
 K4_DOC = serialize_graph(K4)
 
@@ -139,6 +142,36 @@ def test_parse_error_exit_code(capsys, tmp_path):
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "count", "/nonexistent/file.txt")
     assert code == 2
+
+
+def test_directory_argument_exit_code(capsys, tmp_path):
+    code, out, err = run(capsys, "count", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_certify_output_unchanged_under_optimize_flag(tmp_path):
+    # python -O strips asserts; no check on the certify path may rely on one
+    env = dict(os.environ)
+    src = str(Path(clawmatch.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    hosts = dict(certify_corpus())
+    for name, branch in (("rb6-1-0", "cycle-space"), ("tb-210", "long-2-factor")):
+        doc = tmp_path / f"{name}.txt"
+        doc.write_text(serialize_graph(hosts[name]))
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "clawmatch.cli", "certify", str(doc)],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+            for flags in ((), ("-O",))
+        ]
+        assert [r.returncode for r in runs] == [0, 0], name
+        assert f"branch={branch}" in runs[0].stdout
+        assert runs[1].stdout == runs[0].stdout, name
 
 
 def test_console_entry_point(tmp_path):

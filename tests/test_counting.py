@@ -4,6 +4,7 @@ from clawmatch import (
     CapExceeded,
     Multigraph,
     NoTwoFactor,
+    StructureViolation,
     count_perfect_matchings,
     count_report,
     count_two_factors,
@@ -14,6 +15,7 @@ from clawmatch import (
     max_length_two_factor,
     ring_of_diamonds,
 )
+from clawmatch import counting
 from bruteforce import brute_perfect_matchings, brute_two_factors
 from corpus import (
     K4,
@@ -160,3 +162,15 @@ def test_max_length_two_factor_no_factor():
     assert count_perfect_matchings(g) == 0
     with pytest.raises(NoTwoFactor):
         max_length_two_factor(g, {e: 0 for e in range(g.m)})
+
+
+def test_broken_invariants_raise_structure_violation(monkeypatch):
+    # checks that must survive python -O: plain raises, not asserts
+    monkeypatch.setattr(counting, "count_two_factors", lambda g: 0)
+    with pytest.raises(StructureViolation):
+        count_report(PRISM)
+    monkeypatch.undo()
+    # the only matching offered leaves every long edge outside the 2-factor
+    monkeypatch.setattr(counting, "_iter_perfect_matchings", lambda h: iter([frozenset({0})]))
+    with pytest.raises(StructureViolation):
+        max_length_two_factor(TRIPLE_BOND, {0: 3, 1: 0, 2: 0})

@@ -1,6 +1,11 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clawmatch import (
+    KIND_EXPANDED,
     Certificate,
     DegreeViolation,
     EdgeSubset,
@@ -18,12 +23,17 @@ from clawmatch import (
     expand,
     is_two_factor,
     max_length_two_factor,
+    random_base,
     ring_of_diamonds,
+    serialize_graph,
     traversed_diamonds,
     verify_certificate,
     verify_3ec_remark,
     zero_routing,
 )
+from clawmatch import expansion
+from clawmatch.cli import main
+from bruteforce import reference_lift
 from corpus import K4, K33, PETERSEN, PRISM, TRIPLE_BOND, certify_corpus
 
 
@@ -227,3 +237,75 @@ def test_verify_3ec_remark_preconditions():
         verify_3ec_remark(ring_of_diamonds(2))  # only 2-edge-connected
     with pytest.raises(ValueError):
         verify_3ec_remark(PETERSEN)  # not claw-free
+
+
+def test_expand_matches_reference_lift_on_corpus():
+    for name, g in certify_corpus():
+        d = classify(g)
+        if d.kind != KIND_EXPANDED:
+            continue
+        for c in enumerate_cycle_space(d.base, 1 << 10):
+            for r in all_routings(c, d):
+                assert expand(c, d, r).members == reference_lift(c, d, r), name
+
+
+def reference_rows(g, d):
+    """The certificate rows certify should emit, lifted by the reference."""
+    if 6 * d.base.n >= g.n:
+        members = enumerate_cycle_space(d.base, 1 << 10)
+        lifts = [reference_lift(c, d, zero_routing(c, d)) for c in members]
+    else:
+        lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
+        chosen = max_length_two_factor(d.base, lengths)
+        lifts = [reference_lift(chosen, d, r) for r in all_routings(chosen, d)]
+    full = frozenset(range(g.m))
+    return tuple(sorted({tuple(sorted(full - f)) for f in lifts}))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_certify_agrees_with_reference_lift_and_oracle(data):
+    k = data.draw(st.sampled_from((2, 4, 6, 8)), label="k")
+    h = random_base(k, seed=data.draw(st.integers(0, 1 << 16), label="seed"))
+    # each diamond adds 4 vertices; n = 3k + 4 * diamonds stays <= 28
+    edges = st.integers(0, h.m - 1)
+    picks = data.draw(st.lists(edges, max_size=(28 - 3 * k) // 4), label="diamond edges")
+    lengths = [picks.count(e) for e in range(h.m)]
+    g, _ = build(h, lengths)
+    cert = certify(g)
+    assert cert.matchings == reference_rows(g, classify(g))
+    oracle = {m.sorted_tuple() for m in enumerate_perfect_matchings(g, 1 << 20)}
+    assert set(cert.matchings) <= oracle
+    assert verify_certificate(g, cert)
+
+
+def with_swapped_corners(d, e):
+    """d with the corners of base edge e exchanged: each end now names the other end's corner."""
+    reps = list(d.replacements)
+    reps[e] = dataclasses.replace(reps[e], corners=reps[e].corners[::-1])
+    return dataclasses.replace(d, replacements=tuple(reps))
+
+
+def test_corrupted_decomposition_raises_instead_of_emitting_rows(monkeypatch, capsys, tmp_path):
+    g, _ = build(TRIPLE_BOND, [2, 1, 0])  # long-2-factor branch, the factor leaves out edge 2
+    good = classify(g)
+    lengths = {e: rep.length for e, rep in enumerate(good.replacements)}
+    chosen = max_length_two_factor(good.base, lengths)
+    assert chosen.members == {0, 1}
+    bad = with_swapped_corners(good, 2)
+
+    with pytest.raises(DegreeViolation):
+        expand(chosen, bad, zero_routing(chosen, bad))
+    single = EdgeSubset(bad.base, frozenset({0}))
+    with pytest.raises(DegreeViolation):
+        expand(single, bad, zero_routing(single, bad))
+
+    monkeypatch.setattr(expansion, "classify", lambda host: bad)
+    with pytest.raises(DegreeViolation):
+        certify(g)
+    path = tmp_path / "host.txt"
+    path.write_text(serialize_graph(g))
+    assert main(["certify", str(path)]) == 3
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("internal error: expansion is not a 2-factor")
