@@ -9,6 +9,7 @@ second of a parallel pair".
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -208,30 +209,6 @@ def is_cubic(g: Multigraph) -> bool:
     return all(d == 3 for d in g.degrees())
 
 
-def _component_count_excluding(g: Multigraph, banned: frozenset[int]) -> int:
-    seen = [False] * g.n
-    count = 0
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for i, (u, v) in enumerate(g.edges):
-        if i in banned or u == v:
-            continue
-        adj[u].append(v)
-        adj[v].append(u)
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        count += 1
-        stack = [root]
-        seen[root] = True
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-    return count
-
-
 def bridges(g: Multigraph) -> EdgeSubset:
     """All cutedges, by a single lowpoint DFS.
 
@@ -283,16 +260,78 @@ def is_two_edge_connected(g: Multigraph) -> bool:
     return not bridges(g).members
 
 
+def _cut_labels(count: int) -> list[int]:
+    """count 64-bit labels from a fixed-seed generator, so answers never vary between runs."""
+    rng = random.Random(0x3EC)
+    return [rng.getrandbits(64) for _ in range(count)]
+
+
+def _connected_without(g: Multigraph, banned: tuple[int, ...]) -> bool:
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        v = stack.pop()
+        for e in g.incident(v):
+            if e in banned:
+                continue
+            w = g.other_end(e, v)
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
+                stack.append(w)
+    return reached == g.n
+
+
 def is_three_edge_connected(g: Multigraph) -> bool:
-    """No set of at most 2 edges disconnects g.  Brute force over edge pairs."""
+    """No set of at most 2 edges disconnects g, by XOR labels on the cycle space.
+
+    Every non-loop edge off a BFS spanning tree gets a random 64-bit
+    label and every tree edge the XOR of the labels below it, i.e. of
+    the non-tree edges whose fundamental cycles pass through it
+    (Pritchard's random circulations).  Every cycle crosses an edge cut
+    an even number of times, so the labels of any cut XOR to zero,
+    whatever the labels are: a bridge has label 0 and the two edges of
+    a 2-edge cut have equal labels.  Each zero label and each pair of
+    equal labels is confirmed by one search without those edges before
+    False is returned, so the answer is exact; random labels only keep
+    false candidates rare.
+    """
     if g.n < 2 or not is_connected(g):
         return False
-    for e in range(g.m):
-        if _component_count_excluding(g, frozenset((e,))) > 1:
+    parent_edge = [-1] * g.n
+    order = [0]
+    for v in order:
+        for e in g.incident(v):
+            w = g.other_end(e, v)
+            if w and parent_edge[w] == -1:  # the root 0 has no parent edge
+                parent_edge[w] = e
+                order.append(w)
+    tree = set(parent_edge[1:])
+    label = [0] * g.m
+    below = [0] * g.n  # XOR of the labels at each vertex, then of its whole subtree
+    off_tree = [e for e, (u, v) in enumerate(g.edges) if u != v and e not in tree]
+    for e, x in zip(off_tree, _cut_labels(len(off_tree))):
+        label[e] = x
+        u, v = g.edges[e]
+        below[u] ^= x
+        below[v] ^= x
+    for v in reversed(order[1:]):
+        e = parent_edge[v]
+        label[e] = below[v]
+        below[g.other_end(e, v)] ^= below[v]
+    with_label: dict[int, list[int]] = {}
+    for e, (u, v) in enumerate(g.edges):
+        if u == v:
+            continue
+        if label[e] == 0 and not _connected_without(g, (e,)):
             return False
-    for e, f in combinations(range(g.m), 2):
-        if _component_count_excluding(g, frozenset((e, f))) > 1:
-            return False
+        same = with_label.setdefault(label[e], [])
+        for f in same:
+            if not _connected_without(g, (f, e)):
+                return False
+        same.append(e)
     return True
 
 

@@ -1,10 +1,11 @@
 """Independent brute-force oracles used as ground truth in the tests.
 
 These deliberately share no code with the library paths they check:
-bridges by remove-and-test, claws and diamonds by exhaustive vertex
-scans, cycle space and matchings by filtering all 2^m edge subsets,
-isomorphism by permutation search, and the lift of a base member by
-looking every host edge up by its ends instead of through gadget tables.
+bridges and 3-edge-connectivity by remove-and-test, claws and
+diamonds by exhaustive vertex scans, cycle space and matchings by
+filtering all 2^m edge subsets, isomorphism by permutation search, and
+the lift of a base member by looking every host edge up by its ends
+instead of through gadget tables.
 """
 
 from itertools import combinations, permutations
@@ -51,6 +52,15 @@ def brute_bridges(g: Multigraph) -> frozenset:
         for e in range(g.m)
         if g.edges[e][0] != g.edges[e][1]
         and component_count(g, frozenset((e,))) > base
+    )
+
+
+def brute_three_edge_connected(g: Multigraph) -> bool:
+    """At least 2 vertices, connected, and still connected after removing any 1 or 2 edges."""
+    if g.n < 2 or component_count(g) != 1:
+        return False
+    return all(component_count(g, frozenset((e,))) == 1 for e in range(g.m)) and all(
+        component_count(g, frozenset(pair)) == 1 for pair in combinations(range(g.m), 2)
     )
 
 

@@ -5,11 +5,13 @@ and enforces the stated runtime budget.  Run with ``pytest -s
 tests/test_acceptance.py`` to see the lines as they happen.
 """
 
+import io
 import random
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 
 from clawmatch import (
+    Multigraph,
     bridges,
     build,
     certify,
@@ -26,9 +28,11 @@ from clawmatch import (
     max_length_two_factor,
     random_base,
     ring_of_diamonds,
+    serialize_graph,
     verify_certificate,
     verify_3ec_remark,
 )
+from clawmatch.cli import main
 from bruteforce import brute_even_subsets, brute_isomorphic
 from corpus import (
     K4,
@@ -159,3 +163,24 @@ def test_criterion_9_long_two_factor_bound():
             total = sum(lengths)
             achieved = sum(lengths[e] for e in factor.members)
             assert achieved >= -(-2 * total // 3)
+
+
+def circular_ladder(k: int) -> Multigraph:
+    """Two k-cycles joined by k rungs (the prism over a k-cycle): cubic and 3-edge-connected."""
+    outer = [(i, (i + 1) % k) for i in range(k)]
+    inner = [(k + i, k + (i + 1) % k) for i in range(k)]
+    return Multigraph(2 * k, tuple(outer + inner + [(i, k + i) for i in range(k)]))
+
+
+def test_criterion_10_check_on_large_hosts(tmp_path):
+    for name, g, verdict in (
+        ("circular ladder, n=6000", circular_ladder(3000), "true"),
+        ("ring of 1500 diamonds, n=6000", ring_of_diamonds(1500), "false"),
+    ):
+        with criterion(10, f"clawmatch check decides 3-edge-connectivity on a {name}", 10.0):
+            doc = tmp_path / "host.txt"
+            doc.write_text(serialize_graph(g))
+            out = io.StringIO()
+            with redirect_stdout(out):
+                assert main(["check", str(doc)]) == 0
+            assert f"three_edge_connected={verdict}" in out.getvalue().splitlines()

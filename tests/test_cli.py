@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import clawmatch
-from clawmatch import parse_graph, serialize_graph
+from clawmatch import figure1_graph, parse_graph, serialize_graph
 from clawmatch.cli import main
 from corpus import K4, PRISM, TRIPLE_BOND, certify_corpus
 
@@ -151,11 +151,17 @@ def test_directory_argument_exit_code(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
-def test_certify_output_unchanged_under_optimize_flag(tmp_path):
-    # python -O strips asserts; no check on the certify path may rely on one
+def subprocess_env() -> dict:
+    """The environment with this checkout's clawmatch first on the import path."""
     env = dict(os.environ)
     src = str(Path(clawmatch.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return env
+
+
+def test_certify_output_unchanged_under_optimize_flag(tmp_path):
+    # python -O strips asserts; no check on the certify path may rely on one
+    env = subprocess_env()
     hosts = dict(certify_corpus())
     for name, branch in (("rb6-1-0", "cycle-space"), ("tb-210", "long-2-factor")):
         doc = tmp_path / f"{name}.txt"
@@ -184,3 +190,19 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"
+
+
+def test_count_exhausting_the_stack_exits_3_without_traceback(tmp_path):
+    # the backtracking counter recurses once per matched edge; n=2014 exceeds the default limit
+    doc = tmp_path / "fig1-500.txt"
+    doc.write_text(serialize_graph(figure1_graph(500)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clawmatch.cli", "count", str(doc)],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("internal error: ")
+    assert "Traceback" not in proc.stderr

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from clawmatch import graphs
 from clawmatch import (
     EdgeSubset,
     Multigraph,
@@ -14,9 +17,10 @@ from clawmatch import (
     is_cubic,
     is_three_edge_connected,
     is_two_edge_connected,
+    random_base,
     ring_of_diamonds,
 )
-from bruteforce import brute_bridges, brute_claw_centers
+from bruteforce import brute_bridges, brute_claw_centers, brute_three_edge_connected
 from corpus import (
     DOUBLE_DOUBLE,
     K4,
@@ -29,6 +33,7 @@ from corpus import (
     TWO_TRIANGLES_BRIDGED,
     base_corpus,
     certify_corpus,
+    cubic_corpus_small,
 )
 
 
@@ -171,6 +176,75 @@ def test_three_edge_connected_examples():
     assert not is_three_edge_connected(DOUBLE_DOUBLE)  # the two parallel pairs are 2-cuts
     # consecutive connecting edges of a diamond ring form a 2-cut
     assert not is_three_edge_connected(ring_of_diamonds(2))
+
+
+def three_edge_connectivity_corpus() -> list[Multigraph]:
+    named = base_corpus() + certify_corpus() + cubic_corpus_small()
+    return [g for _, g in named] + [PATH3, LOOP1, TWO_TRIANGLES_BRIDGED, STAR_K13, Multigraph(0, ())]
+
+
+def test_three_edge_connected_matches_removal_oracle_on_corpus():
+    hosts = three_edge_connectivity_corpus()
+    expected = [brute_three_edge_connected(g) for g in hosts]
+    assert True in expected and False in expected
+    assert [is_three_edge_connected(g) for g in hosts] == expected
+
+
+@st.composite
+def multigraphs(draw):
+    """Random multigraphs, n <= 9 and m <= 16, with loops, parallel edges and any number of components."""
+    n = draw(st.integers(0, 9), label="n")
+    if n == 0:
+        return Multigraph(0, ())
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return Multigraph(n, tuple(draw(st.lists(ends, max_size=16), label="edges")))
+
+
+@st.composite
+def cubic_multigraphs(draw):
+    """Connected cubic hosts: the corpus, many with 2-edge cuts, or random cubic bases."""
+    if draw(st.booleans(), label="corpus"):
+        return draw(st.sampled_from([g for _, g in certify_corpus() + cubic_corpus_small()]))
+    return random_base(draw(st.sampled_from((2, 4, 6, 8))), seed=draw(st.integers(0, 1 << 16)))
+
+
+def relabelled(g: Multigraph, vertex_order: list[int], edge_order: list[tuple[int, int]]) -> Multigraph:
+    """g with vertex v renamed vertex_order[v], edge e listed at the position of (e, i) in edge_order
+    and its ends swapped when i is 1."""
+    return Multigraph(
+        g.n, tuple((vertex_order[g.edges[e][i]], vertex_order[g.edges[e][1 - i]]) for e, i in edge_order)
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(multigraphs())
+def test_three_edge_connected_matches_removal_oracle_on_random_multigraphs(g):
+    assert is_three_edge_connected(g) == brute_three_edge_connected(g)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(multigraphs(), cubic_multigraphs()), st.randoms(use_true_random=False))
+def test_three_edge_connected_invariant_under_relabelling(g, rng):
+    # moving the BFS root and the edge order changes which edges are tree edges,
+    # so a 2-cut falls on two tree edges in one labelling and on a tree and a non-tree edge in another
+    expected = brute_three_edge_connected(g)
+    for _ in range(4):
+        vertex_order = rng.sample(range(g.n), g.n)
+        edge_order = [(e, rng.randrange(2)) for e in rng.sample(range(g.m), g.m)]
+        assert is_three_edge_connected(relabelled(g, vertex_order, edge_order)) == expected
+
+
+@pytest.mark.parametrize("bits", (1, 2))
+def test_three_edge_connected_confirms_colliding_labels(monkeypatch, bits):
+    # with 1- or 2-bit labels most zero labels and equal pairs are not cuts;
+    # only the remove-and-search confirmation keeps the answer exact
+    rng = random.Random(bits)
+    monkeypatch.setattr(graphs, "_cut_labels", lambda count: [rng.getrandbits(bits) for _ in range(count)])
+    cases = three_edge_connectivity_corpus()
+    cases += [random_multigraph(rng, rng.randrange(1, 10), rng.randrange(0, 18)) for _ in range(200)]
+    expected = [brute_three_edge_connected(g) for g in cases]
+    assert sum(expected) >= 10
+    assert [is_three_edge_connected(g) for g in cases] == expected
 
 
 def test_connected_components():
