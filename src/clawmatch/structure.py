@@ -3,8 +3,9 @@
 Every such graph is K4, a ring of diamonds, or is built from a
 2-edge-connected cubic base multigraph by replacing each base vertex
 with a triangle and some base edges with strings of diamonds.  This
-module recognizes that structure (classify / contract_to_base), inverts
-it (build), and provides the corpus generators.
+module recognizes that structure (find_diamonds / find_strings /
+classify / contract_to_base), inverts it (build), and provides the
+corpus generators.
 
 All decompositions store concrete vertex and edge ids of the host graph,
 not abstract isomorphism classes, so rebuilding is exact.
@@ -192,118 +193,73 @@ def find_diamonds(g: Multigraph) -> list[Diamond]:
 def _group_strings(
     g: Multigraph, diamonds: list[Diamond]
 ) -> tuple[list[DiamondString], list[tuple[Diamond, ...]]]:
-    owner: dict[int, int] = {}
-    for i, dia in enumerate(diamonds):
-        for v in dia.vertices:
-            owner[v] = i
-    links: list[list[tuple[int, int]]] = [[] for _ in diamonds]  # (other index, edge id)
-    free: list[list[int]] = [[] for _ in diamonds]  # unattached ports
-    for i, dia in enumerate(diamonds):
-        vset = set(dia.vertices)
-        for p in dia.ports:
-            ext = [w for w in g.neighbors(p) if w not in vset]
-            if len(ext) != 1:
-                raise StructureViolation(f"port {p} has {len(ext)} outside neighbors")
-            w = ext[0]
-            if w in owner:
-                links[i].append((owner[w], g.edge_between(p, w)))
-            else:
-                free[i].append(p)
-
+    owner = {v: i for i, dia in enumerate(diamonds) for v in dia.vertices}
     seen = [False] * len(diamonds)
+
+    def outside(i: int, p: int) -> int:
+        ext = [w for w in g.neighbors(p) if owner.get(w) != i]
+        if len(ext) != 1:
+            raise StructureViolation(f"port {p} has {len(ext)} outside neighbors")
+        return ext[0]
+
+    def walk(i: int, entry: int) -> tuple[list[int], int]:
+        # cross diamond i from entry to its other port and step out, until the
+        # step leaves the diamonds (a string's tail) or meets a seen one (a ring closed)
+        order = []
+        while True:
+            seen[i] = True
+            order.append(i)
+            p, q = diamonds[i].ports
+            exit_port = q if entry == p else p
+            w = outside(i, exit_port)
+            if w not in owner or seen[owner[w]]:
+                return order, exit_port
+            i, entry = owner[w], w
+
+    # each port has one outside neighbor and ports are nonadjacent, so the
+    # diamonds join into paths and cycles: the walks from the free ports take
+    # every path, and every diamond they leave unseen lies on a cycle
+    free = sorted(
+        p for i, dia in enumerate(diamonds) for p in dia.ports if outside(i, p) not in owner
+    )
     strings: list[DiamondString] = []
+    for head in free:
+        if not seen[owner[head]]:
+            order, tail = walk(owner[head], head)
+            strings.append(DiamondString(tuple(diamonds[j] for j in order), head, tail))
     rings: list[tuple[Diamond, ...]] = []
-    for start in range(len(diamonds)):
-        if seen[start]:
-            continue
-        comp = [start]
-        seen[start] = True
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for o, _ in links[x]:
-                if not seen[o]:
-                    seen[o] = True
-                    comp.append(o)
-                    stack.append(o)
-        if all(len(links[i]) == 2 for i in comp):
-            rings.append(_ring_walk(diamonds, links, comp))
-        else:
-            strings.append(_string_walk(diamonds, links, free, comp))
-    strings.sort(key=lambda s: s.head)
+    for i, dia in enumerate(diamonds):
+        if not seen[i]:
+            # diamonds come in least-vertex order, so i holds its ring's least vertex;
+            # entering through the port facing the neighbor with the larger least
+            # vertex leaves toward the smaller one
+            entry = max(dia.ports, key=lambda p: diamonds[owner[outside(i, p)]].vertices[0])
+            rings.append(tuple(diamonds[j] for j in walk(i, entry)[0]))
     return strings, rings
 
 
-def _ring_walk(diamonds, links, comp) -> tuple[Diamond, ...]:
-    start = min(comp, key=lambda i: diamonds[i].vertices[0])
-    order = [start]
-    used: set[int] = set()
-    cur = start
-    while True:
-        options = [
-            (diamonds[o].vertices[0], eid, o) for o, eid in links[cur] if eid not in used
-        ]
-        if not options:
-            break
-        _, eid, nxt = min(options)
-        used.add(eid)
-        if nxt == start:
-            break
-        order.append(nxt)
-        cur = nxt
-    if len(order) != len(comp):
-        raise StructureViolation("diamond cycle is not a single closed walk")
-    return tuple(diamonds[i] for i in order)
-
-
-def _string_walk(diamonds, links, free, comp) -> DiamondString:
-    if len(comp) == 1:
-        i = comp[0]
-        if len(free[i]) != 2:
-            raise StructureViolation("isolated diamond without two free ports")
-        p, q = sorted(free[i])
-        return DiamondString((diamonds[i],), p, q)
-    ends = [i for i in comp if len(links[i]) == 1]
-    if len(ends) != 2 or any(len(free[i]) != 1 for i in ends):
-        raise StructureViolation("diamond chain has malformed ends")
-    a, b = ends
-    start = a if free[a][0] < free[b][0] else b
-    order = [start]
-    used: set[int] = set()
-    cur = start
-    while True:
-        options = [(eid, o) for o, eid in links[cur] if eid not in used]
-        if not options:
-            break
-        eid, nxt = min(options)
-        used.add(eid)
-        order.append(nxt)
-        cur = nxt
-    if len(order) != len(comp):
-        raise StructureViolation("diamond chain is not a single open walk")
-    return DiamondString(
-        tuple(diamonds[i] for i in order), free[start][0], free[order[-1]][0]
-    )
-
-
-def find_strings(
-    g: Multigraph, diamonds: list[Diamond] | None = None
-) -> tuple[list[DiamondString], list[tuple[Diamond, ...]]]:
+def find_strings(g: Multigraph) -> tuple[list[DiamondString], list[tuple[Diamond, ...]]]:
     """Partition all diamonds into maximal strings.
 
-    Returns (strings, rings).  Closed diamond cycles have no head or
-    tail, so they are reported separately in cyclic order and classify
-    deals with them; for every graph that is not a ring of diamonds the
-    second list is empty.
+    Returns (strings, rings).  A string runs from its head, the smaller
+    of its two free ports (ports whose outside neighbor lies in no
+    diamond), to its tail, and the strings are sorted by head.  Closed
+    diamond cycles have no head or tail, so they are reported separately
+    and classify deals with them; for every graph that is not a ring of
+    diamonds the second list is empty.  A ring starts at the diamond
+    holding its least vertex and continues toward the neighbor with the
+    smaller least vertex (the two neighbors of a 2-diamond ring are the
+    same diamond, so its order is fixed).
     """
-    if diamonds is None:
-        diamonds = find_diamonds(g)
-    else:
-        _require_cubic_claw_free(g)
-    return _group_strings(g, diamonds)
+    return _group_strings(g, find_diamonds(g))
 
 
-def _contract(g: Multigraph, strings: list[DiamondString]) -> Decomposition:
+def contract_to_base(g: Multigraph, strings: list[DiamondString]) -> Decomposition:
+    """Contract triangles to base vertices and strings to base edges.
+
+    Requires a graph that classify would not call K4 or a ring of
+    diamonds; the result's base is cubic, loop-free and 2-edge-connected.
+    """
     in_diamond: set[int] = set()
     for s in strings:
         for dia in s.diamonds:
@@ -404,15 +360,6 @@ def _diamond_edges(g: Multigraph, dia: Diamond) -> list[int]:
     ]
 
 
-def contract_to_base(g: Multigraph, strings: list[DiamondString]) -> Decomposition:
-    """Contract triangles to base vertices and strings to base edges.
-
-    Requires a graph that classify would not call K4 or a ring of
-    diamonds; the result's base is cubic, loop-free and 2-edge-connected.
-    """
-    return _contract(g, strings)
-
-
 def classify(g: Multigraph) -> Decomposition:
     """Decide K4 / ring of diamonds / expansion for a 2-edge-connected claw-free cubic graph.
 
@@ -442,7 +389,7 @@ def classify(g: Multigraph) -> Decomposition:
     strings, rings = _group_strings(g, diamonds)
     if rings:
         raise StructureViolation("closed diamond cycle in a graph with triangle vertices")
-    return _contract(g, strings)
+    return contract_to_base(g, strings)
 
 
 def build(

@@ -118,3 +118,11 @@ def seeded_length_vector(rng: random.Random, m: int, max_total: int) -> list:
     for _ in range(rng.randint(0, max_total)):
         lengths[rng.randrange(m)] += 1
     return lengths
+
+
+def relabelled(g: Multigraph, vertex_order: list[int], edge_order: list[tuple[int, int]]) -> Multigraph:
+    """g with vertex v renamed vertex_order[v], edge e listed at the position of (e, i) in edge_order
+    and its ends swapped when i is 1."""
+    return Multigraph(
+        g.n, tuple((vertex_order[g.edges[e][i]], vertex_order[g.edges[e][1 - i]]) for e, i in edge_order)
+    )

@@ -206,3 +206,15 @@ def test_count_exhausting_the_stack_exits_3_without_traceback(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("internal error: ")
     assert "Traceback" not in proc.stderr
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_runs_cleanly(demo):
+    proc = subprocess.run(
+        [sys.executable, str(demo)], capture_output=True, text=True, env=subprocess_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr

@@ -34,6 +34,7 @@ from corpus import (
     base_corpus,
     certify_corpus,
     cubic_corpus_small,
+    relabelled,
 )
 
 
@@ -206,14 +207,6 @@ def cubic_multigraphs(draw):
     if draw(st.booleans(), label="corpus"):
         return draw(st.sampled_from([g for _, g in certify_corpus() + cubic_corpus_small()]))
     return random_base(draw(st.sampled_from((2, 4, 6, 8))), seed=draw(st.integers(0, 1 << 16)))
-
-
-def relabelled(g: Multigraph, vertex_order: list[int], edge_order: list[tuple[int, int]]) -> Multigraph:
-    """g with vertex v renamed vertex_order[v], edge e listed at the position of (e, i) in edge_order
-    and its ends swapped when i is 1."""
-    return Multigraph(
-        g.n, tuple((vertex_order[g.edges[e][i]], vertex_order[g.edges[e][1 - i]]) for e, i in edge_order)
-    )
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -1,6 +1,9 @@
+import hashlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clawmatch import (
     InvalidBase,
@@ -25,6 +28,8 @@ from clawmatch import (
     is_two_edge_connected,
     random_base,
     ring_of_diamonds,
+    serialize_decomposition,
+    string_passages,
 )
 from bruteforce import brute_diamond_vertex_sets, brute_isomorphic, edge_multiset
 from corpus import (
@@ -34,6 +39,7 @@ from corpus import (
     PATH3,
     TRIPLE_BOND,
     certify_corpus,
+    relabelled,
     seeded_length_vector,
 )
 
@@ -278,3 +284,83 @@ def test_random_base_contract():
         random_base(3, seed=0)
     with pytest.raises(ValueError):
         random_base(0, seed=0)
+
+
+def shuffled(g: Multigraph, rng: random.Random) -> Multigraph:
+    """g under a random vertex relabelling, edge order and choice of edge ends."""
+    vertex_order = rng.sample(range(g.n), g.n)
+    edge_order = [(e, rng.randrange(2)) for e in rng.sample(range(g.m), g.m)]
+    return relabelled(g, vertex_order, edge_order)
+
+
+def byte_identity_sweep() -> list[Multigraph]:
+    """Seeded expansions of random bases (k = 2..14, lengths 0..3) and rings of 2..8 diamonds,
+    each as built and shuffled."""
+    rng = random.Random(4)
+    hosts = []
+    for k in range(2, 15, 2):
+        for _ in range(20):
+            h = random_base(k, seed=rng.randrange(1 << 16))
+            hosts.append(build(h, [rng.randint(0, 3) for _ in range(h.m)])[0])
+    hosts += [ring_of_diamonds(d) for d in range(2, 9)]
+    return hosts + [shuffled(g, rng) for g in hosts]
+
+
+def test_decompositions_and_strings_are_byte_stable_on_seeded_sweep():
+    # the digest pins the order of strings, rings, diamonds and ports; any regrouping
+    # of the diamonds must reproduce it byte for byte
+    digest = hashlib.sha256()
+    hosts = byte_identity_sweep()
+    for g in hosts:
+        digest.update(serialize_decomposition(classify(g)).encode())
+        digest.update(repr(find_strings(g)).encode())
+    assert len(hosts) == 294
+    assert digest.hexdigest() == "87777d71081e16bb1f4bf8ed197342cc6235c54bb9949c09798f67423a7ec4e8"
+
+
+@st.composite
+def shuffled_diamond_hosts(draw):
+    """Rings of 2..7 diamonds or expansions of bases with k <= 6 and at most 4 diamonds
+    (n <= 34, so the brute-force diamond scan stays cheap), randomly shuffled."""
+    if draw(st.booleans(), label="ring"):
+        g = ring_of_diamonds(draw(st.integers(2, 7), label="ring size"))
+    else:
+        k = draw(st.sampled_from((2, 4, 6)), label="k")
+        h = random_base(k, seed=draw(st.integers(0, 1 << 16), label="seed"))
+        lengths = [0] * h.m
+        for e in draw(st.lists(st.integers(0, h.m - 1), max_size=4), label="diamond edges"):
+            lengths[e] += 1
+        g, _ = build(h, lengths)
+    return shuffled(g, draw(st.randoms(use_true_random=False)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shuffled_diamond_hosts())
+def test_find_strings_ordering_rules(g):
+    strings, rings = find_strings(g)
+    owner = {v: dia for dia in find_diamonds(g) for v in dia.vertices}
+
+    def outside(dia, p):
+        (w,) = [w for w in g.neighbors(p) if w not in dia.vertices]
+        return w
+
+    found = [dia.vertices for s in strings for dia in s.diamonds]
+    found += [dia.vertices for ring in rings for dia in ring]
+    assert sorted(found) == sorted(brute_diamond_vertex_sets(g))
+    for s in strings:
+        assert outside(s.diamonds[0], s.head) not in owner
+        assert outside(s.diamonds[-1], s.tail) not in owner
+        assert s.head < s.tail
+        assert len(string_passages(g, s)) == len(s)
+    assert [s.head for s in strings] == sorted(s.head for s in strings)
+    for ring in rings:
+        first = ring[0]
+        assert first.vertices[0] == min(v for dia in ring for v in dia.vertices)
+        # leave toward the neighbour with the smaller least vertex, then by the smaller port edge
+        steps = [
+            (owner[outside(first, p)].vertices[0], g.edge_between(p, outside(first, p)))
+            for p in first.ports
+        ]
+        assert ring[1].vertices[0] == min(steps)[0]
+        for a, b in zip(ring, ring[1:] + ring[:1]):
+            assert any(outside(a, p) in b.ports for p in a.ports)
