@@ -21,7 +21,12 @@ up by their ends:
 - per diamond, the XOR that turns its bit-0 walk into its bit-1 walk.
 A lift is then an OR of table entries, a routing an XOR of flips, and the
 matching the complement full ^ factor.  Every lifted factor is still
-checked to be a 2-factor of the host, vertex by vertex.
+checked exactly, one row at a time: in a cubic host it is a 2-factor iff
+its complement is a perfect matching, and a row of edge ids is a perfect
+matching iff it has n/2 edges whose end-vertex bitmasks sum to the n
+one-bits of (1 << n) - 1 (see _is_perfect_row).  certificate_problems
+checks rows with the same test.  The vertex-by-vertex degree scan runs
+only to name the offending vertices once a row has failed.
 """
 
 from __future__ import annotations
@@ -75,6 +80,23 @@ class RoutingChoice:
                 raise ValueError(f"selector {key} must be 0 or 1")
 
 
+def _end_bits(g: Multigraph) -> list[int]:
+    """Per edge id, the bitmask (1 << u) | (1 << v) of its ends; a loop sets one bit."""
+    return [1 << u | 1 << v for u, v in g.edges]
+
+
+def _is_perfect_row(row: tuple[int, ...], end_bits: list[int], n: int) -> bool:
+    """Whether the edge ids of row form a perfect matching of an n-vertex graph.
+
+    Exact: the n/2 end masks carry at most n one-bits between them, and a
+    sum has fewer one-bits than its terms whenever two terms share a bit
+    (the addition carries).  So the sum is (1 << n) - 1 only when no two
+    edges share a vertex and none is a loop (a loop's mask has one bit).
+    Every id must be a valid index of end_bits.
+    """
+    return 2 * len(row) == n and sum(map(end_bits.__getitem__, row)) == (1 << n) - 1
+
+
 def traversed_diamonds(member: EdgeSubset, d: Decomposition) -> tuple[tuple[int, int], ...]:
     """Slots (base edge, position) of every diamond the member passes through."""
     slots = []
@@ -109,8 +131,9 @@ class _Gadgets:
         def bits(*pairs: tuple[int, int]) -> int:
             return _mask(g.edge_between(u, w) for u, w in pairs)
 
+        self.graph = g
         self.full = (1 << g.m) - 1
-        self.host_inc = [_mask(g.incident(v)) for v in range(g.n)]
+        self.end_bits = _end_bits(g)
         # (v, mask of the base edges at v, {member & that mask: triangle edges})
         self.vertex: list[tuple[int, int, dict[int, int]]] = []
         for v, corners in enumerate(d.triangles):
@@ -159,17 +182,21 @@ class _Gadgets:
             factor ^= flips[(i & -i).bit_length() - 1]
             yield factor
 
+    def matching(self, factor: int) -> tuple[int, ...]:
+        """Edge ids of the perfect matching complementary to factor, once factor is
+        seen to be a 2-factor of the cubic host, which holds iff the complement is
+        a perfect matching."""
+        row = _unmask(self.full ^ factor)
+        if not _is_perfect_row(row, self.end_bits, self.graph.n):
+            deg = subset_degrees(self.graph, _unmask(factor))
+            bad = [v for v, dv in enumerate(deg) if dv != 2]
+            raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
+        return row
+
     def checked(self, factor: int) -> int:
         """factor itself, once every host vertex is seen to have degree 2 in it."""
-        for inc in self.host_inc:
-            if (factor & inc).bit_count() != 2:
-                bad = [v for v, at in enumerate(self.host_inc) if (factor & at).bit_count() != 2]
-                raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
+        self.matching(factor)
         return factor
-
-    def matching(self, factor: int) -> tuple[int, ...]:
-        """Edge ids of the perfect matching complementary to factor, once it is checked."""
-        return _unmask(self.full ^ self.checked(factor))
 
 
 def expand(member: EdgeSubset, d: Decomposition, routing: RoutingChoice) -> EdgeSubset:
@@ -290,14 +317,15 @@ def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:
     problems: list[str] = []
     if cert.n != g.n:
         problems.append(f"certificate n={cert.n} does not match the graph n={g.n}")
+    m, end_bits = g.m, _end_bits(g)
     seen: set[tuple[int, ...]] = set()
     for idx, row in enumerate(cert.matchings):
-        if any(e < 0 or e >= g.m for e in row):
+        if row and (min(row) < 0 or max(row) >= m):
             problems.append(f"matching {idx} has an out-of-range edge index")
             continue
-        deg = subset_degrees(g, row)
-        bad = next((v for v, dv in enumerate(deg) if dv != 1), None)
-        if bad is not None:
+        if not _is_perfect_row(row, end_bits, g.n):
+            deg = subset_degrees(g, row)
+            bad = next(v for v, dv in enumerate(deg) if dv != 1)
             problems.append(
                 f"matching {idx} is not a perfect matching: vertex {bad} has degree {deg[bad]}"
             )

@@ -95,5 +95,10 @@ def serialize_certificate(c: Certificate) -> str:
         f"count={len(c.matchings)}",
         f"bound_ok={'true' if c.bound_ok else 'false'}",
     ]
-    lines.extend(" ".join(map(str, row)) for row in c.matchings)
+    # every edge id's decimal string, made once instead of once per row it is in
+    names = {e: str(e) for e in range(c.host.m)}
+    try:
+        lines += [" ".join(map(names.__getitem__, row)) for row in c.matchings]
+    except KeyError:  # an id outside range(m): print every row as it is
+        lines += [" ".join(map(str, row)) for row in c.matchings]
     return "\n".join(lines) + "\n"

@@ -5,7 +5,8 @@ bridges and 3-edge-connectivity by remove-and-test, claws and
 diamonds by exhaustive vertex scans, cycle space and matchings by
 filtering all 2^m edge subsets, isomorphism by permutation search, and
 the lift of a base member by looking every host edge up by its ends
-instead of through gadget tables.
+instead of through gadget tables, and certificate rows by a full
+per-vertex degree list each.
 """
 
 from itertools import combinations, permutations
@@ -195,3 +196,33 @@ def reference_lift(member, d, routing) -> frozenset:
                 s, t = dia.internals
                 picked.update(g.edge_between(u, w) for u, w in ((p, s), (s, q), (q, t), (t, p)))
     return frozenset(picked)
+
+
+def reference_certificate_problems(g: Multigraph, cert) -> list:
+    """certificate_problems as it was before rows were checked with end-vertex bitmasks:
+    a range test per id and a subset_degrees scan per row."""
+    problems: list[str] = []
+    if cert.n != g.n:
+        problems.append(f"certificate n={cert.n} does not match the graph n={g.n}")
+    seen: set[tuple[int, ...]] = set()
+    for idx, row in enumerate(cert.matchings):
+        if any(e < 0 or e >= g.m for e in row):
+            problems.append(f"matching {idx} has an out-of-range edge index")
+            continue
+        deg = subset_degrees(g, row)
+        bad = next((v for v, dv in enumerate(deg) if dv != 1), None)
+        if bad is not None:
+            problems.append(
+                f"matching {idx} is not a perfect matching: vertex {bad} has degree {deg[bad]}"
+            )
+        key = tuple(sorted(row))
+        if key in seen:
+            problems.append(f"matching {idx} duplicates an earlier row")
+        seen.add(key)
+    count = len(seen)
+    bound_holds = count**12 > 2**g.n
+    if not bound_holds:
+        problems.append(f"bound fails: {count}^12 <= 2^{g.n}")
+    if cert.bound_ok != bound_holds:
+        problems.append("bound_ok flag does not match the exact arithmetic")
+    return problems

@@ -1,4 +1,5 @@
 import dataclasses
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from clawmatch import (
     Certificate,
     DegreeViolation,
     EdgeSubset,
+    Multigraph,
     RoutingChoice,
     all_routings,
     build,
@@ -33,7 +35,7 @@ from clawmatch import (
 )
 from clawmatch import expansion
 from clawmatch.cli import main
-from bruteforce import reference_lift
+from bruteforce import reference_certificate_problems, reference_lift
 from corpus import K4, K33, PETERSEN, PRISM, TRIPLE_BOND, certify_corpus
 
 
@@ -210,6 +212,81 @@ def test_verify_certificate_catches_mutations():
     assert any("bound_ok" in p for p in certificate_problems(K4, bad_flag))
 
 
+@cache
+def corpus_certificates():
+    return tuple((g, certify(g)) for _, g in certify_corpus())
+
+
+def mutated_certificate(draw, g, cert):
+    """cert with a drawn sequence of edits to its rows, n and bound_ok."""
+    rows = [list(row) for row in cert.matchings]
+    n, bound_ok = cert.n, cert.bound_ok
+
+    def index(seq, extra=0):
+        return draw(st.integers(0, len(seq) - 1 + extra), label="index")
+
+    edits = st.sampled_from(
+        ("drop", "add", "replace", "repeat", "negative", "too large", "unsorted",
+         "empty", "duplicate", "truncate", "n", "bound_ok")
+    )
+    for edit in draw(st.lists(edits, max_size=4), label="edits"):
+        if edit == "n":
+            n += draw(st.sampled_from((-2, -1, 1, 2)), label="n shift")
+        elif edit == "bound_ok":
+            bound_ok = not bound_ok
+        elif edit == "empty":
+            rows.insert(index(rows, 1), [])
+        elif edit == "truncate":
+            del rows[index(rows, 1):]
+        elif not rows:
+            continue
+        elif edit == "duplicate":
+            rows.insert(index(rows, 1), list(rows[index(rows)]))
+        else:
+            row = rows[index(rows)]
+            if edit == "add":
+                row.insert(index(row, 1), draw(st.integers(0, g.m - 1), label="id"))
+            elif not row:
+                continue
+            elif edit == "drop":
+                del row[index(row)]
+            elif edit == "replace":
+                row[index(row)] = draw(st.integers(0, g.m - 1), label="id")
+            elif edit == "repeat":
+                row.insert(index(row, 1), row[index(row)])
+            elif edit == "negative":
+                row[index(row)] = draw(st.integers(-g.m - 2, -1), label="id")
+            elif edit == "too large":
+                row[index(row)] = draw(st.integers(g.m, 2 * g.m + 2), label="id")
+            else:
+                row.reverse()
+    return dataclasses.replace(cert, matchings=tuple(map(tuple, rows)), n=n, bound_ok=bound_ok)
+
+
+def random_rows_certificate(draw):
+    """Arbitrary rows, ids a little outside range(m) included, on a small random multigraph
+    with loops and parallel edges."""
+    n = draw(st.integers(0, 6), label="n")
+    ends = st.integers(0, max(n - 1, 0))
+    pairs = st.tuples(ends, ends)
+    g = Multigraph(n, tuple(draw(st.lists(pairs, max_size=9 if n else 0), label="edges")))
+    row = st.lists(st.integers(-1, g.m + 1), max_size=4).map(tuple)
+    rows = tuple(draw(st.lists(row, max_size=6), label="rows"))
+    cert_n = draw(st.sampled_from((n, n + 2)), label="certificate n")
+    return g, Certificate(g, rows, cert_n, "k4", draw(st.booleans(), label="bound_ok"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_certificate_problems_agree_with_reference(data):
+    if data.draw(st.booleans(), label="corpus"):
+        g, cert = data.draw(st.sampled_from(corpus_certificates()), label="host")
+        cert = mutated_certificate(data.draw, g, cert)
+    else:
+        g, cert = random_rows_certificate(data.draw)
+    assert certificate_problems(g, cert) == reference_certificate_problems(g, cert)
+
+
 def test_expansion_bijection_when_diamond_free():
     for h in (TRIPLE_BOND, K4, K33):
         g, d = build(h, [0] * h.m)
@@ -309,3 +386,78 @@ def test_corrupted_decomposition_raises_instead_of_emitting_rows(monkeypatch, ca
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("internal error: expansion is not a 2-factor")
+
+
+def old_degree_scan(g, factor):
+    """Host vertices of degree other than 2 in factor, one incidence mask per vertex: the
+    scan that checked every lifted factor before rows were checked in one pass."""
+    mask = sum(1 << e for e in factor)
+    return [v for v in range(g.n) if (mask & sum(1 << e for e in g.incident(v))).bit_count() != 2]
+
+
+def with_corrupted_gadgets(monkeypatch, corrupt):
+    """Make certify and expand build their gadget tables through corrupt(tables)."""
+
+    class Corrupted(expansion._Gadgets):
+        def __init__(self, d):
+            super().__init__(d)
+            corrupt(self)
+
+    monkeypatch.setattr(expansion, "_Gadgets", Corrupted)
+
+
+def long_branch_host(pair):
+    g, d = build(TRIPLE_BOND, [2, 1, 0])  # long-2-factor branch over the first two base edges
+    chosen = EdgeSubset(d.base, frozenset({0, 1}))
+    # the edge a corrupted table toggles: a triangle edge at base vertex 0, which the
+    # lift of chosen takes for two of the three pairs and leaves out for the third
+    stray = g.edge_between(*(d.triangles[0][i] for i in pair))
+    return g, d, chosen, stray
+
+
+TRIANGLE_PAIRS = pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
+
+
+@TRIANGLE_PAIRS
+def test_corrupted_flip_mask_names_the_vertices_of_the_old_scan(monkeypatch, pair):
+    g, d, chosen, stray = long_branch_host(pair)
+    first = traversed_diamonds(chosen, d)[0]
+    routing = RoutingChoice({slot: int(slot == first) for slot in traversed_diamonds(chosen, d)})
+    expected = old_degree_scan(g, reference_lift(chosen, d, routing) ^ {stray})
+    assert expected == sorted(g.edges[stray])
+
+    def corrupt(tables):
+        tables.flip[first] ^= 1 << stray
+
+    with_corrupted_gadgets(monkeypatch, corrupt)
+    message = f"expansion is not a 2-factor at vertices {expected}"
+    expand(chosen, d, zero_routing(chosen, d))  # the flip is not taken
+    with pytest.raises(DegreeViolation) as exc:
+        expand(chosen, d, routing)
+    assert str(exc.value) == message
+    monkeypatch.setattr(expansion, "classify", lambda host: d)
+    with pytest.raises(DegreeViolation) as exc:
+        certify(g)
+    assert str(exc.value) == message
+
+
+@TRIANGLE_PAIRS
+def test_corrupted_triangle_state_names_the_vertices_of_the_old_scan(monkeypatch, pair):
+    g, d, chosen, stray = long_branch_host(pair)
+    routing = zero_routing(chosen, d)
+    expected = old_degree_scan(g, reference_lift(chosen, d, routing) ^ {stray})
+    assert expected == sorted(g.edges[stray])
+
+    def corrupt(tables):
+        _, inc, states = tables.vertex[0]
+        states[0b11 & inc] ^= 1 << stray  # the state of base vertex 0 under chosen
+
+    with_corrupted_gadgets(monkeypatch, corrupt)
+    message = f"expansion is not a 2-factor at vertices {expected}"
+    with pytest.raises(DegreeViolation) as exc:
+        expand(chosen, d, routing)
+    assert str(exc.value) == message
+    monkeypatch.setattr(expansion, "classify", lambda host: d)
+    with pytest.raises(DegreeViolation) as exc:
+        certify(g)
+    assert str(exc.value) == message

@@ -1,18 +1,26 @@
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clawmatch import (
+    KIND_EXPANDED,
+    Certificate,
     Multigraph,
     ParseError,
     build,
     certify,
     classify,
     parse_graph,
+    random_base,
     ring_of_diamonds,
     serialize_certificate,
     serialize_decomposition,
     serialize_graph,
 )
-from corpus import K4, TRIPLE_BOND, certify_corpus
+from corpus import K4, TRIPLE_BOND, certify_corpus, relabelled, seeded_length_vector
 
 K4_DOC = """p 4 6
 e 0 1
@@ -105,6 +113,52 @@ def test_serialize_decomposition_other_kinds():
 def test_serialize_certificate_k4():
     text = serialize_certificate(certify(K4))
     assert text == "n=4\nbranch=k4\ncount=3\nbound_ok=true\n0 5\n1 4\n2 3\n"
+
+
+ids = st.one_of(st.integers(-3, 15), st.integers())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 12), st.lists(st.lists(ids, max_size=6).map(tuple), max_size=6))
+def test_serialize_certificate_prints_rows_as_str_of_each_id(m, rows):
+    # ids outside range(m), negative ones included, must print as they are
+    host = Multigraph(1, ((0, 0),) * m)
+    text = serialize_certificate(Certificate(host, tuple(rows), 1, "ring", False))
+    header = f"n=1\nbranch=ring\ncount={len(rows)}\nbound_ok=false\n"
+    assert text == header + "".join(" ".join(map(str, row)) + "\n" for row in rows)
+
+
+def certificate_sweep() -> list[Multigraph]:
+    """The certify corpus, seeded expansions of random bases (k = 2..14, at most 10
+    diamonds, so both branches fire) and rings of 2..8 diamonds, then a seeded
+    relabelling of each."""
+    rng = random.Random(5)
+    hosts = [g for _, g in certify_corpus()]
+    for k in range(2, 15, 2):
+        for _ in range(8):
+            h = random_base(k, seed=rng.randrange(1 << 16))
+            hosts.append(build(h, seeded_length_vector(rng, h.m, 10))[0])
+    hosts += [ring_of_diamonds(d) for d in range(2, 9)]
+    shuffled = [
+        relabelled(g, rng.sample(range(g.n), g.n), [(e, rng.randrange(2)) for e in rng.sample(range(g.m), g.m)])
+        for g in hosts
+    ]
+    return hosts + shuffled
+
+
+def test_certificates_are_byte_stable_on_seeded_sweep():
+    digest = hashlib.sha256()
+    hosts = certificate_sweep()
+    branches = set()
+    for g in hosts:
+        cert = certify(g)
+        branches.add(cert.branch)
+        digest.update(serialize_certificate(cert).encode())
+        if classify(g).kind == KIND_EXPANDED:
+            digest.update(serialize_certificate(certify(g, both_branches=True)).encode())
+    assert len(hosts) == 164
+    assert branches == {"k4", "ring", "cycle-space", "long-2-factor"}
+    assert digest.hexdigest() == "c3e2ca6409444f31da30a3963be58867ed44bf3a113ce6692e0d4eb4a957f04e"
 
 
 def test_serializers_are_deterministic():
