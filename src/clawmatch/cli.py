@@ -191,10 +191,6 @@ def main(argv: list[str] | None = None) -> int:
         # GraphError covers ParseError and CapExceeded; OSError an input path that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RecursionError as exc:
-        # the brute-force counters recurse once per chosen edge, so large inputs exhaust the stack
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

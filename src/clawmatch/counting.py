@@ -25,32 +25,47 @@ class CountReport:
 def _iter_perfect_matchings(g: Multigraph) -> Iterator[frozenset[int]]:
     """Backtracking on the lowest-id unmatched vertex, incident edges in id order.
 
-    Loops never belong to a matching; parallel edges count separately.
+    Loops never belong to a matching; parallel edges count separately.  The
+    search keeps its frames on an explicit stack, so its depth is not bounded
+    by Python's recursion limit.
     """
+    if g.n == 0:
+        yield frozenset()
+        return
     matched = [False] * g.n
     chosen: list[int] = []
-
-    def rec(start: int) -> Iterator[frozenset[int]]:
-        v = start
-        while v < g.n and matched[v]:
-            v += 1
-        if v == g.n:
-            yield frozenset(chosen)
-            return
-        for e in g.incident(v):
+    # a frame is a vertex being matched and its incident edges not yet tried; the top
+    # frame is (v, options), the ones below it are on the stack, and chosen holds the
+    # edge each of those has matched its vertex with
+    stack: list[tuple[int, Iterator[int]]] = []
+    v, options = 0, iter(g.incident(0))
+    while True:
+        for e in options:
             u, w = g.edges[e]
             if u == w:
                 continue
             o = w if u == v else u
-            if matched[o]:
-                continue
-            matched[v] = matched[o] = True
-            chosen.append(e)
-            yield from rec(v + 1)
-            chosen.pop()
-            matched[v] = matched[o] = False
-
-    yield from rec(0)
+            if not matched[o]:
+                break
+        else:
+            if not stack:
+                return
+            u, w = g.edges[chosen.pop()]
+            matched[u] = matched[w] = False
+            v, options = stack.pop()
+            continue
+        matched[v] = matched[o] = True
+        chosen.append(e)
+        nxt = v + 1
+        while nxt < g.n and matched[nxt]:
+            nxt += 1
+        if nxt < g.n:
+            stack.append((v, options))
+            v, options = nxt, iter(g.incident(nxt))
+            continue
+        yield frozenset(chosen)
+        chosen.pop()
+        matched[v] = matched[o] = False
 
 
 def count_perfect_matchings(g: Multigraph) -> int:
@@ -70,7 +85,12 @@ def enumerate_perfect_matchings(g: Multigraph, cap: int) -> list[EdgeSubset]:
 
 
 def _iter_two_factors(g: Multigraph) -> Iterator[frozenset[int]]:
-    """All spanning subgraphs with every degree exactly 2 (loops count twice)."""
+    """All spanning subgraphs with every degree exactly 2 (loops count twice).
+
+    Decides the edges in id order, trying to include each before excluding
+    it.  The decisions are kept on an explicit stack, so the search depth is
+    not bounded by Python's recursion limit.
+    """
     if any(d < 2 for d in g.degrees()):
         return
     deg = [0] * g.n
@@ -83,31 +103,52 @@ def _iter_two_factors(g: Multigraph) -> Iterator[frozenset[int]]:
     def feasible(v: int) -> bool:
         return deg[v] <= 2 and deg[v] + rem[v] >= 2
 
-    def rec(i: int) -> Iterator[frozenset[int]]:
+    stack: list[tuple[int, bool]] = []  # (edge id, whether it is included) per decided edge
+    i = 0  # the next edge to decide
+    while True:
         if i == g.m:
             if all(d == 2 for d in deg):
                 yield frozenset(chosen)
+        else:
+            u, v = g.edges[i]
+            step = 2 if u == v else 1
+            rem[u] -= step
+            rem[v] -= step if u != v else 0
+            # include edge i
+            deg[u] += step
+            deg[v] += step if u != v else 0
+            if feasible(u) and feasible(v):
+                chosen.append(i)
+                stack.append((i, True))
+                i += 1
+                continue
+            deg[u] -= step
+            deg[v] -= step if u != v else 0
+            # exclude edge i
+            if feasible(u) and feasible(v):
+                stack.append((i, False))
+                i += 1
+                continue
+            rem[u] += step
+            rem[v] += step if u != v else 0
+        # backtrack to the latest included edge that can still be excluded
+        while stack:
+            i, included = stack.pop()
+            u, v = g.edges[i]
+            step = 2 if u == v else 1
+            if included:
+                chosen.pop()
+                deg[u] -= step
+                deg[v] -= step if u != v else 0
+                # exclude edge i
+                if feasible(u) and feasible(v):
+                    stack.append((i, False))
+                    i += 1
+                    break
+            rem[u] += step
+            rem[v] += step if u != v else 0
+        else:
             return
-        u, v = g.edges[i]
-        step = 2 if u == v else 1
-        rem[u] -= step
-        rem[v] -= step if u != v else 0
-        # include edge i
-        deg[u] += step
-        deg[v] += step if u != v else 0
-        if feasible(u) and feasible(v):
-            chosen.append(i)
-            yield from rec(i + 1)
-            chosen.pop()
-        deg[u] -= step
-        deg[v] -= step if u != v else 0
-        # exclude edge i
-        if feasible(u) and feasible(v):
-            yield from rec(i + 1)
-        rem[u] += step
-        rem[v] += step if u != v else 0
-
-    yield from rec(0)
 
 
 def count_two_factors(g: Multigraph) -> int:

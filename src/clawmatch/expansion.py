@@ -35,11 +35,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Mapping
 
-from .counting import (
-    count_perfect_matchings,
-    enumerate_two_factors,
-    max_length_two_factor,
-)
+from .counting import enumerate_perfect_matchings, max_length_two_factor
 from .cyclespace import _mask, _unmask, cycle_space_masks
 from .errors import BoundFailure, CapExceeded, DegreeViolation
 from .graphs import (
@@ -352,6 +348,16 @@ def verify_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
     The mechanism: such a graph has no diamonds, and lifting the base's
     cycle space is a bijection onto the 2-factors of g.  K4 is excluded
     by precondition.
+
+    Both halves are checked against one enumeration of the perfect
+    matchings by the backtracking oracle, which shares no code with the
+    lift.  In a cubic graph every vertex has degree 3, so an edge set F
+    has degree 2 everywhere iff its complement E - F has degree 1
+    everywhere: the 2-factors are exactly the complements E - M of the
+    perfect matchings M, one for one.  The count is then the number of
+    matchings, and the lifted members, as edge bitmasks, must be the set
+    of the complements full ^ mask(M).  The answer is exact; no 2-factor
+    is searched for.
     """
     g.ensure_simple()
     if not is_cubic(g):
@@ -366,7 +372,11 @@ def verify_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
 
     if g.n % 6:
         return False
-    if count_perfect_matchings(g) != 2 ** (g.n // 6 + 1):
+    try:
+        matchings = enumerate_perfect_matchings(g, cap)
+    except CapExceeded:
+        return False
+    if len(matchings) != 2 ** (g.n // 6 + 1):
         return False
     if _scan_diamonds(g):
         return False
@@ -375,11 +385,7 @@ def verify_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
         return False
     gadgets = _Gadgets(d)
     members = cycle_space_masks(d.base, cap)
-    lifted = {_unmask(gadgets.checked(gadgets.lift(c))) for c in members}
+    lifted = {gadgets.checked(gadgets.lift(c)) for c in members}
     if len(lifted) != len(members):
         return False
-    try:
-        factors = enumerate_two_factors(g, max(cap, 2 * len(members)))
-    except CapExceeded:
-        return False
-    return lifted == {f.sorted_tuple() for f in factors}
+    return lifted == {gadgets.full ^ _mask(m.members) for m in matchings}

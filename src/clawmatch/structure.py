@@ -367,6 +367,8 @@ def classify(g: Multigraph) -> Decomposition:
     reproduces g exactly, not just up to isomorphism.
     """
     _require_cubic_claw_free(g)
+    if g.n == 0:
+        raise NotTwoEdgeConnected("graph has no vertices")
     if not is_connected(g):
         raise NotTwoEdgeConnected("graph is disconnected")
     br = bridges(g)

@@ -7,18 +7,33 @@ filtering all 2^m edge subsets, isomorphism by permutation search, and
 the lift of a base member by looking every host edge up by its ends
 instead of through gadget tables, and certificate rows by a full
 per-vertex degree list each.
+
+The reference_* functions are earlier versions of library code, kept
+unchanged so that tests can hold the current versions to the same output.
 """
 
 from itertools import combinations, permutations
 from collections import Counter
+from typing import Iterator
 
 from clawmatch import (
+    KIND_EXPANDED,
+    CapExceeded,
     Multigraph,
+    classify,
+    count_perfect_matchings,
+    enumerate_two_factors,
+    find_claw,
+    is_cubic,
     is_perfect_matching,
+    is_three_edge_connected,
     is_two_factor,
     string_passages,
     subset_degrees,
 )
+from clawmatch.cyclespace import _unmask, cycle_space_masks
+from clawmatch.expansion import _Gadgets
+from clawmatch.structure import _scan_diamonds
 
 
 def component_count(g: Multigraph, banned=frozenset()) -> int:
@@ -226,3 +241,124 @@ def reference_certificate_problems(g: Multigraph, cert) -> list:
     if cert.bound_ok != bound_holds:
         problems.append("bound_ok flag does not match the exact arithmetic")
     return problems
+
+
+def reference_iter_perfect_matchings(g: Multigraph) -> Iterator[frozenset[int]]:
+    """counting._iter_perfect_matchings as it was before it ran on an explicit stack:
+    one nested generator per matched edge.
+
+    Backtracking on the lowest-id unmatched vertex, incident edges in id order.
+
+    Loops never belong to a matching; parallel edges count separately.
+    """
+    matched = [False] * g.n
+    chosen: list[int] = []
+
+    def rec(start: int) -> Iterator[frozenset[int]]:
+        v = start
+        while v < g.n and matched[v]:
+            v += 1
+        if v == g.n:
+            yield frozenset(chosen)
+            return
+        for e in g.incident(v):
+            u, w = g.edges[e]
+            if u == w:
+                continue
+            o = w if u == v else u
+            if matched[o]:
+                continue
+            matched[v] = matched[o] = True
+            chosen.append(e)
+            yield from rec(v + 1)
+            chosen.pop()
+            matched[v] = matched[o] = False
+
+    yield from rec(0)
+
+
+def reference_iter_two_factors(g: Multigraph) -> Iterator[frozenset[int]]:
+    """counting._iter_two_factors as it was before it ran on an explicit stack:
+    one nested generator per edge.
+
+    All spanning subgraphs with every degree exactly 2 (loops count twice).
+    """
+    if any(d < 2 for d in g.degrees()):
+        return
+    deg = [0] * g.n
+    rem = [0] * g.n  # undecided degree still available at each vertex
+    for u, v in g.edges:
+        rem[u] += 1
+        rem[v] += 1
+    chosen: list[int] = []
+
+    def feasible(v: int) -> bool:
+        return deg[v] <= 2 and deg[v] + rem[v] >= 2
+
+    def rec(i: int) -> Iterator[frozenset[int]]:
+        if i == g.m:
+            if all(d == 2 for d in deg):
+                yield frozenset(chosen)
+            return
+        u, v = g.edges[i]
+        step = 2 if u == v else 1
+        rem[u] -= step
+        rem[v] -= step if u != v else 0
+        # include edge i
+        deg[u] += step
+        deg[v] += step if u != v else 0
+        if feasible(u) and feasible(v):
+            chosen.append(i)
+            yield from rec(i + 1)
+            chosen.pop()
+        deg[u] -= step
+        deg[v] -= step if u != v else 0
+        # exclude edge i
+        if feasible(u) and feasible(v):
+            yield from rec(i + 1)
+        rem[u] += step
+        rem[v] += step if u != v else 0
+
+    yield from rec(0)
+
+
+def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
+    """expansion.verify_3ec_remark as it was before it compared against matching
+    complements: a separate count, then a search for every 2-factor.
+
+    Check the exact count 2^(n/6+1) and its mechanism on a 3-edge-connected host.
+
+    The mechanism: such a graph has no diamonds, and lifting the base's
+    cycle space is a bijection onto the 2-factors of g.  K4 is excluded
+    by precondition.
+    """
+    g.ensure_simple()
+    if not is_cubic(g):
+        raise ValueError("host must be cubic")
+    claw = find_claw(g)
+    if claw is not None:
+        raise ValueError(f"host must be claw-free, found claw at {claw.center}")
+    if not is_three_edge_connected(g):
+        raise ValueError("host must be 3-edge-connected")
+    if g.n == 4:
+        raise ValueError("K4 is excluded from the remark")
+
+    if g.n % 6:
+        return False
+    if count_perfect_matchings(g) != 2 ** (g.n // 6 + 1):
+        return False
+    if _scan_diamonds(g):
+        return False
+    d = classify(g)
+    if d.kind != KIND_EXPANDED or d.total_length() != 0:
+        return False
+    gadgets = _Gadgets(d)
+    members = cycle_space_masks(d.base, cap)
+    lifted = {_unmask(gadgets.checked(gadgets.lift(c))) for c in members}
+    if len(lifted) != len(members):
+        return False
+    try:
+        factors = enumerate_two_factors(g, max(cap, 2 * len(members)))
+    except CapExceeded:
+        return False
+    return lifted == {f.sorted_tuple() for f in factors}

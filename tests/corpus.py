@@ -6,7 +6,16 @@ independent of the construction code they are used to check.
 
 import random
 
-from clawmatch import Multigraph, build, figure1_graph, random_base, ring_of_diamonds
+from hypothesis import strategies as st
+
+from clawmatch import (
+    Multigraph,
+    build,
+    figure1_graph,
+    is_three_edge_connected,
+    random_base,
+    ring_of_diamonds,
+)
 
 K4 = Multigraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
 
@@ -126,3 +135,30 @@ def relabelled(g: Multigraph, vertex_order: list[int], edge_order: list[tuple[in
     return Multigraph(
         g.n, tuple((vertex_order[g.edges[e][i]], vertex_order[g.edges[e][1 - i]]) for e, i in edge_order)
     )
+
+
+def three_edge_connected_host(k: int, seed: int = 0) -> Multigraph:
+    """The diamond-free expansion of random_base(k, s) for the lowest s >= seed whose
+    base is 3-edge-connected, so the host is too (n = 3k)."""
+    while not is_three_edge_connected(base := random_base(k, seed=seed)):
+        seed += 1
+    g, _ = build(base, [0] * base.m)
+    return g
+
+
+@st.composite
+def graph_documents(draw):
+    """Text that is often a well-formed graph document and often is not: small
+    multigraphs with loops and parallel edges, sometimes with a wrong edge count, an
+    endpoint out of range or arbitrary lines inserted."""
+    n = draw(st.integers(0, 8), label="n")
+    ends = st.integers(0, max(n - 1, 0))
+    edges = draw(st.lists(st.tuples(ends, ends), max_size=12 if n else 0), label="edges")
+    if edges and draw(st.booleans(), label="endpoint out of range"):
+        edges[-1] = (draw(st.sampled_from((-1, n))), edges[-1][1])
+    m = len(edges) + draw(st.sampled_from((0, 0, 0, -1, 1)), label="edge count off by")
+    lines = [f"p {n} {m}"] + [f"e {u} {v}" for u, v in edges]
+    text = st.text(st.characters(exclude_categories=("Cs",)), max_size=8)
+    for _ in range(draw(st.integers(0, 2), label="inserted lines")):
+        lines.insert(draw(st.integers(0, len(lines))), draw(text))
+    return "\n".join(lines) + "\n"

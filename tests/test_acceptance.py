@@ -41,6 +41,7 @@ from corpus import (
     certify_corpus,
     cubic_corpus_small,
     seeded_length_vector,
+    three_edge_connected_host,
 )
 
 
@@ -184,3 +185,10 @@ def test_criterion_10_check_on_large_hosts(tmp_path):
             with redirect_stdout(out):
                 assert main(["check", str(doc)]) == 0
             assert f"three_edge_connected={verdict}" in out.getvalue().splitlines()
+
+
+def test_criterion_11_remark_on_large_hosts():
+    for k, budget in ((16, 2.0), (24, 10.0)):
+        g = three_edge_connected_host(k)
+        with criterion(11, f"the 3EC remark holds on a seeded host with n={g.n}", budget):
+            assert verify_3ec_remark(g)

@@ -1,14 +1,25 @@
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
 
 import clawmatch
 from clawmatch import figure1_graph, parse_graph, serialize_graph
 from clawmatch.cli import main
-from corpus import K4, PRISM, TRIPLE_BOND, certify_corpus
+from corpus import (
+    K4,
+    PRISM,
+    TRIPLE_BOND,
+    certify_corpus,
+    graph_documents,
+    three_edge_connected_host,
+)
 
 K4_DOC = serialize_graph(K4)
 
@@ -151,6 +162,31 @@ def test_directory_argument_exit_code(capsys, tmp_path):
     assert err.startswith("error: ")
 
 
+FILE_COMMANDS = (
+    ("check",),
+    ("decompose",),
+    ("count",),
+    ("count", "--two-factors"),
+    ("cycle-space",),
+    ("certify",),
+    ("verify-3ec",),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(graph_documents())
+@example("p 0 0\n")  # the empty graph is not 2-edge-connected: exit 2, not an internal error
+def test_commands_on_arbitrary_documents_exit_0_1_or_2(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.txt"
+        path.write_text(doc)
+        for argv in FILE_COMMANDS:
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main([*argv, str(path)])
+            assert code in (0, 1, 2), (argv, err.getvalue())
+
+
 def subprocess_env() -> dict:
     """The environment with this checkout's clawmatch first on the import path."""
     env = dict(os.environ)
@@ -192,20 +228,44 @@ def test_console_entry_point(tmp_path):
     assert proc.stdout.strip() == "3"
 
 
-def test_count_exhausting_the_stack_exits_3_without_traceback(tmp_path):
-    # the backtracking counter recurses once per matched edge; n=2014 exceeds the default limit
-    doc = tmp_path / "fig1-500.txt"
-    doc.write_text(serialize_graph(figure1_graph(500)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "clawmatch.cli", "count", str(doc)],
-        capture_output=True,
-        text=True,
-        env=subprocess_env(),
-    )
-    assert proc.returncode == 3
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("internal error: ")
-    assert "Traceback" not in proc.stderr
+@pytest.fixture
+def fig1_500_file(tmp_path):
+    # n = 2014: the oracle's searches run 1007 matched edges or 3021 decided edges deep
+    path = tmp_path / "fig1-500.txt"
+    path.write_text(serialize_graph(figure1_graph(500)))
+    return str(path)
+
+
+@pytest.fixture
+def host_48_file(tmp_path):
+    path = tmp_path / "3ec-48.txt"
+    path.write_text(serialize_graph(three_edge_connected_host(16)))
+    return str(path)
+
+
+def test_count_on_a_deep_host_prints_9(capsys, fig1_500_file):
+    assert run(capsys, "count", fig1_500_file) == (0, "9\n", "")
+    assert run(capsys, "count", fig1_500_file, "--two-factors") == (0, "9\n", "")
+
+
+def test_verify_3ec_command_on_a_48_vertex_host(capsys, host_48_file):
+    assert run(capsys, "verify-3ec", host_48_file) == (0, "result=true\n", "")
+
+
+def test_oracle_output_unchanged_under_optimize_flag(fig1_500_file, host_48_file):
+    # python -O strips asserts; neither the oracle nor the remark may rely on one
+    for argv in (("verify-3ec", host_48_file), ("count", fig1_500_file)):
+        runs = [
+            subprocess.run(
+                [sys.executable, *flags, "-m", "clawmatch.cli", *argv],
+                capture_output=True,
+                text=True,
+                env=subprocess_env(),
+            )
+            for flags in ((), ("-O",))
+        ]
+        assert runs[0].returncode == runs[1].returncode == 0, argv
+        assert runs[1].stdout == runs[0].stdout, argv
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clawmatch import (
     CapExceeded,
@@ -13,10 +15,16 @@ from clawmatch import (
     is_perfect_matching,
     is_two_factor,
     max_length_two_factor,
+    random_base,
     ring_of_diamonds,
 )
 from clawmatch import counting
-from bruteforce import brute_perfect_matchings, brute_two_factors
+from bruteforce import (
+    brute_perfect_matchings,
+    brute_two_factors,
+    reference_iter_perfect_matchings,
+    reference_iter_two_factors,
+)
 from corpus import (
     K4,
     LOOP1,
@@ -24,6 +32,8 @@ from corpus import (
     PRISM,
     TRIANGLE,
     TRIPLE_BOND,
+    base_corpus,
+    certify_corpus,
     cubic_corpus_small,
 )
 
@@ -174,3 +184,35 @@ def test_broken_invariants_raise_structure_violation(monkeypatch):
     monkeypatch.setattr(counting, "_iter_perfect_matchings", lambda h: iter([frozenset({0})]))
     with pytest.raises(StructureViolation):
         max_length_two_factor(TRIPLE_BOND, {0: 3, 1: 0, 2: 0})
+
+
+def assert_reference_order(g: Multigraph) -> None:
+    assert list(counting._iter_perfect_matchings(g)) == list(reference_iter_perfect_matchings(g))
+    assert list(counting._iter_two_factors(g)) == list(reference_iter_two_factors(g))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_oracle_yields_the_reference_sequence_on_random_multigraphs(data):
+    # loops, parallel edges, odd n and n = 0 included
+    n = data.draw(st.integers(0, 8), label="n")
+    ends = st.integers(0, max(n - 1, 0))
+    edges = data.draw(st.lists(st.tuples(ends, ends), max_size=14 if n else 0), label="edges")
+    assert_reference_order(Multigraph(n, tuple(edges)))
+
+
+def test_oracle_yields_the_reference_sequence_on_the_corpus():
+    for name, g in cubic_corpus_small() + base_corpus() + certify_corpus():
+        assert_reference_order(g)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.data())
+def test_max_length_two_factor_ties_go_to_the_smallest_tuple(data):
+    k = data.draw(st.sampled_from((2, 4, 6, 8)), label="k")
+    h = random_base(k, seed=data.draw(st.integers(0, 1 << 16), label="seed"))
+    lengths = {e: data.draw(st.integers(0, 2), label=f"length {e}") for e in range(h.m)}
+    all_edges = frozenset(range(h.m))
+    factors = [all_edges - m for m in reference_iter_perfect_matchings(h)]
+    best = min(factors, key=lambda f: (-sum(lengths[e] for e in f), sorted(f)))
+    assert max_length_two_factor(h, lengths).members == best

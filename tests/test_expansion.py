@@ -10,6 +10,7 @@ from clawmatch import (
     Certificate,
     DegreeViolation,
     EdgeSubset,
+    GraphError,
     Multigraph,
     RoutingChoice,
     all_routings,
@@ -23,6 +24,7 @@ from clawmatch import (
     enumerate_perfect_matchings,
     enumerate_two_factors,
     expand,
+    is_perfect_matching,
     is_two_factor,
     max_length_two_factor,
     random_base,
@@ -35,8 +37,17 @@ from clawmatch import (
 )
 from clawmatch import expansion
 from clawmatch.cli import main
-from bruteforce import reference_certificate_problems, reference_lift
-from corpus import K4, K33, PETERSEN, PRISM, TRIPLE_BOND, certify_corpus
+from bruteforce import reference_3ec_remark, reference_certificate_problems, reference_lift
+from corpus import (
+    K4,
+    K33,
+    PETERSEN,
+    PRISM,
+    TRIPLE_BOND,
+    certify_corpus,
+    cubic_corpus_small,
+    three_edge_connected_host,
+)
 
 
 def prism_decomposition():
@@ -314,6 +325,47 @@ def test_verify_3ec_remark_preconditions():
         verify_3ec_remark(ring_of_diamonds(2))  # only 2-edge-connected
     with pytest.raises(ValueError):
         verify_3ec_remark(PETERSEN)  # not claw-free
+
+
+def remark_outcome(remark, g):
+    """remark(g), or the type and text of the error it raises on a host it does not accept."""
+    try:
+        return remark(g)
+    except (GraphError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def test_verify_3ec_remark_agrees_with_reference_on_corpus():
+    accepted = set()
+    for name, g in certify_corpus() + cubic_corpus_small():
+        outcome = remark_outcome(verify_3ec_remark, g)
+        assert outcome == remark_outcome(reference_3ec_remark, g), name
+        if isinstance(outcome, bool):
+            accepted.add(name)
+    assert accepted == {"prism", "tri-k4", "k33-0"}
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(k=st.sampled_from((2, 4, 6, 8, 10)), seed=st.integers(0, 1 << 16))
+def test_verify_3ec_remark_agrees_with_reference_on_random_hosts(k, seed):
+    g = three_edge_connected_host(k, seed)  # n = 3k <= 30
+    assert verify_3ec_remark(g) is reference_3ec_remark(g) is True
+
+
+def test_verify_3ec_remark_rejects_a_missing_or_foreign_matching(monkeypatch):
+    g, _ = build(K4, [0] * 6)
+    oracle = expansion.enumerate_perfect_matchings
+    assert verify_3ec_remark(g)
+    # one matching fewer: the count misses 2^(n/6+1)
+    monkeypatch.setattr(expansion, "enumerate_perfect_matchings", lambda h, cap: oracle(h, cap)[1:])
+    assert not verify_3ec_remark(g)
+    # the right count, but one row whose complement is no lifted member
+    foreign = EdgeSubset(g, frozenset(range(g.n // 2)))
+    assert not is_perfect_matching(g, foreign.members)
+    monkeypatch.setattr(
+        expansion, "enumerate_perfect_matchings", lambda h, cap: [foreign] + oracle(h, cap)[1:]
+    )
+    assert not verify_3ec_remark(g)
 
 
 def test_expand_matches_reference_lift_on_corpus():

@@ -20,7 +20,14 @@ from clawmatch import (
     serialize_decomposition,
     serialize_graph,
 )
-from corpus import K4, TRIPLE_BOND, certify_corpus, relabelled, seeded_length_vector
+from corpus import (
+    K4,
+    TRIPLE_BOND,
+    certify_corpus,
+    graph_documents,
+    relabelled,
+    seeded_length_vector,
+)
 
 K4_DOC = """p 4 6
 e 0 1
@@ -70,6 +77,16 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("")
     with pytest.raises(ParseError):
         parse_graph("p 2 1\ne one 0\n")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(graph_documents(), st.text()))
+def test_parse_graph_raises_only_parse_error(text):
+    try:
+        g = parse_graph(text)
+    except ParseError:
+        return
+    assert parse_graph(serialize_graph(g)) == g
 
 
 def test_graph_roundtrip_is_identity_on_corpus():
