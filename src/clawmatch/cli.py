@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Exit codes: 0 success or property holds, 1 property fails, 2 usage or
-parse error, 3 internal invariant violation.
+parse error, or an input too large for the memory available (such as the
+17-byte document "p 100000000000 0"), 3 internal invariant violation.
+Every error is one "error: ..." or "internal error: ..." line on stderr.
 """
 
 from __future__ import annotations
@@ -190,6 +192,9 @@ def main(argv: list[str] | None = None) -> int:
     except (GraphError, ValueError, OSError) as exc:
         # GraphError covers ParseError and CapExceeded; OSError an input path that cannot be read
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large", file=sys.stderr)
         return 2
 
 

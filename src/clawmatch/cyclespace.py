@@ -43,38 +43,54 @@ def _unmask(mask: int) -> tuple[int, ...]:
 
 
 def cycle_basis(h: Multigraph) -> CycleBasis:
-    """Fundamental cycles of a spanning forest, one per non-tree edge.
+    """Fundamental cycles of a BFS spanning forest, one per non-tree edge, by edge id.
 
+    The cycle of a non-tree edge e = (u, v) is e plus the tree paths from
+    u and v up to the vertex where they meet, walked along parent edges
+    from the deeper end first, so its cost is the length of the cycle.
     A loop is its own basis element (the tree path between its endpoints
     is empty); the off-tree copy of a parallel pair yields a 2-cycle.
     """
-    in_tree = [False] * h.m
-    visited = [False] * h.n
-    root_mask = [0] * h.n  # XOR of edge bits on the tree path from the component root
+    other = [u ^ v for u, v in h.edges]  # the far end of edge f from v is other[f] ^ v
+    parent_edge = [-1] * h.n
+    depth = [-1] * h.n
     for root in range(h.n):
-        if visited[root]:
+        if depth[root] >= 0:
             continue
-        visited[root] = True
+        depth[root] = 0
         queue = [root]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:
             for e in h.incident(v):
-                u, w = h.edges[e]
-                if u == w:
-                    continue
-                o = w if u == v else u
-                if visited[o]:
-                    continue
-                visited[o] = True
-                in_tree[e] = True
-                root_mask[o] = root_mask[v] ^ (1 << e)
-                queue.append(o)
+                o = other[e] ^ v  # a loop gives o == v, already reached
+                if depth[o] < 0:
+                    depth[o] = depth[v] + 1
+                    parent_edge[o] = e
+                    queue.append(o)
+    in_tree = [False] * h.m
+    for e in parent_edge:
+        if e >= 0:
+            in_tree[e] = True
     basis = []
-    for e in range(h.m):
+    for e, (u, v) in enumerate(h.edges):
         if in_tree[e]:
             continue
-        u, v = h.edges[e]
-        basis.append(EdgeSubset(h, _unmask(root_mask[u] ^ root_mask[v] ^ (1 << e))))
+        cycle = [e]
+        while depth[u] > depth[v]:
+            f = parent_edge[u]
+            cycle.append(f)
+            u ^= other[f]
+        while depth[v] > depth[u]:
+            f = parent_edge[v]
+            cycle.append(f)
+            v ^= other[f]
+        while u != v:
+            f = parent_edge[u]
+            cycle.append(f)
+            u ^= other[f]
+            f = parent_edge[v]
+            cycle.append(f)
+            v ^= other[f]
+        basis.append(EdgeSubset(h, cycle))
     c = len(connected_components(h))
     dim = h.m - h.n + c
     if len(basis) != dim:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import NotSimple
@@ -69,7 +68,11 @@ class Multigraph:
         return deg
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(self.degree(v) for v in range(self.n))
+        deg = [0] * self.n
+        for u, v in self.edges:
+            deg[u] += 1
+            deg[v] += 1
+        return tuple(deg)
 
     def other_end(self, e: int, v: int) -> int:
         u, w = self.edges[e]
@@ -104,15 +107,7 @@ class Multigraph:
             raise ValueError(f"no edge between {u} and {v}") from None
 
     def is_simple(self) -> bool:
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                return False
-            key = (u, v) if u <= v else (v, u)
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        return not self.edges or bool(self._pair_ids)
 
     def ensure_simple(self) -> None:
         if not self.is_simple():
@@ -201,7 +196,21 @@ def connected_components(g: Multigraph) -> list[tuple[int, ...]]:
 
 
 def is_connected(g: Multigraph) -> bool:
-    return len(connected_components(g)) <= 1
+    """At most one component, by one search from vertex 0."""
+    if not g.n:
+        return True
+    nbrs = g._neighbors
+    seen = [False] * g.n
+    seen[0] = True
+    stack = [0]
+    reached = 1
+    while stack:
+        for w in nbrs[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                reached += 1
+                stack.append(w)
+    return reached == g.n
 
 
 def is_cubic(g: Multigraph) -> bool:
@@ -210,46 +219,65 @@ def is_cubic(g: Multigraph) -> bool:
 
 
 def bridges(g: Multigraph) -> EdgeSubset:
-    """All cutedges, by a single lowpoint DFS.
+    """All cutedges, by an iterative DFS forest and one lowpoint sweep.
+
+    The DFS keeps its stack as a flat list of (vertex, edge) ints and
+    records each vertex's preorder number and the tree edge it was
+    reached by; the far end of edge f from v is other[f] ^ v, with
+    other[f] = u ^ v.  Every non-loop non-tree edge joins a vertex to
+    one of its ancestors and lowers the lowpoint of the deeper end to
+    the preorder number of the other; a sweep in reverse preorder then
+    passes each lowpoint up to the parent.  The tree edge into v is a
+    bridge iff no edge leaves v's subtree upward, i.e. low[v] == disc[v].
 
     A parallel pair contributes no bridge and a loop is never a bridge:
-    only the one edge used to enter a vertex is excluded from back-edge
-    updates, so the second copy of a parallel pair acts as a back edge.
+    the second copy of a parallel pair is a non-tree edge to the parent.
     """
+    edges = g.edges
+    incidence = g._incidence
+    other = [u ^ v for u, v in edges]
     disc = [-1] * g.n
-    low = [0] * g.n
-    found: list[int] = []
-    timer = 0
+    parent_edge = [-1] * g.n
+    order: list[int] = []
     for root in range(g.n):
-        if disc[root] != -1:
+        if disc[root] >= 0:
             continue
-        disc[root] = low[root] = timer
-        timer += 1
-        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(g.incident(root)))]
+        stack = [root, -1]
+        push = stack.append
         while stack:
-            v, entry_edge, it = stack[-1]
-            advanced = False
-            for e in it:
-                if e == entry_edge:
-                    continue
-                u, w = g.edges[e]
-                if u == w:
-                    continue
-                o = w if u == v else u
-                if disc[o] == -1:
-                    disc[o] = low[o] = timer
-                    timer += 1
-                    stack.append((o, e, iter(g.incident(o))))
-                    advanced = True
-                    break
-                low[v] = min(low[v], disc[o])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    parent = stack[-1][0]
-                    low[parent] = min(low[parent], low[v])
-                    if low[v] > disc[parent]:
-                        found.append(entry_edge)
+            e = stack.pop()
+            v = stack.pop()
+            if disc[v] >= 0:
+                continue
+            disc[v] = len(order)
+            order.append(v)
+            parent_edge[v] = e
+            for f in incidence[v]:
+                w = other[f] ^ v  # a loop gives w == v, already discovered
+                if disc[w] < 0:
+                    push(w)
+                    push(f)
+    low = disc[:]
+    for f, (u, v) in enumerate(edges):
+        if u == v or parent_edge[u] == f or parent_edge[v] == f:
+            continue
+        du, dv = disc[u], disc[v]
+        if du < dv:
+            if du < low[v]:
+                low[v] = du
+        elif dv < low[u]:
+            low[u] = dv
+    found: list[int] = []
+    for v in reversed(order):
+        e = parent_edge[v]
+        if e < 0:
+            continue
+        lv = low[v]
+        if lv == disc[v]:
+            found.append(e)
+        p = other[e] ^ v
+        if lv < low[p]:
+            low[p] = lv
     return EdgeSubset(g, frozenset(found))
 
 
@@ -339,17 +367,25 @@ def find_claw(g: Multigraph) -> Claw | None:
     """Some induced claw of a simple graph, or None.
 
     Rejects multigraphs with loops or parallel edges: claw-freeness is a
-    simple-graph notion.
+    simple-graph notion.  Leaves are tried in lexicographic order of
+    their positions in the center's ascending neighbor tuple.
     """
     g.ensure_simple()
-    for v in range(g.n):
-        nb = g.neighbors(v)
-        if len(nb) < 3:
-            continue
-        for a, b, c in combinations(nb, 3):
-            if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
-                continue
-            return Claw(v, (a, b, c))
+    nbrs = g._neighbors
+    for v, nb in enumerate(nbrs):
+        k = len(nb)
+        for i in range(k - 2):
+            a = nb[i]
+            na = nbrs[a]
+            for j in range(i + 1, k - 1):
+                b = nb[j]
+                if b in na:
+                    continue
+                nbb = nbrs[b]
+                for x in range(j + 1, k):
+                    c = nb[x]
+                    if c not in na and c not in nbb:
+                        return Claw(v, (a, b, c))
     return None
 
 

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Mapping, Sequence
 
 from .errors import (
     InvalidBase,
     NotClawFree,
     NotCubic,
+    NotSimple,
     NotTwoEdgeConnected,
     ParallelCollision,
     StructureViolation,
@@ -162,25 +162,36 @@ def _require_cubic_claw_free(g: Multigraph) -> None:
 
 def _scan_diamonds(g: Multigraph) -> list[Diamond]:
     # a diamond is discovered exactly once, via its internal edge: the two
-    # common neighbors of the internals are the (nonadjacent) ports
+    # common neighbors of the internals are the (nonadjacent) ports.  g is
+    # cubic and simple here, so a's three neighbors are b and two others,
+    # and b is no neighbor of itself: common neighbors are those of a in b's tuple
+    nbrs = g._neighbors
     found: dict[tuple[int, ...], Diamond] = {}
     for a, b in g.edges:
-        if a == b:
+        x, y, z = nbrs[a]
+        nb = nbrs[b]
+        if x in nb:
+            if y in nb:
+                p, q = x, y
+            elif z in nb:
+                p, q = x, z
+            else:
+                continue
+        elif y in nb and z in nb:
+            p, q = y, z
+        else:
             continue
-        common = set(g.neighbors(a)) & set(g.neighbors(b))
-        if len(common) != 2:
-            continue
-        p, q = sorted(common)
-        if g.has_edge(p, q):
+        if q in nbrs[p]:
             continue
         verts = tuple(sorted((a, b, p, q)))
         found[verts] = Diamond(verts, (p, q), (a, b))
     diamonds = [found[k] for k in sorted(found)]
-    covered = set()
+    covered = [False] * g.n
     for dia in diamonds:
-        if covered & set(dia.vertices):
-            raise StructureViolation("two distinct diamonds intersect")
-        covered |= set(dia.vertices)
+        for v in dia.vertices:
+            if covered[v]:
+                raise StructureViolation("two distinct diamonds intersect")
+            covered[v] = True
     return diamonds
 
 
@@ -260,34 +271,39 @@ def contract_to_base(g: Multigraph, strings: list[DiamondString]) -> Decompositi
     Requires a graph that classify would not call K4 or a ring of
     diamonds; the result's base is cubic, loop-free and 2-edge-connected.
     """
-    in_diamond: set[int] = set()
+    nbrs = g._neighbors
+    in_diamond = [False] * g.n
     for s in strings:
         for dia in s.diamonds:
-            in_diamond |= set(dia.vertices)
+            for v in dia.vertices:
+                in_diamond[v] = True
 
     # group the remaining vertices into their unique triangles
-    tri_index: dict[int, int] = {}
+    tri_index = [-1] * g.n
     triangles: list[tuple[int, int, int]] = []
     for v in range(g.n):
-        if v in in_diamond or v in tri_index:
+        if in_diamond[v] or tri_index[v] >= 0:
             continue
-        nb = g.neighbors(v)
-        pairs = [(a, b) for a, b in combinations(nb, 2) if g.has_edge(a, b)]
-        if len(pairs) != 1:
-            raise StructureViolation(f"vertex {v} lies in {len(pairs)} triangles, expected 1")
-        a, b = pairs[0]
-        if a in in_diamond or b in in_diamond or a in tri_index or b in tri_index:
+        nb = nbrs[v]
+        found = 0
+        for i in range(len(nb) - 1):
+            na = nbrs[nb[i]]
+            for j in range(i + 1, len(nb)):
+                if nb[j] in na:
+                    if not found:
+                        a, b = nb[i], nb[j]
+                    found += 1
+        if found != 1:
+            raise StructureViolation(f"vertex {v} lies in {found} triangles, expected 1")
+        if in_diamond[a] or in_diamond[b] or tri_index[a] >= 0 or tri_index[b] >= 0:
             raise StructureViolation(f"triangle at vertex {v} overlaps other structure")
-        idx = len(triangles)
-        tri = tuple(sorted((v, a, b)))
-        triangles.append(tri)
-        for x in tri:
-            tri_index[x] = idx
+        tri_index[v] = tri_index[a] = tri_index[b] = len(triangles)
+        triangles.append(tuple(sorted((v, a, b))))
 
     # base edges: direct corner-to-corner edges plus one edge per string
     records: list[tuple[int, int, tuple[int, int], DiamondString | None, tuple[int, ...]]] = []
     for eid, (x, y) in enumerate(g.edges):
-        if x in in_diamond or y in in_diamond:
+        if in_diamond[x] or in_diamond[y]:
             continue
         tx, ty = tri_index[x], tri_index[y]
         if tx == ty:
@@ -295,9 +311,9 @@ def contract_to_base(g: Multigraph, strings: list[DiamondString]) -> Decompositi
         records.append((tx, ty, (x, y), None, (eid,)))
     for s in strings:
         head_dia, tail_dia = s.diamonds[0], s.diamonds[-1]
-        hu = [w for w in g.neighbors(s.head) if w not in head_dia.vertices]
-        tv = [w for w in g.neighbors(s.tail) if w not in tail_dia.vertices]
-        if len(hu) != 1 or len(tv) != 1 or hu[0] in in_diamond or tv[0] in in_diamond:
+        hu = [w for w in nbrs[s.head] if w not in head_dia.vertices]
+        tv = [w for w in nbrs[s.tail] if w not in tail_dia.vertices]
+        if len(hu) != 1 or len(tv) != 1 or in_diamond[hu[0]] or in_diamond[tv[0]]:
             raise StructureViolation("string end does not attach to a triangle corner")
         u, v = hu[0], tv[0]
         if tri_index[u] == tri_index[v]:
@@ -328,36 +344,41 @@ def contract_to_base(g: Multigraph, strings: list[DiamondString]) -> Decompositi
 def _verify_cover(d: Decomposition) -> None:
     """Every host edge must play exactly one structural role."""
     g = d.graph
+    if d.kind not in (KIND_RING, KIND_EXPANDED):
+        return
+    pair_ids = g._pair_ids
+    if not pair_ids and g.m:
+        raise NotSimple("edge_between requires a simple graph")
+
+    def edge(u: int, v: int) -> int:
+        # Multigraph.edge_between with the table looked up once per call of _verify_cover
+        try:
+            return pair_ids[(u, v) if u <= v else (v, u)]
+        except KeyError:
+            raise ValueError(f"no edge between {u} and {v}") from None
+
     ids: list[int] = []
     if d.kind == KIND_RING:
         owner = {v: i for i, dia in enumerate(d.ring) for v in dia.vertices}
         for dia in d.ring:
-            ids.extend(_diamond_edges(g, dia))
+            ids.extend(_diamond_edges(edge, dia))
         ids.extend(e for e, (u, v) in enumerate(g.edges) if owner[u] != owner[v])
-    elif d.kind == KIND_EXPANDED:
+    else:
         for a, b, c in d.triangles:
-            ids += [g.edge_between(a, b), g.edge_between(a, c), g.edge_between(b, c)]
+            ids += [edge(a, b), edge(a, c), edge(b, c)]
         for rep in d.replacements:
             ids.extend(rep.connectors)
             if rep.string:
                 for dia in rep.string.diamonds:
-                    ids.extend(_diamond_edges(g, dia))
-    else:
-        return
+                    ids.extend(_diamond_edges(edge, dia))
     if sorted(ids) != list(range(g.m)):
         raise StructureViolation("decomposition does not cover the host edge set exactly")
 
 
-def _diamond_edges(g: Multigraph, dia: Diamond) -> list[int]:
+def _diamond_edges(edge, dia: Diamond) -> list[int]:
     p, q = dia.ports
     s, t = dia.internals
-    return [
-        g.edge_between(p, s),
-        g.edge_between(p, t),
-        g.edge_between(s, t),
-        g.edge_between(s, q),
-        g.edge_between(t, q),
-    ]
+    return [edge(p, s), edge(p, t), edge(s, t), edge(s, q), edge(t, q)]
 
 
 def classify(g: Multigraph) -> Decomposition:
@@ -420,30 +441,23 @@ def build(
         length_of[e] = int(value)
 
     k = h.n
-    corner: dict[tuple[int, int], int] = {}  # (edge id, side) -> corner vertex
+    corner = [0] * (2 * h.m)  # corner vertex of edge e at its side s, at 2 * e + s
     for v in range(k):
         for rank, e in enumerate(h.incident(v)):
-            a, b = h.edges[e]
-            side = 0 if v == a else 1
-            corner[(e, side)] = 3 * v + rank
+            corner[2 * e + (v != h.edges[e][0])] = 3 * v + rank
 
     g_edges: list[tuple[int, int]] = []
-
-    def add_edge(u: int, v: int) -> int:
-        g_edges.append((u, v))
-        return len(g_edges) - 1
-
     for v in range(k):
-        add_edge(3 * v, 3 * v + 1)
-        add_edge(3 * v, 3 * v + 2)
-        add_edge(3 * v + 1, 3 * v + 2)
+        x = 3 * v
+        g_edges += ((x, x + 1), (x, x + 2), (x + 1, x + 2))
 
     next_vertex = 3 * k
     replacements: list[EdgeReplacement] = []
     for e, (a, b) in enumerate(h.edges):
-        ca, cb = corner[(e, 0)], corner[(e, 1)]
+        ca, cb = corner[2 * e], corner[2 * e + 1]
         if length_of[e] == 0:
-            replacements.append(EdgeReplacement((a, b), (ca, cb), None, (add_edge(ca, cb),)))
+            replacements.append(EdgeReplacement((a, b), (ca, cb), None, (len(g_edges),)))
+            g_edges.append((ca, cb))
             continue
         anchor = ca
         connectors: list[int] = []
@@ -451,15 +465,12 @@ def build(
         for _ in range(length_of[e]):
             x, s, t, y = range(next_vertex, next_vertex + 4)
             next_vertex += 4
-            connectors.append(add_edge(anchor, x))
-            add_edge(x, s)
-            add_edge(x, t)
-            add_edge(s, t)
-            add_edge(s, y)
-            add_edge(t, y)
+            connectors.append(len(g_edges))
+            g_edges += ((anchor, x), (x, s), (x, t), (s, t), (s, y), (t, y))
             diamonds.append(Diamond((x, s, t, y), (x, y), (s, t)))
             anchor = y
-        connectors.append(add_edge(anchor, cb))
+        connectors.append(len(g_edges))
+        g_edges.append((anchor, cb))
         string = DiamondString(tuple(diamonds), diamonds[0].ports[0], diamonds[-1].ports[1])
         replacements.append(EdgeReplacement((a, b), (ca, cb), string, tuple(connectors)))
 

@@ -19,7 +19,13 @@ from typing import Iterator
 from clawmatch import (
     KIND_EXPANDED,
     CapExceeded,
+    Claw,
+    CycleBasis,
+    Diamond,
+    EdgeSubset,
     Multigraph,
+    StructureViolation,
+    connected_components,
     classify,
     count_perfect_matchings,
     enumerate_two_factors,
@@ -362,3 +368,137 @@ def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
     except CapExceeded:
         return False
     return lifted == {f.sorted_tuple() for f in factors}
+
+
+def reference_degrees(g: Multigraph) -> tuple[int, ...]:
+    """Multigraph.degrees as it was before it counted in one pass over the edges."""
+    return tuple(g.degree(v) for v in range(g.n))
+
+
+def reference_is_simple(g: Multigraph) -> bool:
+    """Multigraph.is_simple as it was before it read the pair-id table."""
+    seen = set()
+    for u, v in g.edges:
+        if u == v:
+            return False
+        key = (u, v) if u <= v else (v, u)
+        if key in seen:
+            return False
+        seen.add(key)
+    return True
+
+
+def reference_bridges(g: Multigraph) -> EdgeSubset:
+    """graphs.bridges as it was before the flat-stack DFS and the separate lowpoint sweep:
+    one (vertex, entry edge, incident-edge iterator) frame per open vertex."""
+    disc = [-1] * g.n
+    low = [0] * g.n
+    found: list[int] = []
+    timer = 0
+    for root in range(g.n):
+        if disc[root] != -1:
+            continue
+        disc[root] = low[root] = timer
+        timer += 1
+        stack: list[tuple[int, int, Iterator[int]]] = [(root, -1, iter(g.incident(root)))]
+        while stack:
+            v, entry_edge, it = stack[-1]
+            advanced = False
+            for e in it:
+                if e == entry_edge:
+                    continue
+                u, w = g.edges[e]
+                if u == w:
+                    continue
+                o = w if u == v else u
+                if disc[o] == -1:
+                    disc[o] = low[o] = timer
+                    timer += 1
+                    stack.append((o, e, iter(g.incident(o))))
+                    advanced = True
+                    break
+                low[v] = min(low[v], disc[o])
+            if not advanced:
+                stack.pop()
+                if stack:
+                    parent = stack[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                    if low[v] > disc[parent]:
+                        found.append(entry_edge)
+    return EdgeSubset(g, frozenset(found))
+
+
+def reference_find_claw(g: Multigraph) -> Claw | None:
+    """graphs.find_claw as it was before it read the neighbor table directly."""
+    g.ensure_simple()
+    for v in range(g.n):
+        nb = g.neighbors(v)
+        if len(nb) < 3:
+            continue
+        for a, b, c in combinations(nb, 3):
+            if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
+                continue
+            return Claw(v, (a, b, c))
+    return None
+
+
+def reference_scan_diamonds(g: Multigraph) -> list[Diamond]:
+    """structure._scan_diamonds as it was before it found common neighbors by tuple membership."""
+    # a diamond is discovered exactly once, via its internal edge: the two
+    # common neighbors of the internals are the (nonadjacent) ports
+    found: dict[tuple[int, ...], Diamond] = {}
+    for a, b in g.edges:
+        if a == b:
+            continue
+        common = set(g.neighbors(a)) & set(g.neighbors(b))
+        if len(common) != 2:
+            continue
+        p, q = sorted(common)
+        if g.has_edge(p, q):
+            continue
+        verts = tuple(sorted((a, b, p, q)))
+        found[verts] = Diamond(verts, (p, q), (a, b))
+    diamonds = [found[k] for k in sorted(found)]
+    covered = set()
+    for dia in diamonds:
+        if covered & set(dia.vertices):
+            raise StructureViolation("two distinct diamonds intersect")
+        covered |= set(dia.vertices)
+    return diamonds
+
+
+def reference_cycle_basis(h: Multigraph) -> CycleBasis:
+    """cyclespace.cycle_basis as it was before it walked parent edges: one root-path
+    bitmask per vertex, as wide as the highest edge id on the path."""
+    in_tree = [False] * h.m
+    visited = [False] * h.n
+    root_mask = [0] * h.n  # XOR of edge bits on the tree path from the component root
+    for root in range(h.n):
+        if visited[root]:
+            continue
+        visited[root] = True
+        queue = [root]
+        while queue:
+            v = queue.pop(0)
+            for e in h.incident(v):
+                u, w = h.edges[e]
+                if u == w:
+                    continue
+                o = w if u == v else u
+                if visited[o]:
+                    continue
+                visited[o] = True
+                in_tree[e] = True
+                root_mask[o] = root_mask[v] ^ (1 << e)
+                queue.append(o)
+    basis = []
+    for e in range(h.m):
+        if in_tree[e]:
+            continue
+        u, v = h.edges[e]
+        basis.append(EdgeSubset(h, _unmask(root_mask[u] ^ root_mask[v] ^ (1 << e))))
+    c = len(connected_components(h))
+    dim = h.m - h.n + c
+    if len(basis) != dim:
+        raise StructureViolation(f"cycle basis has {len(basis)} elements, dimension is {dim}")
+    return CycleBasis(h, tuple(basis), dim)

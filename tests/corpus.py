@@ -147,6 +147,17 @@ def three_edge_connected_host(k: int, seed: int = 0) -> Multigraph:
 
 
 @st.composite
+def multigraphs(draw, max_n: int = 9, max_m: int = 16):
+    """Random multigraphs, n <= max_n and m <= max_m, with loops, parallel edges, n = 0
+    and any number of components."""
+    n = draw(st.integers(0, max_n), label="n")
+    if n == 0:
+        return Multigraph(0, ())
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    return Multigraph(n, tuple(draw(st.lists(ends, max_size=max_m), label="edges")))
+
+
+@st.composite
 def graph_documents(draw):
     """Text that is often a well-formed graph document and often is not: small
     multigraphs with loops and parallel edges, sometimes with a wrong edge count, an

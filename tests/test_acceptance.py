@@ -192,3 +192,33 @@ def test_criterion_11_remark_on_large_hosts():
         g = three_edge_connected_host(k)
         with criterion(11, f"the 3EC remark holds on a seeded host with n={g.n}", budget):
             assert verify_3ec_remark(g)
+
+
+def large_expansion(n: int, seed: int) -> Multigraph:
+    """A seeded expansion with exactly n vertices: a random base on k = n/6 rounded down
+    to a multiple of 4 vertices, and its remaining n - 3k vertices as diamonds on random edges."""
+    rng = random.Random(seed)
+    k = n // 6 // 4 * 4
+    base = random_base(k, seed=rng.randrange(1 << 32))
+    lengths = [0] * base.m
+    for e in rng.choices(range(base.m), k=(n - 3 * k) // 4):
+        lengths[e] += 1
+    g, _ = build(base, lengths)
+    return g
+
+
+def test_criterion_12_decompose_on_a_large_host(tmp_path):
+    g = large_expansion(80000, seed=12)
+    doc = tmp_path / "host.txt"
+    doc.write_text(serialize_graph(g))
+    with criterion(12, f"clawmatch decompose on a seeded expansion with n={g.n}", 10.0):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(["decompose", str(doc)]) == 0
+        assert out.getvalue().startswith("kind=expanded\n")
+
+
+def test_criterion_13_cycle_basis_on_a_large_base():
+    h = random_base(80000, seed=13)
+    with criterion(13, f"cycle basis of a seeded random base with k={h.n}", 10.0):
+        assert cycle_basis(h).dimension == h.m - h.n + 1

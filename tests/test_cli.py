@@ -187,6 +187,32 @@ def test_commands_on_arbitrary_documents_exit_0_1_or_2(doc):
             assert code in (0, 1, 2), (argv, err.getvalue())
 
 
+def _cap_address_space() -> None:
+    # 512 MiB of address space: room for the interpreter, none for 10^11 vertices
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+
+def test_input_too_large_for_memory_exits_2_without_traceback(tmp_path):
+    pytest.importorskip("resource")
+    doc = tmp_path / "huge.txt"
+    doc.write_text("p 100000000000 0\n")  # 17 bytes, 10^11 vertices
+    for argv in FILE_COMMANDS:
+        proc = subprocess.run(
+            [sys.executable, "-m", "clawmatch.cli", *argv, str(doc)],
+            capture_output=True,
+            text=True,
+            env=subprocess_env(),
+            preexec_fn=_cap_address_space,
+            timeout=120,
+        )
+        assert proc.returncode == 2, (argv, proc.stderr)
+        assert "Traceback" not in proc.stderr, argv
+        assert proc.stderr == "error: out of memory: the input is too large\n", argv
+        assert proc.stdout == "", argv
+
+
 def subprocess_env() -> dict:
     """The environment with this checkout's clawmatch first on the import path."""
     env = dict(os.environ)

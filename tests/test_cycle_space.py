@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from clawmatch import (
     CapExceeded,
@@ -9,9 +10,10 @@ from clawmatch import (
     cycle_basis,
     enumerate_cycle_space,
     is_even_subgraph,
+    random_base,
 )
-from bruteforce import brute_even_subsets, decomposes_into_cycles
-from corpus import K4, LOOP1, PATH3, PETERSEN, PRISM, TRIPLE_BOND, base_corpus
+from bruteforce import brute_even_subsets, decomposes_into_cycles, reference_cycle_basis
+from corpus import K4, LOOP1, PATH3, PETERSEN, PRISM, TRIPLE_BOND, base_corpus, multigraphs
 
 
 def members_as_sets(h, cap=1 << 20):
@@ -129,3 +131,17 @@ def test_cap_guard():
         enumerate_cycle_space(K4, 4)
     assert exc.value.required == 8
     assert len(enumerate_cycle_space(K4, 8)) == 8
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(multigraphs(max_n=12, max_m=24))
+def test_cycle_basis_matches_its_reference(h):
+    # the same members in the same order, so `cycle-space` output and certificates keep their bytes
+    assert cycle_basis(h) == reference_cycle_basis(h)
+
+
+def test_cycle_basis_matches_its_reference_on_a_large_base():
+    h = random_base(2000, seed=5)
+    cb = cycle_basis(h)
+    assert cb == reference_cycle_basis(h)
+    assert cb.dimension == h.m - h.n + 1

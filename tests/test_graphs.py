@@ -11,6 +11,7 @@ from clawmatch import (
     NotSimple,
     bridges,
     connected_components,
+    figure1_graph,
     find_claw,
     is_claw_free,
     is_connected,
@@ -20,7 +21,15 @@ from clawmatch import (
     random_base,
     ring_of_diamonds,
 )
-from bruteforce import brute_bridges, brute_claw_centers, brute_three_edge_connected
+from bruteforce import (
+    brute_bridges,
+    brute_claw_centers,
+    brute_three_edge_connected,
+    reference_bridges,
+    reference_degrees,
+    reference_find_claw,
+    reference_is_simple,
+)
 from corpus import (
     DOUBLE_DOUBLE,
     K4,
@@ -34,6 +43,7 @@ from corpus import (
     base_corpus,
     certify_corpus,
     cubic_corpus_small,
+    multigraphs,
     relabelled,
 )
 
@@ -192,16 +202,6 @@ def test_three_edge_connected_matches_removal_oracle_on_corpus():
 
 
 @st.composite
-def multigraphs(draw):
-    """Random multigraphs, n <= 9 and m <= 16, with loops, parallel edges and any number of components."""
-    n = draw(st.integers(0, 9), label="n")
-    if n == 0:
-        return Multigraph(0, ())
-    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-    return Multigraph(n, tuple(draw(st.lists(ends, max_size=16), label="edges")))
-
-
-@st.composite
 def cubic_multigraphs(draw):
     """Connected cubic hosts: the corpus, many with 2-edge cuts, or random cubic bases."""
     if draw(st.booleans(), label="corpus"):
@@ -246,3 +246,59 @@ def test_connected_components():
     assert connected_components(g) == [(0, 1), (2, 3), (4,)]
     assert not is_connected(g)
     assert is_connected(Multigraph(0, ()))
+
+
+@st.composite
+def several_components(draw):
+    """Disjoint unions of 1..3 random multigraphs, so later components start at higher ids."""
+    parts = draw(st.lists(st.one_of(multigraphs(), cubic_multigraphs()), min_size=1, max_size=3))
+    n, edges = 0, []
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += part.n
+    return Multigraph(n, tuple(edges))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(multigraphs(), cubic_multigraphs(), several_components()))
+def test_flat_scans_match_their_references_on_random_multigraphs(g):
+    assert bridges(g) == reference_bridges(g)
+    assert g.degrees() == reference_degrees(g)
+    assert g.is_simple() == reference_is_simple(g)
+
+
+@st.composite
+def simple_graphs(draw):
+    """Random simple graphs, n <= 10, of any degrees, edges in any order and orientation."""
+    n = draw(st.integers(0, 10), label="n")
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    if not pairs:
+        return Multigraph(n, ())
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30), label="edges")
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)), label="flips")
+    return Multigraph(n, tuple((v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)))
+
+
+def claw_or_error(g: Multigraph, find):
+    try:
+        return find(g)
+    except NotSimple as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(simple_graphs(), cubic_multigraphs(), multigraphs()))
+def test_find_claw_matches_its_reference(g):
+    # the same claw, leaves in the same order, or the same refusal of a multigraph
+    assert claw_or_error(g, find_claw) == claw_or_error(g, reference_find_claw)
+
+
+def test_bridges_on_a_deep_figure1_host_are_its_joining_edges():
+    # the joining edges are appended after the 10 edges of the left block and then
+    # after every 5 diamond edges; the DFS runs about n = 120 014 vertices deep,
+    # far past the recursion limit, so only an iterative search gets there
+    for segments in (0, 1, 2):
+        expected = {10 + 6 * i for i in range(segments + 1)}
+        assert brute_bridges(figure1_graph(segments)) == expected
+    segments = 30000
+    assert bridges(figure1_graph(segments)).members == {10 + 6 * i for i in range(segments + 1)}

@@ -31,11 +31,18 @@ from clawmatch import (
     serialize_decomposition,
     string_passages,
 )
-from bruteforce import brute_diamond_vertex_sets, brute_isomorphic, edge_multiset
+from clawmatch.structure import _scan_diamonds
+from bruteforce import (
+    brute_diamond_vertex_sets,
+    brute_isomorphic,
+    edge_multiset,
+    reference_scan_diamonds,
+)
 from corpus import (
     DOUBLE_DOUBLE,
     K4,
     K33,
+    LOOP1,
     PATH3,
     TRIPLE_BOND,
     certify_corpus,
@@ -134,6 +141,30 @@ def test_classify_errors_are_distinct():
     two_k4s = Multigraph(8, K4.edges + tuple((u + 4, v + 4) for u, v in K4.edges))
     with pytest.raises(NotTwoEdgeConnected):
         classify(two_k4s)
+
+
+def test_bad_input_errors_keep_their_types_and_messages():
+    two_k4s = Multigraph(8, K4.edges + tuple((u + 4, v + 4) for u, v in K4.edges))
+    looped = Multigraph(2, ((0, 0), (0, 1), (1, 1)))
+    fig1 = figure1_graph(0)
+    calls = [
+        (classify, (TRIPLE_BOND,), NotSimple, "graph has loops or parallel edges"),
+        (classify, (PATH3,), NotCubic, "vertex 0 has degree 1, expected 3"),
+        (classify, (K33,), NotClawFree, "induced claw at center 0 with leaves (3, 4, 5)"),
+        (classify, (fig1,), NotTwoEdgeConnected, "graph has a bridge: edge 10"),
+        (classify, (two_k4s,), NotTwoEdgeConnected, "graph is disconnected"),
+        (classify, (Multigraph(0, ()),), NotTwoEdgeConnected, "graph has no vertices"),
+        (build, (PATH3, [0, 0]), InvalidBase, "base vertex 0 has degree 1, expected 3"),
+        (build, (fig1, [0] * fig1.m), InvalidBase, "base is not 2-edge-connected"),
+        (build, (looped, [0, 0, 0]), InvalidBase, "base has a loop"),
+        (build, (TRIPLE_BOND, [1, -1, 0]), ValueError, "length of edge 1 is negative"),
+        (find_claw, (TRIPLE_BOND,), NotSimple, "graph has loops or parallel edges"),
+        (find_claw, (LOOP1,), NotSimple, "graph has loops or parallel edges"),
+    ]
+    for fn, args, error, message in calls:
+        with pytest.raises(error) as exc:
+            fn(*args)
+        assert type(exc.value) is error and str(exc.value) == message, (fn.__name__, args)
 
 
 def test_contract_roundtrip_examples():
@@ -364,3 +395,9 @@ def test_find_strings_ordering_rules(g):
         assert ring[1].vertices[0] == min(steps)[0]
         for a, b in zip(ring, ring[1:] + ring[:1]):
             assert any(outside(a, p) in b.ports for p in a.ports)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(shuffled_diamond_hosts(), st.sampled_from([K4, build(K4, [0] * 6)[0]])))
+def test_scan_diamonds_matches_its_reference(g):
+    assert _scan_diamonds(g) == reference_scan_diamonds(g)
