@@ -2,13 +2,18 @@
 
 Exit codes: 0 success or property holds, 1 property fails, 2 usage or
 parse error, or an input too large for the memory available (such as the
-17-byte document "p 100000000000 0"), 3 internal invariant violation.
-Every error is one "error: ..." or "internal error: ..." line on stderr.
+17-byte document "p 100000000000 0"), 3 internal invariant violation,
+141 (the status a shell reports for SIGPIPE) standard output closed
+before the command finished writing, as when the reader of `clawmatch
+certify FILE | head -3` exits early.  Every error is one "error: ..." or
+"internal error: ..." line on stderr; a closed standard output prints
+nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -185,7 +190,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the Python docs recipe: later flushes, such as the one at exit, go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except INTERNAL_ERRORS as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -19,9 +19,14 @@ up by their ends:
   (connectors and every diamond's bit-0 walk) and when it does not
   (every diamond's 4-cycle);
 - per diamond, the XOR that turns its bit-0 walk into its bit-1 walk.
-A lift is then an OR of table entries, a routing an XOR of flips, and the
-matching the complement full ^ factor.  Every lifted factor is still
-checked exactly, one row at a time: in a cubic host it is a 2-factor iff
+The entries of different base vertices and base edges share no host edge,
+so a lift is the XOR of its disjoint pieces, a routing an XOR of flips, and
+the matching the complement full ^ factor.  The cycle-space branch walks
+the members in Gray-code order, where consecutive members differ by one
+fundamental cycle b, and updates the previous lift instead of lifting each
+member from zero: it XORs in the walk ^ idle of every edge of b and, at
+each base vertex on b, the old state ^ the new state.  Every lifted factor
+is still checked exactly, one row at a time: in a cubic host it is a 2-factor iff
 its complement is a perfect matching, and a row of edge ids is a perfect
 matching iff it has n/2 edges whose end-vertex bitmasks sum to the n
 one-bits of (1 << n) - 1 (see _is_perfect_row).  certificate_problems
@@ -32,7 +37,7 @@ only to name the offending vertices once a row has failed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, pairwise
 from typing import Iterable, Iterator, Mapping
 
 from .counting import enumerate_perfect_matchings, max_length_two_factor
@@ -165,10 +170,38 @@ class _Gadgets:
                     f"base vertex {v} has degree {(member & inc).bit_count()} in the member, "
                     "expected 0 or 2"
                 )
-            factor |= state
+            factor ^= state
         for bit, walk, idle in self.edges:
-            factor |= walk if member & bit else idle
+            factor ^= walk if member & bit else idle
         return factor
+
+    def lift_walk(self, base: Multigraph, cap: int) -> Iterator[int]:
+        """lift(member) for every member of the base's cycle space, in cycle_space_masks
+        order, each found from the one before by the fundamental cycle between them."""
+        members = cycle_space_masks(base, cap)
+        # the Gray code toggles basis cycle j first at member 2^j: per basis cycle,
+        # the XOR of walk ^ idle over its edges and the (inc, states) of its vertices
+        steps = {}
+        for j in range(len(members).bit_length() - 1):
+            cycle = members[1 << j] ^ members[(1 << j) - 1]
+            flip, touched = 0, set()
+            for e in _unmask(cycle):
+                _, walk, idle = self.edges[e]
+                flip ^= walk ^ idle
+                touched.update(base.edges[e])
+            steps[cycle] = (flip, [self.vertex[v][1:] for v in sorted(touched)])
+        factor = self.lift(members[0])
+        yield factor
+        for prev, cur in pairwise(members):
+            flip, touched = steps[prev ^ cur]
+            factor ^= flip
+            try:
+                for inc, states in touched:
+                    factor ^= states[prev & inc] ^ states[cur & inc]
+            except KeyError:
+                self.lift(cur)  # raises the DegreeViolation naming the vertex
+                raise
+            yield factor
 
     def routed(self, factor: int, slots: Iterable[tuple[int, int]]) -> Iterator[int]:
         """factor under every routing of the slots, Gray-code order: one flip per step."""
@@ -281,7 +314,7 @@ def certify(g: Multigraph, *, both_branches: bool = False, cap: int = 1 << 22) -
         gadgets = _Gadgets(d)
         rows = []
         if run_cycle:
-            rows += map(gadgets.matching, map(gadgets.lift, cycle_space_masks(d.base, cap)))
+            rows += map(gadgets.matching, gadgets.lift_walk(d.base, cap))
         if run_long:
             lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
             chosen = max_length_two_factor(d.base, lengths)
@@ -384,8 +417,8 @@ def verify_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
     if d.kind != KIND_EXPANDED or d.total_length() != 0:
         return False
     gadgets = _Gadgets(d)
-    members = cycle_space_masks(d.base, cap)
-    lifted = {gadgets.checked(gadgets.lift(c)) for c in members}
-    if len(lifted) != len(members):
+    factors = list(map(gadgets.checked, gadgets.lift_walk(d.base, cap)))
+    lifted = set(factors)
+    if len(lifted) != len(factors):
         return False
     return lifted == {gadgets.full ^ _mask(m.members) for m in matchings}

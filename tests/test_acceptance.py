@@ -222,3 +222,13 @@ def test_criterion_13_cycle_basis_on_a_large_base():
     h = random_base(80000, seed=13)
     with criterion(13, f"cycle basis of a seeded random base with k={h.n}", 10.0):
         assert cycle_basis(h).dimension == h.m - h.n + 1
+
+
+def test_criterion_14_certify_the_full_cycle_space_family():
+    base = random_base(28, seed=14)
+    g, _ = build(base, [0] * base.m)
+    with criterion(14, f"certify a seeded diamond-free host with n={g.n}", 5.0):
+        cert = certify(g)
+        assert cert.branch == "cycle-space"
+        assert len(cert.matchings) == 2 ** (28 // 2 + 1) == 32768
+        assert verify_certificate(g, cert)

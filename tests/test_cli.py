@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 
 import clawmatch
-from clawmatch import figure1_graph, parse_graph, serialize_graph
+from clawmatch import build, figure1_graph, parse_graph, random_base, serialize_graph
 from clawmatch.cli import main
 from corpus import (
     K4,
@@ -242,6 +242,36 @@ def test_certify_output_unchanged_under_optimize_flag(tmp_path):
         assert runs[1].stdout == runs[0].stdout, name
 
 
+def test_closed_stdout_exits_141_without_an_error_line(tmp_path):
+    base = random_base(24, seed=5)
+    host, _ = build(base, [0] * base.m)  # an 8192-row certificate, about 0.9 MB of text
+    for name, g in (("base", base), ("host", host)):
+        (tmp_path / f"{name}.txt").write_text(serialize_graph(g))
+    env = subprocess_env()
+    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as when run from a shell
+    # (arguments, lines read before the reader closes); 0 closes it before the first write
+    for argv, lines in (
+        (("certify", "host.txt"), 3),  # like `| head -3`
+        (("check", "base.txt"), 0),
+        (("cycle-space", "base.txt", "--enumerate"), 1),
+    ):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "clawmatch.cli", *argv],
+            cwd=tmp_path,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        for _ in range(lines):
+            proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        err = err.decode()
+        assert proc.returncode == 141, (argv, err)
+        for text in ("error:", "Traceback", "Exception ignored"):
+            assert text not in err, argv
+
+
 def test_console_entry_point(tmp_path):
     doc = tmp_path / "k4.txt"
     doc.write_text(K4_DOC)
@@ -249,6 +279,7 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "clawmatch.cli", "count", str(doc)],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "3"

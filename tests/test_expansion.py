@@ -37,6 +37,7 @@ from clawmatch import (
 )
 from clawmatch import expansion
 from clawmatch.cli import main
+from clawmatch.cyclespace import _mask, _unmask, cycle_space_masks
 from bruteforce import reference_3ec_remark, reference_certificate_problems, reference_lift
 from corpus import (
     K4,
@@ -378,15 +379,17 @@ def test_expand_matches_reference_lift_on_corpus():
                 assert expand(c, d, r).members == reference_lift(c, d, r), name
 
 
-def reference_rows(g, d):
+def reference_rows(g, d, both_branches=False):
     """The certificate rows certify should emit, lifted by the reference."""
-    if 6 * d.base.n >= g.n:
+    use_cycle = 6 * d.base.n >= g.n
+    lifts = []
+    if use_cycle or both_branches:
         members = enumerate_cycle_space(d.base, 1 << 10)
-        lifts = [reference_lift(c, d, zero_routing(c, d)) for c in members]
-    else:
+        lifts += [reference_lift(c, d, zero_routing(c, d)) for c in members]
+    if not use_cycle or both_branches:
         lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
         chosen = max_length_two_factor(d.base, lengths)
-        lifts = [reference_lift(chosen, d, r) for r in all_routings(chosen, d)]
+        lifts += [reference_lift(chosen, d, r) for r in all_routings(chosen, d)]
     full = frozenset(range(g.m))
     return tuple(sorted({tuple(sorted(full - f)) for f in lifts}))
 
@@ -406,6 +409,44 @@ def test_certify_agrees_with_reference_lift_and_oracle(data):
     oracle = {m.sorted_tuple() for m in enumerate_perfect_matchings(g, 1 << 20)}
     assert set(cert.matchings) <= oracle
     assert verify_certificate(g, cert)
+
+
+def lifts_along_the_walk(d):
+    """The cycle-space lifts of d's base from lift_walk and from lift, member by member."""
+    gadgets = expansion._Gadgets(d)
+    walk = list(gadgets.lift_walk(d.base, 1 << 10))
+    return walk, [gadgets.lift(c) for c in cycle_space_masks(d.base, 1 << 10)]
+
+
+def assert_walk_and_certify_agree_with_reference(g, name):
+    d = classify(g)
+    walk, lifted = lifts_along_the_walk(d)
+    assert walk == lifted, name
+    both = d.total_length() > 0  # hosts with diamonds reach the walk through both branches
+    cert = certify(g, both_branches=both)
+    assert cert.branch == ("both" if both else "cycle-space"), name
+    assert cert.matchings == reference_rows(g, d, both_branches=both), name
+
+
+def test_lift_walk_equals_lift_on_corpus():
+    for name, g in certify_corpus():
+        if classify(g).kind == KIND_EXPANDED:
+            assert_walk_and_certify_agree_with_reference(g, name)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_lift_walk_equals_lift_on_random_hosts(data):
+    k = data.draw(st.sampled_from((2, 4, 6, 8, 10, 12, 14)), label="k")
+    h = random_base(k, seed=data.draw(st.integers(0, 1 << 16), label="seed"))
+    length = st.sampled_from((0, 0, 0, 1, 2))
+    lengths = data.draw(st.lists(length, min_size=h.m, max_size=h.m), label="lengths")
+    g, d = build(h, lengths)
+    if d.total_length() <= 6:  # the long branch emits 2^(diamonds it crosses) rows
+        assert_walk_and_certify_agree_with_reference(g, lengths)
+    else:
+        walk, lifted = lifts_along_the_walk(d)
+        assert walk == lifted
 
 
 def with_swapped_corners(d, e):
@@ -513,3 +554,85 @@ def test_corrupted_triangle_state_names_the_vertices_of_the_old_scan(monkeypatch
     with pytest.raises(DegreeViolation) as exc:
         certify(g)
     assert str(exc.value) == message
+
+
+def cycle_space_host():
+    """A diamond-free host on the cycle-space branch, and its base's members in walk order."""
+    g, d = build(K4, [0] * 6)
+    return g, d, cycle_space_masks(d.base, 1 << 10)
+
+
+def assert_certify_raises_on_first(monkeypatch, capsys, tmp_path, g, d, corrupt, member, stray):
+    """certify, the CLI and the walk against lift under corrupted tables, where member is
+    the first member, in walk order, whose lift takes the corrupted entry that stray toggles."""
+    assert member != 0  # the walk takes the corrupted entry only after step 0
+    chosen = EdgeSubset(d.base, _unmask(member))
+    expected = old_degree_scan(g, reference_lift(chosen, d, zero_routing(chosen, d)) ^ {stray})
+    assert expected == sorted(g.edges[stray])
+    with_corrupted_gadgets(monkeypatch, corrupt)
+    walk, lifted = lifts_along_the_walk(d)
+    assert walk == lifted
+    message = f"expansion is not a 2-factor at vertices {expected}"
+    monkeypatch.setattr(expansion, "classify", lambda host: d)
+    with pytest.raises(DegreeViolation) as exc:
+        certify(g)
+    assert str(exc.value) == message
+    path = tmp_path / "host.txt"
+    path.write_text(serialize_graph(g))
+    assert main(["certify", str(path)]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"internal error: {message}\n")
+
+
+@TRIANGLE_PAIRS
+def test_corrupted_entered_triangle_state_on_the_cycle_space_branch(
+    monkeypatch, capsys, tmp_path, pair
+):
+    g, d, members = cycle_space_host()
+    inc = _mask(d.base.incident(0))
+    first = next(c for c in members if c & inc)  # member 0 leaves base vertex 0 idle
+    stray = g.edge_between(*(d.triangles[0][i] for i in pair))
+
+    def corrupt(tables):
+        tables.vertex[0][2][first & inc] ^= 1 << stray
+
+    assert_certify_raises_on_first(monkeypatch, capsys, tmp_path, g, d, corrupt, first, stray)
+
+
+@TRIANGLE_PAIRS
+def test_corrupted_walk_mask_on_the_cycle_space_branch(monkeypatch, capsys, tmp_path, pair):
+    g, d, members = cycle_space_host()
+    e = 0
+    first = next(c for c in members if c >> e & 1)
+    # a triangle edge at one end of e: the lift of first takes it for two of the three
+    # pairs, so an OR of the corrupted walk mask would hide the stray edge
+    v = d.base.edges[e][0]
+    stray = g.edge_between(*(d.triangles[v][i] for i in pair))
+
+    def corrupt(tables):
+        bit, walk, idle = tables.edges[e]
+        tables.edges[e] = (bit, walk ^ 1 << stray, idle)
+
+    assert_certify_raises_on_first(monkeypatch, capsys, tmp_path, g, d, corrupt, first, stray)
+
+
+def test_missing_triangle_state_raises_what_lift_raises(monkeypatch):
+    g, d, members = cycle_space_host()
+    inc = _mask(d.base.incident(0))
+    first = next(c for c in members if c & inc)
+
+    def corrupt(tables):
+        del tables.vertex[0][2][first & inc]
+
+    with_corrupted_gadgets(monkeypatch, corrupt)
+    gadgets = expansion._Gadgets(d)
+    with pytest.raises(DegreeViolation) as lifted:
+        gadgets.lift(first)
+    assert str(lifted.value).startswith("base vertex 0 has degree 2 in the member")
+    with pytest.raises(DegreeViolation) as walked:
+        list(gadgets.lift_walk(d.base, 1 << 10))
+    assert str(walked.value) == str(lifted.value)
+    monkeypatch.setattr(expansion, "classify", lambda host: d)
+    with pytest.raises(DegreeViolation) as certified:
+        certify(g)
+    assert str(certified.value) == str(lifted.value)
