@@ -33,23 +33,43 @@ def _load(path: str) -> graphs.Multigraph:
     return formats.parse_graph(Path(path).read_text())
 
 
+def _emit(text: str) -> None:
+    """Write text to stdout in full, or raise BrokenPipeError once the reader has gone.
+
+    Under PYTHONUNBUFFERED=1 the text layer writes straight through to the
+    raw file, and a raw write cut short by the reader returns a short count
+    instead of raising, so the rest of the text would be dropped and the
+    command exit 0.  Writing the bytes in a loop makes the write after the
+    cut raise.  A stdout with no binary buffer, such as io.StringIO, takes
+    the text as it is.
+    """
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    view = memoryview(text.encode())
+    while view:
+        view = view[buffer.write(view) :]
+
+
 def _cmd_check(args) -> int:
     g = _load(args.file)
     simple = g.is_simple()
     br = sorted(graphs.bridges(g).members)
-    print(f"n={g.n}")
-    print(f"m={g.m}")
-    print(f"simple={'true' if simple else 'false'}")
-    print(f"cubic={'true' if graphs.is_cubic(g) else 'false'}")
+    _emit(f"n={g.n}\n")
+    _emit(f"m={g.m}\n")
+    _emit(f"simple={'true' if simple else 'false'}\n")
+    _emit(f"cubic={'true' if graphs.is_cubic(g) else 'false'}\n")
     if simple:
-        print(f"claw_free={'true' if graphs.is_claw_free(g) else 'false'}")
+        _emit(f"claw_free={'true' if graphs.is_claw_free(g) else 'false'}\n")
     else:
-        print("claw_free=n/a")
-    print(f"bridges=[{','.join(map(str, br))}]")
-    print(f"bridge_count={len(br)}")
-    print(f"connected={'true' if graphs.is_connected(g) else 'false'}")
-    print(f"two_edge_connected={'true' if graphs.is_two_edge_connected(g) else 'false'}")
-    print(f"three_edge_connected={'true' if graphs.is_three_edge_connected(g) else 'false'}")
+        _emit("claw_free=n/a\n")
+    _emit(f"bridges=[{','.join(map(str, br))}]\n")
+    _emit(f"bridge_count={len(br)}\n")
+    _emit(f"connected={'true' if graphs.is_connected(g) else 'false'}\n")
+    _emit(f"two_edge_connected={'true' if graphs.is_two_edge_connected(g) else 'false'}\n")
+    _emit(f"three_edge_connected={'true' if graphs.is_three_edge_connected(g) else 'false'}\n")
     if args.bridgeless and br:
         return 1
     return 0
@@ -57,7 +77,7 @@ def _cmd_check(args) -> int:
 
 def _cmd_decompose(args) -> int:
     d = structure.classify(_load(args.file))
-    sys.stdout.write(formats.serialize_decomposition(d))
+    _emit(formats.serialize_decomposition(d))
     return 0
 
 
@@ -73,7 +93,7 @@ def _cmd_build(args) -> int:
         print(f"error: expected {base.m} lengths, got {len(lengths)}", file=sys.stderr)
         return 2
     g, _ = structure.build(base, lengths)
-    sys.stdout.write(formats.serialize_graph(g))
+    _emit(formats.serialize_graph(g))
     return 0
 
 
@@ -84,51 +104,51 @@ def _cmd_gen(args) -> int:
         g = structure.figure1_graph(args.size)
     else:
         g = structure.random_base(args.size, args.seed)
-    sys.stdout.write(formats.serialize_graph(g))
+    _emit(formats.serialize_graph(g))
     return 0
 
 
 def _cmd_count(args) -> int:
     g = _load(args.file)
     if args.two_factors:
-        print(counting.count_two_factors(g))
+        _emit(f"{counting.count_two_factors(g)}\n")
     else:
-        print(counting.count_perfect_matchings(g))
+        _emit(f"{counting.count_perfect_matchings(g)}\n")
     return 0
 
 
 def _cmd_cycle_space(args) -> int:
     g = _load(args.file)
     cb = cyclespace.cycle_basis(g)
-    print(f"dimension={cb.dimension}")
-    print(f"members={1 << cb.dimension}")
+    _emit(f"dimension={cb.dimension}\n")
+    _emit(f"members={1 << cb.dimension}\n")
     for i, b in enumerate(cb.basis):
-        print(f"basis_{i}={','.join(map(str, b.sorted_tuple()))}")
+        _emit(f"basis_{i}={','.join(map(str, b.sorted_tuple()))}\n")
     if args.enumerate:
         for i, member in enumerate(cyclespace.enumerate_cycle_space(g, args.cap)):
-            print(f"member_{i}={','.join(map(str, member.sorted_tuple()))}")
+            _emit(f"member_{i}={','.join(map(str, member.sorted_tuple()))}\n")
     return 0
 
 
 def _cmd_certify(args) -> int:
     g = _load(args.file)
     cert = expansion.certify(g, both_branches=args.both_branches)
-    sys.stdout.write(formats.serialize_certificate(cert))
+    _emit(formats.serialize_certificate(cert))
     if args.verify_oracle:
         oracle = {
-            m.sorted_tuple() for m in counting.enumerate_perfect_matchings(g, 1 << 22)
+            m.sorted_tuple() for m in counting.enumerate_perfect_matchings(g, expansion.CAP)
         }
         missing = [row for row in cert.matchings if row not in oracle]
         if missing or len(cert.matchings) > len(oracle):
             print("error: certificate disagrees with the oracle enumeration", file=sys.stderr)
             return 3
-        print("oracle_check=ok")
+        _emit("oracle_check=ok\n")
     return 0
 
 
 def _cmd_verify_3ec(args) -> int:
     ok = expansion.verify_3ec_remark(_load(args.file))
-    print(f"result={'true' if ok else 'false'}")
+    _emit(f"result={'true' if ok else 'false'}\n")
     return 0 if ok else 1
 
 

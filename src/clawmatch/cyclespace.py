@@ -15,9 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count
+from typing import Iterator
 
 from .errors import CapExceeded, StructureViolation
-from .graphs import EdgeSubset, Multigraph, connected_components, subset_degrees
+from .graphs import EdgeSubset, Multigraph, subset_degrees
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,11 @@ def cycle_basis(h: Multigraph) -> CycleBasis:
     other = [u ^ v for u, v in h.edges]  # the far end of edge f from v is other[f] ^ v
     parent_edge = [-1] * h.n
     depth = [-1] * h.n
+    roots = 0  # one per component
     for root in range(h.n):
         if depth[root] >= 0:
             continue
+        roots += 1
         depth[root] = 0
         queue = [root]
         for v in queue:
@@ -91,8 +94,7 @@ def cycle_basis(h: Multigraph) -> CycleBasis:
             cycle.append(f)
             v ^= other[f]
         basis.append(EdgeSubset(h, cycle))
-    c = len(connected_components(h))
-    dim = h.m - h.n + c
+    dim = h.m - h.n + roots
     if len(basis) != dim:
         raise StructureViolation(f"cycle basis has {len(basis)} elements, dimension is {dim}")
     return CycleBasis(h, tuple(basis), dim)
@@ -105,19 +107,23 @@ def is_even_subgraph(h: Multigraph, s: EdgeSubset) -> bool:
     return all(d % 2 == 0 for d in subset_degrees(h, s.members))
 
 
+def gray_walk(start: int, flips: list[int]) -> Iterator[int]:
+    """start XOR every subset of flips, 2^len(flips) values in binary reflected Gray-code
+    order: step i XORs in flips[j] for the lowest set bit j of i, so each value is one
+    flip from the last and flips[j] is first taken at step 2^j."""
+    yield start
+    for i in range(1, 1 << len(flips)):
+        start ^= flips[(i & -i).bit_length() - 1]
+        yield start
+
+
 def cycle_space_masks(h: Multigraph, cap: int) -> list[int]:
     """All 2^dimension members as edge bitmasks, Gray-code order, empty set first."""
     cb = cycle_basis(h)
     total = 1 << cb.dimension
     if total > cap:
         raise CapExceeded(total, cap)
-    masks = [_mask(b.members) for b in cb.basis]
-    out = [0]
-    cur = 0
-    for i in range(1, total):
-        cur ^= masks[(i & -i).bit_length() - 1]
-        out.append(cur)
-    return out
+    return list(gray_walk(0, [_mask(b.members) for b in cb.basis]))
 
 
 def enumerate_cycle_space(h: Multigraph, cap: int) -> list[EdgeSubset]:

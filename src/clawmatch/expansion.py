@@ -10,9 +10,8 @@ graph gives perfect matchings; collecting enough of them certifies the
 exponential lower bound with exact integer arithmetic.
 
 Lifting is table driven and edge sets are int bitmasks over edge ids.
-The gadget tables of a decomposition are built once per certify, expand
-or verify_3ec_remark call, and are the only place that looks host edges
-up by their ends:
+The gadget tables of a decomposition are built once per certify or expand
+call, and are the only place that looks host edges up by their ends:
 - per base vertex, the triangle edges taken for each pair of used base
   edges and for none;
 - per base edge, the host edges taken when the member traverses it
@@ -21,14 +20,14 @@ up by their ends:
 - per diamond, the XOR that turns its bit-0 walk into its bit-1 walk.
 The entries of different base vertices and base edges share no host edge,
 so a lift is the XOR of its disjoint pieces, a routing an XOR of flips, and
-the matching the complement full ^ factor.  The cycle-space branch walks
-the members in Gray-code order, where consecutive members differ by one
-fundamental cycle b, and updates the previous lift instead of lifting each
-member from zero: it XORs in the walk ^ idle of every edge of b and, at
-each base vertex on b, the old state ^ the new state.  Every lifted factor
-is still checked exactly, one row at a time: in a cubic host it is a 2-factor iff
-its complement is a perfect matching, and a row of edge ids is a perfect
-matching iff it has n/2 edges whose end-vertex bitmasks sum to the n
+the matching the complement full ^ factor.  Both branches walk a Gray
+code (cyclespace.gray_walk).  In the cycle-space branch consecutive members
+differ by one fundamental cycle b, so it updates the previous lift instead
+of lifting each member from zero: it XORs in the walk ^ idle of every edge
+of b and, at each base vertex on b, the old state ^ the new state.  Every
+lifted factor is still checked exactly, one row at a time: in a cubic host
+it is a 2-factor iff its complement is a perfect matching, and a row of
+edge ids is a perfect matching iff it has n/2 edges whose end-vertex bitmasks sum to the n
 one-bits of (1 << n) - 1 (see _is_perfect_row).  certificate_problems
 checks rows with the same test.  The vertex-by-vertex degree scan runs
 only to name the offending vertices once a row has failed.
@@ -38,10 +37,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, pairwise
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .counting import enumerate_perfect_matchings, max_length_two_factor
-from .cyclespace import _mask, _unmask, cycle_space_masks
+from .cyclespace import _mask, _unmask, cycle_space_masks, gray_walk
 from .errors import BoundFailure, CapExceeded, DegreeViolation
 from .graphs import (
     EdgeSubset,
@@ -57,10 +56,11 @@ from .structure import (
     KIND_K4,
     KIND_RING,
     Decomposition,
-    _scan_diamonds,
     classify,
     string_passages,
 )
+
+CAP = 1 << 22  # most rows certify emits, and most matchings verify_3ec_remark enumerates
 
 
 @dataclass(frozen=True)
@@ -203,14 +203,6 @@ class _Gadgets:
                 raise
             yield factor
 
-    def routed(self, factor: int, slots: Iterable[tuple[int, int]]) -> Iterator[int]:
-        """factor under every routing of the slots, Gray-code order: one flip per step."""
-        flips = [self.flip[slot] for slot in slots]
-        yield factor
-        for i in range(1, 1 << len(flips)):
-            factor ^= flips[(i & -i).bit_length() - 1]
-            yield factor
-
     def matching(self, factor: int) -> tuple[int, ...]:
         """Edge ids of the perfect matching complementary to factor, once factor is
         seen to be a 2-factor of the cubic host, which holds iff the complement is
@@ -290,13 +282,14 @@ def _ring_family(g: Multigraph, ring) -> list[tuple[int, ...]]:
     return family
 
 
-def certify(g: Multigraph, *, both_branches: bool = False, cap: int = 1 << 22) -> Certificate:
+def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
     """Emit an explicit family of perfect matchings with |family|^12 > 2^n.
 
     Dispatch follows the structure: K4 and rings get their closed-form
     families; otherwise the cycle-space branch fires when the base has
     k >= n/6 vertices and the long-2-factor branch when k < n/6.  The
-    flag runs both branches and unions them.
+    flag runs both branches and unions them.  A branch of more than CAP
+    rows raises CapExceeded.
     """
     d = classify(g)
     if d.kind == KIND_K4:
@@ -314,15 +307,16 @@ def certify(g: Multigraph, *, both_branches: bool = False, cap: int = 1 << 22) -
         gadgets = _Gadgets(d)
         rows = []
         if run_cycle:
-            rows += map(gadgets.matching, gadgets.lift_walk(d.base, cap))
+            rows += map(gadgets.matching, gadgets.lift_walk(d.base, CAP))
         if run_long:
             lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
             chosen = max_length_two_factor(d.base, lengths)
             slots = traversed_diamonds(chosen, d)
-            if 1 << len(slots) > cap:
-                raise CapExceeded(1 << len(slots), cap)
+            if 1 << len(slots) > CAP:
+                raise CapExceeded(1 << len(slots), CAP)
             factor = gadgets.lift(_mask(chosen.members))
-            rows += map(gadgets.matching, gadgets.routed(factor, slots))
+            flips = [gadgets.flip[slot] for slot in slots]
+            rows += map(gadgets.matching, gray_walk(factor, flips))
         if run_cycle and run_long:
             branch = "both"
         elif run_cycle:
@@ -375,22 +369,21 @@ def verify_certificate(g: Multigraph, cert: Certificate) -> bool:
     return not certificate_problems(g, cert)
 
 
-def verify_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
+def verify_3ec_remark(g: Multigraph) -> bool:
     """Check the exact count 2^(n/6+1) and its mechanism on a 3-edge-connected host.
 
     The mechanism: such a graph has no diamonds, and lifting the base's
     cycle space is a bijection onto the 2-factors of g.  K4 is excluded
     by precondition.
 
-    Both halves are checked against one enumeration of the perfect
-    matchings by the backtracking oracle, which shares no code with the
-    lift.  In a cubic graph every vertex has degree 3, so an edge set F
-    has degree 2 everywhere iff its complement E - F has degree 1
-    everywhere: the 2-factors are exactly the complements E - M of the
-    perfect matchings M, one for one.  The count is then the number of
-    matchings, and the lifted members, as edge bitmasks, must be the set
-    of the complements full ^ mask(M).  The answer is exact; no 2-factor
-    is searched for.
+    Both halves are checked on the rows certify emits, the complements of
+    its lifts, against one enumeration of the perfect matchings by the
+    backtracking oracle, which shares no code with the lift.  In a cubic
+    graph the 2-factors are exactly the complements of the perfect
+    matchings, so the remark holds iff the oracle finds 2^(n/6+1)
+    matchings and certify's cycle-space rows are exactly those; as the
+    base's cycle space has 2^(n/6+1) members, the lift is then injective.
+    A count above CAP is False without enumerating.
     """
     g.ensure_simple()
     if not is_cubic(g):
@@ -403,22 +396,16 @@ def verify_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
     if g.n == 4:
         raise ValueError("K4 is excluded from the remark")
 
-    if g.n % 6:
+    expected = 2 ** (g.n // 6 + 1)
+    if g.n % 6 or expected > CAP:
         return False
     try:
-        matchings = enumerate_perfect_matchings(g, cap)
+        matchings = enumerate_perfect_matchings(g, CAP)
     except CapExceeded:
         return False
-    if len(matchings) != 2 ** (g.n // 6 + 1):
+    if len(matchings) != expected:
         return False
-    if _scan_diamonds(g):
-        return False
-    d = classify(g)
-    if d.kind != KIND_EXPANDED or d.total_length() != 0:
-        return False
-    gadgets = _Gadgets(d)
-    factors = list(map(gadgets.checked, gadgets.lift_walk(d.base, cap)))
-    lifted = set(factors)
-    if len(lifted) != len(factors):
-        return False
-    return lifted == {gadgets.full ^ _mask(m.members) for m in matchings}
+    cert = certify(g)
+    return cert.branch == "cycle-space" and set(cert.matchings) == {
+        m.sorted_tuple() for m in matchings
+    }

@@ -218,17 +218,18 @@ def is_cubic(g: Multigraph) -> bool:
     return all(d == 3 for d in g.degrees())
 
 
-def bridges(g: Multigraph) -> EdgeSubset:
-    """All cutedges, by an iterative DFS forest and one lowpoint sweep.
+def _cut_forest(g: Multigraph) -> tuple[list[int], list[int], list[int], list[int]]:
+    """(order, parent_edge, other, bridge ids) from one DFS forest and a lowpoint sweep.
 
-    The DFS keeps its stack as a flat list of (vertex, edge) ints and
-    records each vertex's preorder number and the tree edge it was
-    reached by; the far end of edge f from v is other[f] ^ v, with
-    other[f] = u ^ v.  Every non-loop non-tree edge joins a vertex to
-    one of its ancestors and lowers the lowpoint of the deeper end to
-    the preorder number of the other; a sweep in reverse preorder then
-    passes each lowpoint up to the parent.  The tree edge into v is a
-    bridge iff no edge leaves v's subtree upward, i.e. low[v] == disc[v].
+    order is the preorder and parent_edge[v] the tree edge v was reached
+    by, -1 at each root, so a forest of one tree has exactly one -1; the
+    far end of edge f from v is other[f] ^ v, with other[f] = u ^ v.
+    The DFS keeps its stack as a flat list of (vertex, edge) ints.  Every
+    non-loop non-tree edge joins a vertex to one of its ancestors and
+    lowers the lowpoint of the deeper end to the preorder number of the
+    other; a sweep in reverse preorder then passes each lowpoint up to
+    the parent.  The tree edge into v is a bridge iff no edge leaves v's
+    subtree upward, i.e. low[v] == disc[v].
 
     A parallel pair contributes no bridge and a loop is never a bridge:
     the second copy of a parallel pair is a non-tree edge to the parent.
@@ -278,14 +279,18 @@ def bridges(g: Multigraph) -> EdgeSubset:
         p = other[e] ^ v
         if lv < low[p]:
             low[p] = lv
-    return EdgeSubset(g, frozenset(found))
+    return order, parent_edge, other, found
+
+
+def bridges(g: Multigraph) -> EdgeSubset:
+    """All cutedges, by one DFS forest and its lowpoint sweep (see _cut_forest)."""
+    return EdgeSubset(g, frozenset(_cut_forest(g)[3]))
 
 
 def is_two_edge_connected(g: Multigraph) -> bool:
-    """Connected, at least 2 vertices, and bridgeless."""
-    if g.n < 2 or not is_connected(g):
-        return False
-    return not bridges(g).members
+    """At least 2 vertices, one DFS tree and no bridge, from one pass."""
+    _, parent_edge, _, found = _cut_forest(g)
+    return g.n >= 2 and parent_edge.count(-1) == 1 and not found
 
 
 def _cut_labels(count: int) -> list[int]:
@@ -315,28 +320,21 @@ def _connected_without(g: Multigraph, banned: tuple[int, ...]) -> bool:
 def is_three_edge_connected(g: Multigraph) -> bool:
     """No set of at most 2 edges disconnects g, by XOR labels on the cycle space.
 
-    Every non-loop edge off a BFS spanning tree gets a random 64-bit
-    label and every tree edge the XOR of the labels below it, i.e. of
-    the non-tree edges whose fundamental cycles pass through it
-    (Pritchard's random circulations).  Every cycle crosses an edge cut
-    an even number of times, so the labels of any cut XOR to zero,
-    whatever the labels are: a bridge has label 0 and the two edges of
-    a 2-edge cut have equal labels.  Each zero label and each pair of
-    equal labels is confirmed by one search without those edges before
-    False is returned, so the answer is exact; random labels only keep
-    false candidates rare.
+    The DFS forest of _cut_forest answers the 0- and 1-edge cuts exactly:
+    g must be one tree with no bridge.  On that tree every non-loop
+    non-tree edge gets a random 64-bit label and every tree edge the XOR
+    of the labels below it, i.e. of the non-tree edges whose fundamental
+    cycles pass through it (Pritchard's random circulations).  Every
+    cycle crosses an edge cut an even number of times, so the labels of
+    any cut XOR to zero, whatever the labels are: the two edges of a
+    2-edge cut have equal labels.  Each pair of equal labels is confirmed
+    by one search without those two edges before False is returned, so
+    the answer is exact; random labels only keep false candidates rare.
     """
-    if g.n < 2 or not is_connected(g):
+    order, parent_edge, other, found = _cut_forest(g)
+    if g.n < 2 or parent_edge.count(-1) != 1 or found:
         return False
-    parent_edge = [-1] * g.n
-    order = [0]
-    for v in order:
-        for e in g.incident(v):
-            w = g.other_end(e, v)
-            if w and parent_edge[w] == -1:  # the root 0 has no parent edge
-                parent_edge[w] = e
-                order.append(w)
-    tree = set(parent_edge[1:])
+    tree = set(parent_edge)
     label = [0] * g.m
     below = [0] * g.n  # XOR of the labels at each vertex, then of its whole subtree
     off_tree = [e for e, (u, v) in enumerate(g.edges) if u != v and e not in tree]
@@ -348,13 +346,11 @@ def is_three_edge_connected(g: Multigraph) -> bool:
     for v in reversed(order[1:]):
         e = parent_edge[v]
         label[e] = below[v]
-        below[g.other_end(e, v)] ^= below[v]
+        below[other[e] ^ v] ^= below[v]
     with_label: dict[int, list[int]] = {}
     for e, (u, v) in enumerate(g.edges):
         if u == v:
             continue
-        if label[e] == 0 and not _connected_without(g, (e,)):
-            return False
         same = with_label.setdefault(label[e], [])
         for f in same:
             if not _connected_without(g, (f, e)):

@@ -28,9 +28,8 @@ from .errors import (
 )
 from .graphs import (
     Multigraph,
-    bridges,
+    _cut_forest,
     find_claw,
-    is_connected,
     is_cubic,
     is_two_edge_connected,
 )
@@ -390,11 +389,11 @@ def classify(g: Multigraph) -> Decomposition:
     _require_cubic_claw_free(g)
     if g.n == 0:
         raise NotTwoEdgeConnected("graph has no vertices")
-    if not is_connected(g):
+    _, parent_edge, _, found = _cut_forest(g)
+    if parent_edge.count(-1) > 1:
         raise NotTwoEdgeConnected("graph is disconnected")
-    br = bridges(g)
-    if br.members:
-        witness = min(br.members)
+    if found:
+        witness = min(found)
         raise NotTwoEdgeConnected(f"graph has a bridge: edge {witness}", witness)
 
     diamonds = _scan_diamonds(g)

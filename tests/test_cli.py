@@ -247,29 +247,33 @@ def test_closed_stdout_exits_141_without_an_error_line(tmp_path):
     host, _ = build(base, [0] * base.m)  # an 8192-row certificate, about 0.9 MB of text
     for name, g in (("base", base), ("host", host)):
         (tmp_path / f"{name}.txt").write_text(serialize_graph(g))
-    env = subprocess_env()
-    env.pop("PYTHONUNBUFFERED", None)  # stdout buffered, as when run from a shell
-    # (arguments, lines read before the reader closes); 0 closes it before the first write
-    for argv, lines in (
-        (("certify", "host.txt"), 3),  # like `| head -3`
-        (("check", "base.txt"), 0),
-        (("cycle-space", "base.txt", "--enumerate"), 1),
-    ):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "clawmatch.cli", *argv],
-            cwd=tmp_path,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            env=env,
-        )
-        for _ in range(lines):
-            proc.stdout.readline()
-        proc.stdout.close()
-        _, err = proc.communicate(timeout=120)
-        err = err.decode()
-        assert proc.returncode == 141, (argv, err)
-        for text in ("error:", "Traceback", "Exception ignored"):
-            assert text not in err, argv
+    # stdout buffered, as when run from a shell, and written straight through to the pipe
+    for unbuffered in (None, "1"):
+        env = subprocess_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        # (arguments, lines read before the reader closes); 0 closes it before the first write
+        for argv, lines in (
+            (("certify", "host.txt"), 3),  # like `| head -3`
+            (("check", "base.txt"), 0),
+            (("cycle-space", "base.txt", "--enumerate"), 1),
+        ):
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "clawmatch.cli", *argv],
+                cwd=tmp_path,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+            for _ in range(lines):
+                proc.stdout.readline()
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+            err = err.decode()
+            assert proc.returncode == 141, (unbuffered, argv, err)
+            for text in ("error:", "Traceback", "Exception ignored"):
+                assert text not in err, (unbuffered, argv)
 
 
 def test_console_entry_point(tmp_path):

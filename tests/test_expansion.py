@@ -1,4 +1,5 @@
 import dataclasses
+import time
 from functools import cache
 
 import pytest
@@ -367,6 +368,35 @@ def test_verify_3ec_remark_rejects_a_missing_or_foreign_matching(monkeypatch):
         expansion, "enumerate_perfect_matchings", lambda h, cap: [foreign] + oracle(h, cap)[1:]
     )
     assert not verify_3ec_remark(g)
+
+
+def test_verify_3ec_remark_rejects_a_certificate_missing_a_row(monkeypatch):
+    g, _ = build(K4, [0] * 6)
+    full = expansion.certify
+
+    def one_row_short(h):
+        cert = full(h)
+        return dataclasses.replace(cert, matchings=cert.matchings[1:])
+
+    assert verify_3ec_remark(g)
+    monkeypatch.setattr(expansion, "certify", one_row_short)
+    assert not verify_3ec_remark(g)
+
+
+def test_verify_3ec_remark_above_the_cap_answers_before_enumerating(monkeypatch, capsys, tmp_path):
+    base = random_base(44, 1)
+    g, _ = build(base, [0] * base.m)  # n = 132 and 3-edge-connected: 2^23 matchings
+    assert 2 ** (g.n // 6 + 1) > expansion.CAP
+    monkeypatch.setattr(
+        expansion, "enumerate_perfect_matchings", lambda h, cap: pytest.fail("oracle ran")
+    )
+    start = time.perf_counter()
+    assert verify_3ec_remark(g) is False
+    assert time.perf_counter() - start < 1
+    path = tmp_path / "3ec-132.txt"
+    path.write_text(serialize_graph(g))
+    assert main(["verify-3ec", str(path)]) == 1
+    assert capsys.readouterr().out == "result=false\n"
 
 
 def test_expand_matches_reference_lift_on_corpus():

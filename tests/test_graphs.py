@@ -218,7 +218,7 @@ def test_three_edge_connected_matches_removal_oracle_on_random_multigraphs(g):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.one_of(multigraphs(), cubic_multigraphs()), st.randoms(use_true_random=False))
 def test_three_edge_connected_invariant_under_relabelling(g, rng):
-    # moving the BFS root and the edge order changes which edges are tree edges,
+    # moving the DFS root and the edge order changes which edges are tree edges,
     # so a 2-cut falls on two tree edges in one labelling and on a tree and a non-tree edge in another
     expected = brute_three_edge_connected(g)
     for _ in range(4):
@@ -257,6 +257,13 @@ def several_components(draw):
         edges += [(u + n, v + n) for u, v in part.edges]
         n += part.n
     return Multigraph(n, tuple(edges))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(multigraphs())
+def test_two_edge_connected_matches_components_and_removal_oracle(g):
+    expected = g.n >= 2 and len(connected_components(g)) == 1 and not brute_bridges(g)
+    assert is_two_edge_connected(g) == expected
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -147,12 +147,16 @@ def test_bad_input_errors_keep_their_types_and_messages():
     two_k4s = Multigraph(8, K4.edges + tuple((u + 4, v + 4) for u, v in K4.edges))
     looped = Multigraph(2, ((0, 0), (0, 1), (1, 1)))
     fig1 = figure1_graph(0)
+    # disconnected, and the fig1 part has bridges: the disconnection is reported first
+    shifted_k4 = tuple((u + fig1.n, v + fig1.n) for u, v in K4.edges)
+    fig1_and_k4 = Multigraph(fig1.n + 4, fig1.edges + shifted_k4)
     calls = [
         (classify, (TRIPLE_BOND,), NotSimple, "graph has loops or parallel edges"),
         (classify, (PATH3,), NotCubic, "vertex 0 has degree 1, expected 3"),
         (classify, (K33,), NotClawFree, "induced claw at center 0 with leaves (3, 4, 5)"),
         (classify, (fig1,), NotTwoEdgeConnected, "graph has a bridge: edge 10"),
         (classify, (two_k4s,), NotTwoEdgeConnected, "graph is disconnected"),
+        (classify, (fig1_and_k4,), NotTwoEdgeConnected, "graph is disconnected"),
         (classify, (Multigraph(0, ()),), NotTwoEdgeConnected, "graph has no vertices"),
         (build, (PATH3, [0, 0]), InvalidBase, "base vertex 0 has degree 1, expected 3"),
         (build, (fig1, [0] * fig1.m), InvalidBase, "base is not 2-edge-connected"),
