@@ -51,15 +51,16 @@ def cycle_basis(h: Multigraph) -> CycleBasis:
     from the deeper end first, so its cost is the length of the cycle.
     A loop is its own basis element (the tree path between its endpoints
     is empty); the off-tree copy of a parallel pair yields a 2-cycle.
+    The basis size is checked against m - n + c, with c the component
+    count of h's DFS cut pass (see graphs._cut_forest), which does not
+    depend on this BFS forest.
     """
     other = [u ^ v for u, v in h.edges]  # the far end of edge f from v is other[f] ^ v
     parent_edge = [-1] * h.n
     depth = [-1] * h.n
-    roots = 0  # one per component
     for root in range(h.n):
         if depth[root] >= 0:
             continue
-        roots += 1
         depth[root] = 0
         queue = [root]
         for v in queue:
@@ -94,7 +95,7 @@ def cycle_basis(h: Multigraph) -> CycleBasis:
             cycle.append(f)
             v ^= other[f]
         basis.append(EdgeSubset(h, cycle))
-    dim = h.m - h.n + roots
+    dim = h.m - h.n + h._cuts[0]
     if len(basis) != dim:
         raise StructureViolation(f"cycle basis has {len(basis)} elements, dimension is {dim}")
     return CycleBasis(h, tuple(basis), dim)

@@ -19,6 +19,14 @@ from .errors import NotSimple
 
 @dataclass(frozen=True)
 class Multigraph:
+    """n vertices and an indexed edge tuple, frozen.
+
+    Lookup tables and the answers to the cut and claw questions are
+    cached properties, kept in the instance dict on first use.  Nothing can
+    change n or edges after construction, so they never go stale, and
+    equality and hashing compare the two fields only.
+    """
+
     n: int
     edges: tuple[tuple[int, int], ...]
 
@@ -82,6 +90,16 @@ class Multigraph:
             return u
         raise ValueError(f"vertex {v} is not an endpoint of edge {e}")
 
+    @cached_property
+    def _cuts(self) -> tuple[int, tuple[int, ...]]:
+        """(root count, bridge ids) of one _cut_forest pass; the forest itself is dropped."""
+        return _cut_forest(self)[3]
+
+    @cached_property
+    def _claw(self) -> Claw | None:
+        """What _scan_claw finds; find_claw reads it only after checking the graph is simple."""
+        return _scan_claw(self)
+
     def has_edge(self, u: int, v: int) -> bool:
         return v in self._neighbors[u] if u != v else any(a == b == u for a, b in self.edges)
 
@@ -122,10 +140,12 @@ class EdgeSubset:
     members: frozenset[int]
 
     def __post_init__(self):
-        object.__setattr__(self, "members", frozenset(self.members))
-        for e in self.members:
-            if not (0 <= e < self.host.m):
-                raise ValueError(f"edge index {e} out of range")
+        members = frozenset(self.members)
+        object.__setattr__(self, "members", members)
+        if members and not (0 <= min(members) and max(members) < self.host.m):
+            for e in members:  # only to name the member the error reports
+                if not (0 <= e < self.host.m):
+                    raise ValueError(f"edge index {e} out of range")
 
     def __contains__(self, e: int) -> bool:
         return e in self.members
@@ -218,12 +238,14 @@ def is_cubic(g: Multigraph) -> bool:
     return all(d == 3 for d in g.degrees())
 
 
-def _cut_forest(g: Multigraph) -> tuple[list[int], list[int], list[int], list[int]]:
-    """(order, parent_edge, other, bridge ids) from one DFS forest and a lowpoint sweep.
+def _cut_forest(
+    g: Multigraph,
+) -> tuple[list[int], list[int], list[int], tuple[int, tuple[int, ...]]]:
+    """(order, parent_edge, other, (roots, bridge ids)) from one DFS forest and a lowpoint sweep.
 
     order is the preorder and parent_edge[v] the tree edge v was reached
-    by, -1 at each root, so a forest of one tree has exactly one -1; the
-    far end of edge f from v is other[f] ^ v, with other[f] = u ^ v.
+    by, -1 at each of the roots, one per component; the far end of edge f
+    from v is other[f] ^ v, with other[f] = u ^ v.
     The DFS keeps its stack as a flat list of (vertex, edge) ints.  Every
     non-loop non-tree edge joins a vertex to one of its ancestors and
     lowers the lowpoint of the deeper end to the preorder number of the
@@ -240,9 +262,11 @@ def _cut_forest(g: Multigraph) -> tuple[list[int], list[int], list[int], list[in
     disc = [-1] * g.n
     parent_edge = [-1] * g.n
     order: list[int] = []
+    roots = 0
     for root in range(g.n):
         if disc[root] >= 0:
             continue
+        roots += 1
         stack = [root, -1]
         push = stack.append
         while stack:
@@ -279,18 +303,18 @@ def _cut_forest(g: Multigraph) -> tuple[list[int], list[int], list[int], list[in
         p = other[e] ^ v
         if lv < low[p]:
             low[p] = lv
-    return order, parent_edge, other, found
+    return order, parent_edge, other, (roots, tuple(found))
 
 
 def bridges(g: Multigraph) -> EdgeSubset:
-    """All cutedges, by one DFS forest and its lowpoint sweep (see _cut_forest)."""
-    return EdgeSubset(g, frozenset(_cut_forest(g)[3]))
+    """All cutedges, by one DFS forest and its lowpoint sweep (see _cut_forest), once per graph."""
+    return EdgeSubset(g, frozenset(g._cuts[1]))
 
 
 def is_two_edge_connected(g: Multigraph) -> bool:
-    """At least 2 vertices, one DFS tree and no bridge, from one pass."""
-    _, parent_edge, _, found = _cut_forest(g)
-    return g.n >= 2 and parent_edge.count(-1) == 1 and not found
+    """At least 2 vertices, one DFS tree and no bridge, from the graph's one cut pass."""
+    roots, found = g._cuts
+    return g.n >= 2 and roots == 1 and not found
 
 
 def _cut_labels(count: int) -> list[int]:
@@ -321,18 +345,23 @@ def is_three_edge_connected(g: Multigraph) -> bool:
     """No set of at most 2 edges disconnects g, by XOR labels on the cycle space.
 
     The DFS forest of _cut_forest answers the 0- and 1-edge cuts exactly:
-    g must be one tree with no bridge.  On that tree every non-loop
-    non-tree edge gets a random 64-bit label and every tree edge the XOR
-    of the labels below it, i.e. of the non-tree edges whose fundamental
-    cycles pass through it (Pritchard's random circulations).  Every
+    g must be one tree with no bridge.  That summary is kept as g._cuts;
+    when it is already known to fail, no forest is built.  On that tree
+    every non-loop non-tree edge gets a random 64-bit label and every
+    tree edge the XOR of the labels below it, i.e. of the non-tree edges
+    whose fundamental cycles pass through it (Pritchard's random
+    circulations).  Every
     cycle crosses an edge cut an even number of times, so the labels of
     any cut XOR to zero, whatever the labels are: the two edges of a
     2-edge cut have equal labels.  Each pair of equal labels is confirmed
     by one search without those two edges before False is returned, so
     the answer is exact; random labels only keep false candidates rare.
     """
-    order, parent_edge, other, found = _cut_forest(g)
-    if g.n < 2 or parent_edge.count(-1) != 1 or found:
+    if "_cuts" in vars(g) and not is_two_edge_connected(g):
+        return False  # a cut pass already found a bridge or a second component
+    order, parent_edge, other, cuts = _cut_forest(g)
+    vars(g).setdefault("_cuts", cuts)  # this pass answers the 0- and 1-edge cuts too
+    if not is_two_edge_connected(g):
         return False
     tree = set(parent_edge)
     label = [0] * g.m
@@ -362,11 +391,16 @@ def is_three_edge_connected(g: Multigraph) -> bool:
 def find_claw(g: Multigraph) -> Claw | None:
     """Some induced claw of a simple graph, or None.
 
-    Rejects multigraphs with loops or parallel edges: claw-freeness is a
-    simple-graph notion.  Leaves are tried in lexicographic order of
+    Rejects multigraphs with loops or parallel edges, on every call:
+    claw-freeness is a simple-graph notion.  The scan runs once per graph
+    and is kept as g._claw.  Leaves are tried in lexicographic order of
     their positions in the center's ascending neighbor tuple.
     """
     g.ensure_simple()
+    return g._claw
+
+
+def _scan_claw(g: Multigraph) -> Claw | None:
     nbrs = g._neighbors
     for v, nb in enumerate(nbrs):
         k = len(nb)

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .graphs import (
     Multigraph,
-    _cut_forest,
     find_claw,
     is_cubic,
     is_two_edge_connected,
@@ -389,8 +388,8 @@ def classify(g: Multigraph) -> Decomposition:
     _require_cubic_claw_free(g)
     if g.n == 0:
         raise NotTwoEdgeConnected("graph has no vertices")
-    _, parent_edge, _, found = _cut_forest(g)
-    if parent_edge.count(-1) > 1:
+    roots, found = g._cuts
+    if roots > 1:
         raise NotTwoEdgeConnected("graph is disconnected")
     if found:
         witness = min(found)

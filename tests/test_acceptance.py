@@ -10,6 +10,7 @@ import random
 import time
 from contextlib import contextmanager, redirect_stdout
 
+from clawmatch import graphs
 from clawmatch import (
     Multigraph,
     bridges,
@@ -28,6 +29,7 @@ from clawmatch import (
     max_length_two_factor,
     random_base,
     ring_of_diamonds,
+    serialize_decomposition,
     serialize_graph,
     verify_certificate,
     verify_3ec_remark,
@@ -232,3 +234,41 @@ def test_criterion_14_certify_the_full_cycle_space_family():
         assert cert.branch == "cycle-space"
         assert len(cert.matchings) == 2 ** (28 // 2 + 1) == 32768
         assert verify_certificate(g, cert)
+
+
+def counted(monkeypatch, name: str) -> list:
+    """Replace graphs.<name> by a wrapper that records the graph of every call."""
+    seen = []
+    inner = getattr(graphs, name)
+
+    def wrapper(g):
+        seen.append(g)
+        return inner(g)
+
+    monkeypatch.setattr(graphs, name, wrapper)
+    return seen
+
+
+def test_criterion_15_one_cut_pass_and_one_claw_scan_per_graph(monkeypatch, tmp_path):
+    built = large_expansion(80000, seed=15)
+    g = Multigraph(built.n, built.edges)  # a fresh object, as parsed from a document
+    passes = counted(monkeypatch, "_cut_forest")
+    scans = counted(monkeypatch, "_scan_claw")
+    with criterion(15, f"one cut pass and one claw scan per graph, n={g.n}", 10.0):
+        assert not bridges(g).members
+        assert is_claw_free(g)
+        d = classify(g)
+        serialize_decomposition(d)
+        rebuilt, _ = build(d.base, d.lengths())
+        assert rebuilt == g
+        # the host and the base once each, although classify and build ask again
+        assert [id(h) for h in passes] == [id(g), id(d.base)]
+        assert [id(h) for h in scans] == [id(g)]
+    for host, expected in ((circular_ladder(300), 2), (figure1_graph(3), 1)):
+        doc = tmp_path / "host.txt"
+        doc.write_text(serialize_graph(host))
+        passes.clear()
+        with redirect_stdout(io.StringIO()):
+            assert main(["check", str(doc)]) == 0
+        # bridges fills the summary; only a 2-edge-connected host needs the 3EC tree
+        assert len(passes) == expected

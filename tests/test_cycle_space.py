@@ -7,6 +7,7 @@ from clawmatch import (
     CapExceeded,
     EdgeSubset,
     Multigraph,
+    StructureViolation,
     cycle_basis,
     enumerate_cycle_space,
     is_even_subgraph,
@@ -25,6 +26,15 @@ def test_dimension_examples():
     assert cycle_basis(K4).dimension == 3
     assert cycle_basis(PATH3).dimension == 0
     assert cycle_basis(LOOP1).dimension == 1
+
+
+def test_dimension_is_checked_against_the_cut_pass_component_count():
+    # the basis comes from a BFS forest and the component count from the graph's DFS
+    # cut pass; a wrong count planted where that pass keeps it must be caught
+    h = Multigraph(K4.n, K4.edges)
+    vars(h)["_cuts"] = (2, ())
+    with pytest.raises(StructureViolation, match="^cycle basis has 3 elements, dimension is 4$"):
+        cycle_basis(h)
 
 
 def test_dimension_of_cubic_bases():

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from clawmatch import graphs
 from clawmatch import (
     EdgeSubset,
+    GraphError,
     Multigraph,
     NotSimple,
     bridges,
+    classify,
     connected_components,
     figure1_graph,
     find_claw,
@@ -60,8 +62,13 @@ def test_multigraph_rejects_bad_endpoints():
 
 
 def test_edge_subset_validates_members():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^edge index 10 out of range$"):
         EdgeSubset(K4, frozenset({10}))
+    with pytest.raises(ValueError, match="^edge index -1 out of range$"):
+        EdgeSubset(K4, {0, -1, 5})
+    with pytest.raises(ValueError, match="^edge index 6 out of range$"):
+        EdgeSubset(K4, range(7))
+    assert len(EdgeSubset(K4, ())) == 0
     s = EdgeSubset(K4, {5, 0})
     assert s.sorted_tuple() == (0, 5)
     assert 5 in s and 3 not in s
@@ -259,11 +266,14 @@ def several_components(draw):
     return Multigraph(n, tuple(edges))
 
 
+def two_edge_connected_by_removal(g: Multigraph) -> bool:
+    return g.n >= 2 and len(connected_components(g)) == 1 and not brute_bridges(g)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(multigraphs())
 def test_two_edge_connected_matches_components_and_removal_oracle(g):
-    expected = g.n >= 2 and len(connected_components(g)) == 1 and not brute_bridges(g)
-    assert is_two_edge_connected(g) == expected
+    assert is_two_edge_connected(g) == two_edge_connected_by_removal(g)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -286,10 +296,10 @@ def simple_graphs(draw):
     return Multigraph(n, tuple((v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)))
 
 
-def claw_or_error(g: Multigraph, find):
+def answer_or_error(question, g: Multigraph):
     try:
-        return find(g)
-    except NotSimple as exc:
+        return question(g)
+    except GraphError as exc:
         return type(exc), str(exc)
 
 
@@ -297,7 +307,39 @@ def claw_or_error(g: Multigraph, find):
 @given(st.one_of(simple_graphs(), cubic_multigraphs(), multigraphs()))
 def test_find_claw_matches_its_reference(g):
     # the same claw, leaves in the same order, or the same refusal of a multigraph
-    assert claw_or_error(g, find_claw) == claw_or_error(g, reference_find_claw)
+    assert answer_or_error(find_claw, g) == answer_or_error(reference_find_claw, g)
+
+
+# each cut and claw question with the answer it must give, computed on a fresh copy:
+# the brute-force or reference version, and for classify the uncached library call
+CACHED_QUESTIONS = {
+    bridges: lambda g: EdgeSubset(g, brute_bridges(g)),
+    is_two_edge_connected: two_edge_connected_by_removal,
+    is_three_edge_connected: brute_three_edge_connected,
+    find_claw: reference_find_claw,
+    classify: classify,
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        multigraphs(),
+        cubic_multigraphs(),
+        several_components(),
+        st.sampled_from([figure1_graph(s) for s in range(3)]),
+    ),
+    st.permutations(list(CACHED_QUESTIONS)),
+)
+def test_kept_cut_and_claw_answers_match_the_references_in_any_order(g, order):
+    # every question twice, in a drawn order, on one object that keeps what it learns;
+    # a multigraph must be refused with NotSimple by every find_claw call, not just the first
+    expected = {
+        question: answer_or_error(reference, Multigraph(g.n, g.edges))
+        for question, reference in CACHED_QUESTIONS.items()
+    }
+    for question in order + order:
+        assert answer_or_error(question, g) == expected[question], question.__name__
 
 
 def test_bridges_on_a_deep_figure1_host_are_its_joining_edges():
