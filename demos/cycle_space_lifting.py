@@ -17,7 +17,6 @@ from clawmatch import (
     enumerate_two_factors,
     expand,
     verify_3ec_remark,
-    zero_routing,
 )
 
 TRIPLE_BOND = Multigraph(2, ((0, 1), (0, 1), (0, 1)))
@@ -33,13 +32,13 @@ def main():
     prism, d = build(TRIPLE_BOND, [0, 0, 0])
     print("lifting each member to a 2-factor of the prism:")
     for c in members:
-        factor = expand(c, d, zero_routing(c, d))
+        factor = expand(c, d)
         matching = complement_matching(prism, factor)
         label = str(c.sorted_tuple())
         print(f"  member {label:<12} -> 2-factor {factor.sorted_tuple()}"
               f" -> matching {matching.sorted_tuple()}")
     oracle = {f.sorted_tuple() for f in enumerate_two_factors(prism, 1 << 10)}
-    lifted = {expand(c, d, zero_routing(c, d)).sorted_tuple() for c in members}
+    lifted = {expand(c, d).sorted_tuple() for c in members}
     print(f"lift is a bijection onto all 2-factors: {lifted == oracle}")
     print()
     print(f"prism count equals 2^(6/6+1) and the bijection holds: {verify_3ec_remark(prism)}")

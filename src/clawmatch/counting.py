@@ -29,19 +29,21 @@ def _iter_perfect_matchings(g: Multigraph) -> Iterator[frozenset[int]]:
     search keeps its frames on an explicit stack, so its depth is not bounded
     by Python's recursion limit.
     """
-    if g.n == 0:
+    # bound once: lookups on g inside the loop tie its speed to the size of g.__dict__
+    n, edges, incident = g.n, g.edges, g.incident
+    if n == 0:
         yield frozenset()
         return
-    matched = [False] * g.n
+    matched = [False] * n
     chosen: list[int] = []
     # a frame is a vertex being matched and its incident edges not yet tried; the top
     # frame is (v, options), the ones below it are on the stack, and chosen holds the
     # edge each of those has matched its vertex with
     stack: list[tuple[int, Iterator[int]]] = []
-    v, options = 0, iter(g.incident(0))
+    v, options = 0, iter(incident(0))
     while True:
         for e in options:
-            u, w = g.edges[e]
+            u, w = edges[e]
             if u == w:
                 continue
             o = w if u == v else u
@@ -50,18 +52,18 @@ def _iter_perfect_matchings(g: Multigraph) -> Iterator[frozenset[int]]:
         else:
             if not stack:
                 return
-            u, w = g.edges[chosen.pop()]
+            u, w = edges[chosen.pop()]
             matched[u] = matched[w] = False
             v, options = stack.pop()
             continue
         matched[v] = matched[o] = True
         chosen.append(e)
         nxt = v + 1
-        while nxt < g.n and matched[nxt]:
+        while nxt < n and matched[nxt]:
             nxt += 1
-        if nxt < g.n:
+        if nxt < n:
             stack.append((v, options))
-            v, options = nxt, iter(g.incident(nxt))
+            v, options = nxt, iter(incident(nxt))
             continue
         yield frozenset(chosen)
         chosen.pop()

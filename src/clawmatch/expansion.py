@@ -4,10 +4,13 @@ A member C of the base's cycle space lifts to a 2-factor of the expanded
 graph: a triangle touched by C is routed as the 2-path through its third
 corner (forced, so triangles carry no choice), an untouched triangle
 contributes its 3-cycle, a diamond on a traversed edge is crossed one of
-two ways (the binary routing choice), and a diamond on an unused edge
-contributes its internal 4-cycle.  Complementing 2-factors of a cubic
-graph gives perfect matchings; collecting enough of them certifies the
-exponential lower bound with exact integer arithmetic.
+two ways, and a diamond on an unused edge contributes its internal 4-cycle.
+A routing is an int: its bit i picks the way through the i-th diamond C
+crosses, counting base edges by id and each string from its head; bit 0
+crosses entry-s-t-exit, bit 1 entry-t-s-exit, with s < t the diamond's
+internals.  Complementing 2-factors of a cubic graph gives perfect
+matchings; collecting enough of them certifies the exponential lower
+bound with exact integer arithmetic.
 
 Lifting is table driven and edge sets are int bitmasks over edge ids.
 The gadget tables of a decomposition are built once per certify or expand
@@ -17,11 +20,13 @@ call, and are the only place that looks host edges up by their ends:
 - per base edge, the host edges taken when the member traverses it
   (connectors and every diamond's bit-0 walk) and when it does not
   (every diamond's 4-cycle);
-- per diamond, the XOR that turns its bit-0 walk into its bit-1 walk.
+- per diamond, the XOR that turns its bit-0 walk into its bit-1 walk
+  (_Gadgets.routes lists those of a member in routing-bit order).
 The entries of different base vertices and base edges share no host edge,
 so a lift is the XOR of its disjoint pieces, a routing an XOR of flips, and
 the matching the complement full ^ factor.  Both branches walk a Gray
-code (cyclespace.gray_walk).  In the cycle-space branch consecutive members
+code (cyclespace.gray_walk); the long-2-factor branch walks the routing
+flips of its one member.  In the cycle-space branch consecutive members
 differ by one fundamental cycle b, so it updates the previous lift instead
 of lifting each member from zero: it XORs in the walk ^ idle of every edge
 of b and, at each base vertex on b, the old state ^ the new state.  Every
@@ -29,7 +34,7 @@ lifted factor is still checked exactly, one row at a time: in a cubic host
 it is a 2-factor iff its complement is a perfect matching, and a row of
 edge ids is a perfect matching iff it has n/2 edges whose end-vertex bitmasks sum to the n
 one-bits of (1 << n) - 1 (see _is_perfect_row).  certificate_problems
-checks rows with the same test.  The vertex-by-vertex degree scan runs
+and complement_matching check rows with the same test.  The vertex-by-vertex degree scan runs
 only to name the offending vertices once a row has failed.
 """
 
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations, pairwise
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .counting import enumerate_perfect_matchings, max_length_two_factor
 from .cyclespace import _mask, _unmask, cycle_space_masks, gray_walk
@@ -48,7 +53,6 @@ from .graphs import (
     find_claw,
     is_cubic,
     is_three_edge_connected,
-    is_two_factor,
     subset_degrees,
 )
 from .structure import (
@@ -61,24 +65,6 @@ from .structure import (
 )
 
 CAP = 1 << 22  # most rows certify emits, and most matchings verify_3ec_remark enumerates
-
-
-@dataclass(frozen=True)
-class RoutingChoice:
-    """One bit per diamond lying on a traversed base edge.
-
-    Keys are (base edge id, position along its string); bit 0 crosses
-    entry-s-t-exit, bit 1 crosses entry-t-s-exit, with s < t the
-    diamond's internals.
-    """
-
-    bits: Mapping[tuple[int, int], int]
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", dict(self.bits))
-        for key, bit in self.bits.items():
-            if bit not in (0, 1):
-                raise ValueError(f"selector {key} must be 0 or 1")
 
 
 def _end_bits(g: Multigraph) -> list[int]:
@@ -96,27 +82,6 @@ def _is_perfect_row(row: tuple[int, ...], end_bits: list[int], n: int) -> bool:
     Every id must be a valid index of end_bits.
     """
     return 2 * len(row) == n and sum(map(end_bits.__getitem__, row)) == (1 << n) - 1
-
-
-def traversed_diamonds(member: EdgeSubset, d: Decomposition) -> tuple[tuple[int, int], ...]:
-    """Slots (base edge, position) of every diamond the member passes through."""
-    slots = []
-    for e in sorted(member.members):
-        rep = d.replacements[e]
-        if rep.string:
-            slots.extend((e, i) for i in range(len(rep.string.diamonds)))
-    return tuple(slots)
-
-
-def zero_routing(member: EdgeSubset, d: Decomposition) -> RoutingChoice:
-    return RoutingChoice({slot: 0 for slot in traversed_diamonds(member, d)})
-
-
-def all_routings(member: EdgeSubset, d: Decomposition) -> Iterator[RoutingChoice]:
-    """All 2^L selector vectors over the traversed diamonds, counter order."""
-    slots = traversed_diamonds(member, d)
-    for value in range(1 << len(slots)):
-        yield RoutingChoice({slot: (value >> i) & 1 for i, slot in enumerate(slots)})
 
 
 class _Gadgets:
@@ -146,19 +111,21 @@ class _Gadgets:
                 x = d.corner(e, v)
                 states[inc ^ 1 << e] = sum(side for pair, side in sides if x in pair)
             self.vertex.append((v, inc, states))
-        # (bit of base edge e, host edges when traversed, host edges when idle)
+        # (bit of base edge e, host edges when traversed, host edges when idle), and
+        # flips[e][i], the XOR from bit 0 to bit 1 of the i-th diamond from e's head
         self.edges: list[tuple[int, int, int]] = []
-        self.flip: dict[tuple[int, int], int] = {}
+        self.flips: list[list[int]] = []
         for e, rep in enumerate(d.replacements):
-            walk, idle = _mask(rep.connectors), 0
+            walk, idle, flips = _mask(rep.connectors), 0, []
             if rep.string:
-                for i, (entry, exit_port, s, t) in enumerate(string_passages(g, rep.string)):
+                for entry, exit_port, s, t in string_passages(g, rep.string):
                     zero = bits((entry, s), (s, t), (t, exit_port))
                     one = bits((entry, t), (t, s), (s, exit_port))
                     walk |= zero
                     idle |= bits((entry, s), (s, exit_port), (exit_port, t), (t, entry))
-                    self.flip[(e, i)] = zero ^ one
+                    flips.append(zero ^ one)
             self.edges.append((1 << e, walk, idle))
+            self.flips.append(flips)
 
     def lift(self, member: int) -> int:
         """The bit-0 lift of a base member mask; odd members raise DegreeViolation."""
@@ -174,6 +141,11 @@ class _Gadgets:
         for bit, walk, idle in self.edges:
             factor ^= walk if member & bit else idle
         return factor
+
+    def routes(self, member: int) -> list[int]:
+        """The flips of every diamond a base member mask crosses: base edges by id,
+        each string from its head.  Bit i of a routing takes the i-th."""
+        return [flip for e in _unmask(member) for flip in self.flips[e]]
 
     def lift_walk(self, base: Multigraph, cap: int) -> Iterator[int]:
         """lift(member) for every member of the base's cycle space, in cycle_space_masks
@@ -214,38 +186,39 @@ class _Gadgets:
             raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
         return row
 
-    def checked(self, factor: int) -> int:
-        """factor itself, once every host vertex is seen to have degree 2 in it."""
-        self.matching(factor)
-        return factor
 
-
-def expand(member: EdgeSubset, d: Decomposition, routing: RoutingChoice) -> EdgeSubset:
+def expand(member: EdgeSubset, d: Decomposition, routing: int = 0) -> EdgeSubset:
     """Lift an even subgraph of the base to a 2-factor of the expanded graph.
 
+    Bit i of routing picks the way through the i-th diamond the member
+    crosses (see the module docstring), so routing lies in range(2**L) for
+    L crossed diamonds, and 0 takes bit 0 everywhere.
     Builds the decomposition's gadget tables for this one lift; certify
     builds them once for all of its rows.
     """
     gadgets = _Gadgets(d)
     if member.host != d.base:
         raise ValueError("member is not hosted on the decomposition's base")
-    factor = gadgets.lift(_mask(member.members))
-    slots = traversed_diamonds(member, d)
-    if set(routing.bits) != set(slots):
-        raise ValueError("routing must select exactly the traversed diamonds")
-    for slot in slots:
-        if routing.bits[slot]:
-            factor ^= gadgets.flip[slot]
-    return EdgeSubset(d.graph, _unmask(gadgets.checked(factor)))
+    mask = _mask(member.members)
+    factor = gadgets.lift(mask)
+    flips = gadgets.routes(mask)
+    if not 0 <= routing < 1 << len(flips):
+        raise ValueError(f"routing must lie in range(2**{len(flips)}), one bit per crossed diamond")
+    for i, flip in enumerate(flips):
+        if routing >> i & 1:
+            factor ^= flip
+    gadgets.matching(factor)
+    return EdgeSubset(d.graph, _unmask(factor))
 
 
 def complement_matching(g: Multigraph, factor: EdgeSubset) -> EdgeSubset:
     """The perfect matching complementary to a 2-factor of a cubic graph."""
     if not is_cubic(g):
         raise ValueError("complementation needs a cubic host")
-    if factor.host != g or not is_two_factor(g, factor.members):
+    row = _unmask((1 << g.m) - 1 ^ _mask(factor.members))
+    if factor.host != g or not _is_perfect_row(row, _end_bits(g), g.n):
         raise DegreeViolation("argument is not a 2-factor of the host")
-    return EdgeSubset(g, frozenset(range(g.m)) - factor.members)
+    return EdgeSubset(g, row)
 
 
 @dataclass(frozen=True)
@@ -265,6 +238,9 @@ class Certificate:
 
 def _ring_family(g: Multigraph, ring) -> list[tuple[int, ...]]:
     # the all-connector matching plus the 2^d per-diamond internal pairings
+    size = (1 << len(ring)) + 1
+    if size > CAP:
+        raise CapExceeded(size, CAP)
     owner = {v: i for i, dia in enumerate(ring) for v in dia.vertices}
     connecting = [e for e, (u, v) in enumerate(g.edges) if owner[u] != owner[v]]
     chords = [g.edge_between(*dia.internals) for dia in ring]
@@ -310,13 +286,11 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
             rows += map(gadgets.matching, gadgets.lift_walk(d.base, CAP))
         if run_long:
             lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
-            chosen = max_length_two_factor(d.base, lengths)
-            slots = traversed_diamonds(chosen, d)
-            if 1 << len(slots) > CAP:
-                raise CapExceeded(1 << len(slots), CAP)
-            factor = gadgets.lift(_mask(chosen.members))
-            flips = [gadgets.flip[slot] for slot in slots]
-            rows += map(gadgets.matching, gray_walk(factor, flips))
+            member = _mask(max_length_two_factor(d.base, lengths).members)
+            flips = gadgets.routes(member)
+            if 1 << len(flips) > CAP:
+                raise CapExceeded(1 << len(flips), CAP)
+            rows += map(gadgets.matching, gray_walk(gadgets.lift(member), flips))
         if run_cycle and run_long:
             branch = "both"
         elif run_cycle:

@@ -185,6 +185,8 @@ def reference_lift(member, d, routing) -> frozenset:
 
     Walks the decomposition directly: every triangle, connector and diamond
     edge is found with edge_between, one base vertex and base edge at a time.
+    Bit i of the int routing routes the i-th diamond met on the traversed
+    base edges, by edge id and each string from its head.
     """
     h, g = d.base, d.graph
     deg = subset_degrees(h, member.members)
@@ -200,17 +202,19 @@ def reference_lift(member, d, routing) -> frozenset:
             c1, c2 = (d.corner(e, v) for e in used)
             (third,) = set(d.triangles[v]) - {c1, c2}
             picked.update((g.edge_between(c1, third), g.edge_between(third, c2)))
+    slot = 0
     for e in range(h.m):
         rep = d.replacements[e]
         if e in member.members:
             picked.update(rep.connectors)
             if rep.string:
-                for i, (entry, exit_port, s, t) in enumerate(string_passages(g, rep.string)):
-                    if routing.bits[(e, i)] == 0:
+                for entry, exit_port, s, t in string_passages(g, rep.string):
+                    if (routing >> slot) & 1 == 0:
                         walk = ((entry, s), (s, t), (t, exit_port))
                     else:
                         walk = ((entry, t), (t, s), (s, exit_port))
                     picked.update(g.edge_between(u, w) for u, w in walk)
+                    slot += 1
         elif rep.string:
             for dia in rep.string.diamonds:
                 p, q = dia.ports
@@ -360,14 +364,15 @@ def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
         return False
     gadgets = _Gadgets(d)
     members = cycle_space_masks(d.base, cap)
-    lifted = {_unmask(gadgets.checked(gadgets.lift(c))) for c in members}
-    if len(lifted) != len(members):
+    complements = {gadgets.matching(gadgets.lift(c)) for c in members}
+    if len(complements) != len(members):
         return False
     try:
         factors = enumerate_two_factors(g, max(cap, 2 * len(members)))
     except CapExceeded:
         return False
-    return lifted == {f.sorted_tuple() for f in factors}
+    every_edge = frozenset(range(g.m))
+    return complements == {tuple(sorted(every_edge - f.members)) for f in factors}
 
 
 def reference_degrees(g: Multigraph) -> tuple[int, ...]:

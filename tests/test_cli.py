@@ -1,3 +1,4 @@
+import hashlib
 import io
 import os
 import subprocess
@@ -331,11 +332,20 @@ def test_oracle_output_unchanged_under_optimize_flag(fig1_500_file, host_48_file
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
+# sha256 of each demo's stdout; a refactor that changes what a demo prints fails here
+DEMO_STDOUT_SHA256 = {
+    "certificates.py": "a7a14a3ce40603db93c13a5b1f8e60f2e3b0a986f7a074b09b0442bbf9954f40",
+    "cycle_space_lifting.py": "2bab105641cdf909f85012b916f449e30e9245cb4d93e92ae204de64bb638a7a",
+    "structure_walkthrough.py": "9d19fc071572bdc33a0626a9fdddd7aa5172bcc7076c3c11d17af5cc0aa9e690",
+    "why_bridgeless_matters.py": "50de6972c2aed7e20ca934e226a2342655788ed0c0d150f7353b6ce3df915da0",
+}
+
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs_cleanly(demo):
     proc = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, text=True, env=subprocess_env()
+        [sys.executable, str(demo)], capture_output=True, env=subprocess_env()
     )
     assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stdout + proc.stderr
+    assert b"Traceback" not in proc.stdout + proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == DEMO_STDOUT_SHA256[demo.name]

@@ -8,13 +8,12 @@ from hypothesis import strategies as st
 
 from clawmatch import (
     KIND_EXPANDED,
+    CapExceeded,
     Certificate,
     DegreeViolation,
     EdgeSubset,
     GraphError,
     Multigraph,
-    RoutingChoice,
-    all_routings,
     build,
     certificate_problems,
     certify,
@@ -31,10 +30,8 @@ from clawmatch import (
     random_base,
     ring_of_diamonds,
     serialize_graph,
-    traversed_diamonds,
     verify_certificate,
     verify_3ec_remark,
-    zero_routing,
 )
 from clawmatch import expansion
 from clawmatch.cli import main
@@ -52,6 +49,11 @@ from corpus import (
 )
 
 
+def routings(member, d):
+    """Every routing of member: one bit per diamond on its base edges."""
+    return range(1 << sum(d.replacements[e].length for e in member.members))
+
+
 def prism_decomposition():
     g, d = build(TRIPLE_BOND, [0, 0, 0])
     return g, d
@@ -60,13 +62,13 @@ def prism_decomposition():
 def test_expand_empty_member_is_all_triangles_and_diamond_squares():
     g, d = prism_decomposition()
     empty = EdgeSubset(d.base, frozenset())
-    factor = expand(empty, d, zero_routing(empty, d))
+    factor = expand(empty, d)
     # the six triangle edges of the two prism triangles
     assert factor.members == {0, 1, 2, 3, 4, 5}
 
     g2, d2 = build(TRIPLE_BOND, [1, 0, 0])
     empty2 = EdgeSubset(d2.base, frozenset())
-    factor2 = expand(empty2, d2, zero_routing(empty2, d2))
+    factor2 = expand(empty2, d2)
     assert is_two_factor(g2, factor2.members)
     # triangles contribute 3 edges each, the idle diamond its 4-cycle
     assert len(factor2.members) == 10
@@ -75,7 +77,7 @@ def test_expand_empty_member_is_all_triangles_and_diamond_squares():
 def test_expand_two_parallel_edges_gives_six_cycle():
     g, d = prism_decomposition()
     member = EdgeSubset(d.base, frozenset({0, 1}))
-    factor = expand(member, d, zero_routing(member, d))
+    factor = expand(member, d)
     assert factor.members == {1, 2, 4, 5, 6, 7}
     assert is_two_factor(g, factor.members)
     # complement is one rung plus one edge in each triangle
@@ -85,10 +87,9 @@ def test_expand_two_parallel_edges_gives_six_cycle():
 def test_expand_routing_choices_differ_only_inside_the_diamond():
     g, d = build(TRIPLE_BOND, [1, 0, 0])
     member = EdgeSubset(d.base, frozenset({0, 1}))
-    routings = list(all_routings(member, d))
-    assert len(routings) == 2
-    f0 = expand(member, d, routings[0])
-    f1 = expand(member, d, routings[1])
+    assert routings(member, d) == range(2)
+    f0 = expand(member, d, 0)
+    f1 = expand(member, d, 1)
     assert f0.members != f1.members
     assert is_two_factor(g, f0.members) and is_two_factor(g, f1.members)
     diamond_vertices = set(d.replacements[0].string.diamonds[0].vertices)
@@ -101,21 +102,23 @@ def test_expand_rejects_odd_members_and_wrong_routing():
     g, d = prism_decomposition()
     single = EdgeSubset(d.base, frozenset({0}))
     with pytest.raises(DegreeViolation):
-        expand(single, d, zero_routing(single, d))
+        expand(single, d)
     member = EdgeSubset(d.base, frozenset({0, 1}))
     g2, d2 = build(TRIPLE_BOND, [1, 0, 0])
     member2 = EdgeSubset(d2.base, frozenset({0, 1}))
     with pytest.raises(ValueError):
-        expand(member2, d2, RoutingChoice({}))  # misses the traversed diamond
+        expand(member2, d2, -1)
     with pytest.raises(ValueError):
-        expand(member, d, RoutingChoice({(0, 0): 1}))  # selects a nonexistent diamond
+        expand(member2, d2, 1 << 1)  # a bit above the one traversed diamond
+    with pytest.raises(ValueError):
+        expand(member, d, 1 << 0)  # selects a nonexistent diamond
 
 
-def test_expansion_validity_all_members_all_routings():
+def test_expansion_validity_every_member_every_routing():
     for h, lengths in ((TRIPLE_BOND, [1, 0, 0]), (TRIPLE_BOND, [1, 1, 0]), (K4, [1, 0, 0, 0, 0, 0])):
         g, d = build(h, lengths)
         for c in enumerate_cycle_space(d.base, 1 << 10):
-            for r in all_routings(c, d):
+            for r in routings(c, d):
                 factor = expand(c, d, r)
                 assert is_two_factor(g, factor.members)
 
@@ -149,6 +152,24 @@ def test_certify_ring_families():
         assert len(cert.matchings) == 2**d + 1
         assert verify_certificate(g, cert)
         assert len(cert.matchings) == count_perfect_matchings(g)
+
+
+def test_certify_ring_branch_respects_the_cap(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(expansion, "CAP", 33)
+    assert len(certify(ring_of_diamonds(5)).matchings) == 2**5 + 1 == 33
+    with pytest.raises(CapExceeded) as exc:
+        certify(ring_of_diamonds(6))
+    assert (exc.value.required, exc.value.cap) == (2**6 + 1, 33)
+    monkeypatch.undo()
+    # 2^22 + 1 rows, one over the real cap: refused before any row is built
+    path = tmp_path / "ring22.txt"
+    path.write_text(serialize_graph(ring_of_diamonds(22)))
+    start = time.perf_counter()
+    assert main(["certify", str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: enumeration needs {2**22 + 1} items, cap is {expansion.CAP}\n"
 
 
 def test_certify_cycle_space_branch_size():
@@ -192,7 +213,7 @@ def test_certify_generated_equals_deduped_on_corpus():
         else:
             lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
             chosen = max_length_two_factor(d.base, lengths)
-            expected = 2 ** len(traversed_diamonds(chosen, d))
+            expected = len(routings(chosen, d))
         assert len(cert.matchings) == expected, name
 
 
@@ -304,7 +325,7 @@ def test_expansion_bijection_when_diamond_free():
     for h in (TRIPLE_BOND, K4, K33):
         g, d = build(h, [0] * h.m)
         members = enumerate_cycle_space(d.base, 1 << 20)
-        lifted = {expand(c, d, zero_routing(c, d)).members for c in members}
+        lifted = {expand(c, d).members for c in members}
         assert len(lifted) == len(members)
         oracle = {f.members for f in enumerate_two_factors(g, 1 << 20)}
         assert lifted == oracle
@@ -405,7 +426,7 @@ def test_expand_matches_reference_lift_on_corpus():
         if d.kind != KIND_EXPANDED:
             continue
         for c in enumerate_cycle_space(d.base, 1 << 10):
-            for r in all_routings(c, d):
+            for r in routings(c, d):
                 assert expand(c, d, r).members == reference_lift(c, d, r), name
 
 
@@ -415,11 +436,11 @@ def reference_rows(g, d, both_branches=False):
     lifts = []
     if use_cycle or both_branches:
         members = enumerate_cycle_space(d.base, 1 << 10)
-        lifts += [reference_lift(c, d, zero_routing(c, d)) for c in members]
+        lifts += [reference_lift(c, d, 0) for c in members]
     if not use_cycle or both_branches:
         lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
         chosen = max_length_two_factor(d.base, lengths)
-        lifts += [reference_lift(chosen, d, r) for r in all_routings(chosen, d)]
+        lifts += [reference_lift(chosen, d, r) for r in routings(chosen, d)]
     full = frozenset(range(g.m))
     return tuple(sorted({tuple(sorted(full - f)) for f in lifts}))
 
@@ -495,10 +516,10 @@ def test_corrupted_decomposition_raises_instead_of_emitting_rows(monkeypatch, ca
     bad = with_swapped_corners(good, 2)
 
     with pytest.raises(DegreeViolation):
-        expand(chosen, bad, zero_routing(chosen, bad))
+        expand(chosen, bad)
     single = EdgeSubset(bad.base, frozenset({0}))
     with pytest.raises(DegreeViolation):
-        expand(single, bad, zero_routing(single, bad))
+        expand(single, bad)
 
     monkeypatch.setattr(expansion, "classify", lambda host: bad)
     with pytest.raises(DegreeViolation):
@@ -544,17 +565,17 @@ TRIANGLE_PAIRS = pytest.mark.parametrize("pair", [(0, 1), (0, 2), (1, 2)])
 @TRIANGLE_PAIRS
 def test_corrupted_flip_mask_names_the_vertices_of_the_old_scan(monkeypatch, pair):
     g, d, chosen, stray = long_branch_host(pair)
-    first = traversed_diamonds(chosen, d)[0]
-    routing = RoutingChoice({slot: int(slot == first) for slot in traversed_diamonds(chosen, d)})
+    first = min(e for e in chosen.members if d.replacements[e].length)
+    routing = 1  # crosses the head diamond of base edge first by bit 1, every other by bit 0
     expected = old_degree_scan(g, reference_lift(chosen, d, routing) ^ {stray})
     assert expected == sorted(g.edges[stray])
 
     def corrupt(tables):
-        tables.flip[first] ^= 1 << stray
+        tables.flips[first][0] ^= 1 << stray
 
     with_corrupted_gadgets(monkeypatch, corrupt)
     message = f"expansion is not a 2-factor at vertices {expected}"
-    expand(chosen, d, zero_routing(chosen, d))  # the flip is not taken
+    expand(chosen, d)  # the flip is not taken
     with pytest.raises(DegreeViolation) as exc:
         expand(chosen, d, routing)
     assert str(exc.value) == message
@@ -567,7 +588,7 @@ def test_corrupted_flip_mask_names_the_vertices_of_the_old_scan(monkeypatch, pai
 @TRIANGLE_PAIRS
 def test_corrupted_triangle_state_names_the_vertices_of_the_old_scan(monkeypatch, pair):
     g, d, chosen, stray = long_branch_host(pair)
-    routing = zero_routing(chosen, d)
+    routing = 0
     expected = old_degree_scan(g, reference_lift(chosen, d, routing) ^ {stray})
     assert expected == sorted(g.edges[stray])
 
@@ -597,7 +618,7 @@ def assert_certify_raises_on_first(monkeypatch, capsys, tmp_path, g, d, corrupt,
     the first member, in walk order, whose lift takes the corrupted entry that stray toggles."""
     assert member != 0  # the walk takes the corrupted entry only after step 0
     chosen = EdgeSubset(d.base, _unmask(member))
-    expected = old_degree_scan(g, reference_lift(chosen, d, zero_routing(chosen, d)) ^ {stray})
+    expected = old_degree_scan(g, reference_lift(chosen, d, 0) ^ {stray})
     assert expected == sorted(g.edges[stray])
     with_corrupted_gadgets(monkeypatch, corrupt)
     walk, lifted = lifts_along_the_walk(d)
