@@ -120,13 +120,14 @@ def _cmd_count(args) -> int:
 def _cmd_cycle_space(args) -> int:
     g = _load(args.file)
     cb = cyclespace.cycle_basis(g)
+    # enumerated before the first line, so a refusal leaves stdout empty
+    members = cyclespace.enumerate_cycle_space(g, args.cap) if args.enumerate else []
     _emit(f"dimension={cb.dimension}\n")
     _emit(f"members={1 << cb.dimension}\n")
     for i, b in enumerate(cb.basis):
         _emit(f"basis_{i}={','.join(map(str, b.sorted_tuple()))}\n")
-    if args.enumerate:
-        for i, member in enumerate(cyclespace.enumerate_cycle_space(g, args.cap)):
-            _emit(f"member_{i}={','.join(map(str, member.sorted_tuple()))}\n")
+    for i, member in enumerate(members):
+        _emit(f"member_{i}={','.join(map(str, member.sorted_tuple()))}\n")
     return 0
 
 

@@ -8,18 +8,10 @@ Python ints, hence arbitrary precision for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .errors import CapExceeded, NoTwoFactor, StructureViolation
 from .graphs import EdgeSubset, Multigraph, is_cubic, is_two_edge_connected
-
-
-@dataclass(frozen=True)
-class CountReport:
-    perfect_matchings: int
-    two_factors: int
-    method: str
 
 
 def _iter_perfect_matchings(g: Multigraph) -> Iterator[frozenset[int]]:
@@ -166,45 +158,37 @@ def enumerate_two_factors(g: Multigraph, cap: int) -> list[EdgeSubset]:
     return out
 
 
-def count_report(g: Multigraph) -> CountReport:
-    report = CountReport(count_perfect_matchings(g), count_two_factors(g), "backtracking")
-    if is_cubic(g):
-        # complement bijection: in a cubic graph these counts must agree
-        if report.perfect_matchings != report.two_factors:
-            raise StructureViolation(
-                f"cubic graph with {report.perfect_matchings} perfect matchings "
-                f"but {report.two_factors} 2-factors"
-            )
-    return report
-
-
 def max_length_two_factor(h: Multigraph, lengths: Mapping[int, int]) -> EdgeSubset:
     """A 2-factor of cubic bridgeless h maximizing the total edge length.
 
-    Found by enumerating perfect matchings and complementing; ties go to
-    the lexicographically smallest edge tuple.  The maximizer always
-    reaches ceil(2/3 of the total length): averaging over a fractional
+    The complement of the perfect matching M of least weight, where edge
+    e weighs w(e) = length(e)·2^(m+1) + 2^(m-e), in exact integers.  Every
+    2-factor of cubic h has m - n/2 edges and 0 < sum of 2^(m-e) over M
+    < 2^(m+1), so the lighter of two matchings leaves the longer factor,
+    and among equal lengths the one with the lower sum of 2^(m-e) over M,
+    i.e. the lexicographically smallest sorted factor tuple; two distinct
+    matchings never weigh the same.  The maximizer always reaches
+    ceil(2/3 of the total length): averaging over a fractional
     3-edge-coloring puts 2/3 of the mass on some 2-factor, and the max
     dominates the average.
     """
     if not is_cubic(h):
         raise ValueError("host must be cubic for the complement to be a 2-factor")
-    all_edges = frozenset(range(h.m))
-    best: frozenset[int] | None = None
-    best_key: tuple[int, ...] | None = None
-    best_score = -1
-    for mset in _iter_perfect_matchings(h):
-        factor = all_edges - mset
-        score = sum(lengths.get(e, 0) for e in factor)
-        key = tuple(sorted(factor))
-        if score > best_score or (score == best_score and key < best_key):
-            best, best_key, best_score = factor, key, score
+    m = h.m
+    weight = [lengths.get(e, 0) * 2 ** (m + 1) + 2 ** (m - e) for e in range(m)]
+    best = min(
+        _iter_perfect_matchings(h),
+        key=lambda mset: sum(map(weight.__getitem__, mset)),
+        default=None,
+    )
     if best is None:
         raise NoTwoFactor("host has no perfect matching, hence no 2-factor")
-    total = sum(lengths.get(e, 0) for e in range(h.m))
+    factor = frozenset(range(m)) - best
+    score = sum(lengths.get(e, 0) for e in factor)
+    total = sum(lengths.get(e, 0) for e in range(m))
     # the averaging bound is only guaranteed on bridgeless hosts
-    if is_two_edge_connected(h) and best_score < -(-2 * total // 3):
+    if is_two_edge_connected(h) and score < -(-2 * total // 3):
         raise StructureViolation(
-            f"longest 2-factor has length {best_score}, below 2/3 of the total {total}"
+            f"longest 2-factor has length {score}, below 2/3 of the total {total}"
         )
-    return EdgeSubset(h, best)
+    return EdgeSubset(h, factor)

@@ -3,9 +3,8 @@
 The cycle space is the set of edge subsets in which every vertex has even
 degree; it is a vector space over GF(2) of dimension m - n + c.  Edge
 subsets are carried as bitmask integers so that symmetric difference is a
-single XOR, and enumeration walks a Gray code so that consecutive members
-differ by one basis vector; cycle_space_masks hands the walk out as
-bitmasks, for callers that keep computing on them.
+single XOR, and enumeration walks a Gray code over the cycle basis
+(gray_walk), so that consecutive members differ by one basis vector.
 
 Parallel edges and loops are first-class: a parallel pair is a 2-cycle
 and a loop is a 1-cycle, each a legitimate basis element.
@@ -118,15 +117,15 @@ def gray_walk(start: int, flips: list[int]) -> Iterator[int]:
         yield start
 
 
-def cycle_space_masks(h: Multigraph, cap: int) -> list[int]:
-    """All 2^dimension members as edge bitmasks, Gray-code order, empty set first."""
+def _basis_masks(h: Multigraph, cap: int) -> list[int]:
+    """The cycle basis as edge bitmasks, once its 2^dimension members are seen to fit cap."""
     cb = cycle_basis(h)
     total = 1 << cb.dimension
     if total > cap:
         raise CapExceeded(total, cap)
-    return list(gray_walk(0, [_mask(b.members) for b in cb.basis]))
+    return [_mask(b.members) for b in cb.basis]
 
 
 def enumerate_cycle_space(h: Multigraph, cap: int) -> list[EdgeSubset]:
-    """All 2^dimension members, Gray-code order, empty set first."""
-    return [EdgeSubset(h, _unmask(m)) for m in cycle_space_masks(h, cap)]
+    """All 2^dimension members, Gray-code order over the cycle basis, empty set first."""
+    return [EdgeSubset(h, _unmask(m)) for m in gray_walk(0, _basis_masks(h, cap))]

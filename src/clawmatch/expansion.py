@@ -45,7 +45,7 @@ from itertools import combinations, pairwise
 from typing import Iterator
 
 from .counting import enumerate_perfect_matchings, max_length_two_factor
-from .cyclespace import _mask, _unmask, cycle_space_masks, gray_walk
+from .cyclespace import _basis_masks, _mask, _unmask, gray_walk
 from .errors import BoundFailure, CapExceeded, DegreeViolation
 from .graphs import (
     EdgeSubset,
@@ -148,23 +148,23 @@ class _Gadgets:
         return [flip for e in _unmask(member) for flip in self.flips[e]]
 
     def lift_walk(self, base: Multigraph, cap: int) -> Iterator[int]:
-        """lift(member) for every member of the base's cycle space, in cycle_space_masks
-        order, each found from the one before by the fundamental cycle between them."""
-        members = cycle_space_masks(base, cap)
-        # the Gray code toggles basis cycle j first at member 2^j: per basis cycle,
-        # the XOR of walk ^ idle over its edges and the (inc, states) of its vertices
+        """lift(member) for every member of the base's cycle space, in enumerate_cycle_space
+        order: from lift(0) along gray_walk over the basis masks, each lift found from the
+        one before by the basis cycle between them."""
+        cycles = _basis_masks(base, cap)
+        # per basis cycle, the XOR of walk ^ idle over its edges and the (inc, states)
+        # of its vertices
         steps = {}
-        for j in range(len(members).bit_length() - 1):
-            cycle = members[1 << j] ^ members[(1 << j) - 1]
+        for cycle in cycles:
             flip, touched = 0, set()
             for e in _unmask(cycle):
                 _, walk, idle = self.edges[e]
                 flip ^= walk ^ idle
                 touched.update(base.edges[e])
             steps[cycle] = (flip, [self.vertex[v][1:] for v in sorted(touched)])
-        factor = self.lift(members[0])
+        factor = self.lift(0)
         yield factor
-        for prev, cur in pairwise(members):
+        for prev, cur in pairwise(gray_walk(0, cycles)):
             flip, touched = steps[prev ^ cur]
             factor ^= flip
             try:

@@ -344,25 +344,20 @@ def _connected_without(g: Multigraph, banned: tuple[int, ...]) -> bool:
 def is_three_edge_connected(g: Multigraph) -> bool:
     """No set of at most 2 edges disconnects g, by XOR labels on the cycle space.
 
-    The DFS forest of _cut_forest answers the 0- and 1-edge cuts exactly:
-    g must be one tree with no bridge.  That summary is kept as g._cuts;
-    when it is already known to fail, no forest is built.  On that tree
-    every non-loop non-tree edge gets a random 64-bit label and every
-    tree edge the XOR of the labels below it, i.e. of the non-tree edges
-    whose fundamental cycles pass through it (Pritchard's random
-    circulations).  Every
-    cycle crosses an edge cut an even number of times, so the labels of
+    is_two_edge_connected answers the 0- and 1-edge cuts exactly: g must
+    be one tree with no bridge.  On its own _cut_forest tree every
+    non-loop non-tree edge gets a random 64-bit label and every tree edge
+    the XOR of the labels below it, i.e. of the non-tree edges whose
+    fundamental cycles pass through it (Pritchard's random circulations).
+    Every cycle crosses an edge cut an even number of times, so the labels of
     any cut XOR to zero, whatever the labels are: the two edges of a
     2-edge cut have equal labels.  Each pair of equal labels is confirmed
     by one search without those two edges before False is returned, so
     the answer is exact; random labels only keep false candidates rare.
     """
-    if "_cuts" in vars(g) and not is_two_edge_connected(g):
-        return False  # a cut pass already found a bridge or a second component
-    order, parent_edge, other, cuts = _cut_forest(g)
-    vars(g).setdefault("_cuts", cuts)  # this pass answers the 0- and 1-edge cuts too
     if not is_two_edge_connected(g):
         return False
+    order, parent_edge, other, _ = _cut_forest(g)
     tree = set(parent_edge)
     label = [0] * g.m
     below = [0] * g.n  # XOR of the labels at each vertex, then of its whole subtree

@@ -21,7 +21,6 @@ from .errors import (
     InvalidBase,
     NotClawFree,
     NotCubic,
-    NotSimple,
     NotTwoEdgeConnected,
     ParallelCollision,
     StructureViolation,
@@ -344,17 +343,7 @@ def _verify_cover(d: Decomposition) -> None:
     g = d.graph
     if d.kind not in (KIND_RING, KIND_EXPANDED):
         return
-    pair_ids = g._pair_ids
-    if not pair_ids and g.m:
-        raise NotSimple("edge_between requires a simple graph")
-
-    def edge(u: int, v: int) -> int:
-        # Multigraph.edge_between with the table looked up once per call of _verify_cover
-        try:
-            return pair_ids[(u, v) if u <= v else (v, u)]
-        except KeyError:
-            raise ValueError(f"no edge between {u} and {v}") from None
-
+    edge = g.edge_between
     ids: list[int] = []
     if d.kind == KIND_RING:
         owner = {v: i for i, dia in enumerate(d.ring) for v in dia.vertices}

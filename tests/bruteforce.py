@@ -24,20 +24,24 @@ from clawmatch import (
     Diamond,
     EdgeSubset,
     Multigraph,
+    NoTwoFactor,
     StructureViolation,
     connected_components,
     classify,
     count_perfect_matchings,
+    enumerate_cycle_space,
     enumerate_two_factors,
     find_claw,
     is_cubic,
     is_perfect_matching,
     is_three_edge_connected,
+    is_two_edge_connected,
     is_two_factor,
     string_passages,
     subset_degrees,
 )
-from clawmatch.cyclespace import _unmask, cycle_space_masks
+from clawmatch.counting import _iter_perfect_matchings
+from clawmatch.cyclespace import _mask, _unmask
 from clawmatch.expansion import _Gadgets
 from clawmatch.structure import _scan_diamonds
 
@@ -332,6 +336,41 @@ def reference_iter_two_factors(g: Multigraph) -> Iterator[frozenset[int]]:
     yield from rec(0)
 
 
+def reference_max_length_two_factor(h: Multigraph, lengths) -> EdgeSubset:
+    """counting.max_length_two_factor as it was before it minimised one integer weight
+    over the matchings: the length as a score, then a sorted-tuple tie-break.
+
+    A 2-factor of cubic bridgeless h maximizing the total edge length.
+
+    Found by enumerating perfect matchings and complementing; ties go to
+    the lexicographically smallest edge tuple.  The maximizer always
+    reaches ceil(2/3 of the total length): averaging over a fractional
+    3-edge-coloring puts 2/3 of the mass on some 2-factor, and the max
+    dominates the average.
+    """
+    if not is_cubic(h):
+        raise ValueError("host must be cubic for the complement to be a 2-factor")
+    all_edges = frozenset(range(h.m))
+    best: frozenset[int] | None = None
+    best_key: tuple[int, ...] | None = None
+    best_score = -1
+    for mset in _iter_perfect_matchings(h):
+        factor = all_edges - mset
+        score = sum(lengths.get(e, 0) for e in factor)
+        key = tuple(sorted(factor))
+        if score > best_score or (score == best_score and key < best_key):
+            best, best_key, best_score = factor, key, score
+    if best is None:
+        raise NoTwoFactor("host has no perfect matching, hence no 2-factor")
+    total = sum(lengths.get(e, 0) for e in range(h.m))
+    # the averaging bound is only guaranteed on bridgeless hosts
+    if is_two_edge_connected(h) and best_score < -(-2 * total // 3):
+        raise StructureViolation(
+            f"longest 2-factor has length {best_score}, below 2/3 of the total {total}"
+        )
+    return EdgeSubset(h, best)
+
+
 def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
     """expansion.verify_3ec_remark as it was before it compared against matching
     complements: a separate count, then a search for every 2-factor.
@@ -363,7 +402,7 @@ def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
     if d.kind != KIND_EXPANDED or d.total_length() != 0:
         return False
     gadgets = _Gadgets(d)
-    members = cycle_space_masks(d.base, cap)
+    members = [_mask(c.members) for c in enumerate_cycle_space(d.base, cap)]
     complements = {gadgets.matching(gadgets.lift(c)) for c in members}
     if len(complements) != len(members):
         return False

@@ -114,6 +114,17 @@ def test_cycle_space_command(capsys, tmp_path):
     assert "member_0=" in out
 
 
+def test_cycle_space_enumerate_refusal_leaves_stdout_empty(capsys, k4_file):
+    # K4 has a 3-dimensional cycle space: 8 members
+    code, out, err = run(capsys, "cycle-space", k4_file, "--enumerate", "--cap", "4")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    code, out, _ = run(capsys, "cycle-space", k4_file, "--enumerate", "--cap", "8")
+    assert code == 0
+    assert sum(line.startswith("member_") for line in out.splitlines()) == 8
+
+
 def test_certify_command(capsys, k4_file):
     code, out, _ = run(capsys, "certify", k4_file, "--verify-oracle")
     assert code == 0

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +10,6 @@ from clawmatch import (
     NoTwoFactor,
     StructureViolation,
     count_perfect_matchings,
-    count_report,
     count_two_factors,
     enumerate_perfect_matchings,
     enumerate_two_factors,
@@ -24,6 +25,7 @@ from bruteforce import (
     brute_two_factors,
     reference_iter_perfect_matchings,
     reference_iter_two_factors,
+    reference_max_length_two_factor,
 )
 from corpus import (
     K4,
@@ -126,10 +128,8 @@ def test_petersen_sanity():
     assert count_perfect_matchings(PETERSEN) == 6
 
 
-def test_count_report():
-    rep = count_report(PRISM)
-    assert rep.perfect_matchings == rep.two_factors == 4
-    assert rep.method == "backtracking"
+def test_prism_counts_agree():
+    assert count_perfect_matchings(PRISM) == count_two_factors(PRISM) == 4
 
 
 def test_max_length_two_factor_triple_bond():
@@ -174,12 +174,31 @@ def test_max_length_two_factor_no_factor():
         max_length_two_factor(g, {e: 0 for e in range(g.m)})
 
 
+def assert_longest_factor_matches_reference(h: Multigraph, lengths: dict[int, int]) -> None:
+    assert (
+        max_length_two_factor(h, lengths).members
+        == reference_max_length_two_factor(h, lengths).members
+    )
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.data())
+def test_max_length_two_factor_matches_the_reference_tie_break(data):
+    # parallel edges included; the all-zero lengths test the tie-break alone
+    k = data.draw(st.sampled_from(range(2, 15, 2)), label="k")
+    h = random_base(k, data.draw(st.integers(0, 10**6), label="seed"))
+    drawn = data.draw(st.lists(st.integers(0, 3), min_size=h.m, max_size=h.m), label="lengths")
+    for lengths in (drawn, [0] * h.m):
+        assert_longest_factor_matches_reference(h, dict(enumerate(lengths)))
+
+
+def test_max_length_two_factor_matches_the_reference_on_triple_bond():
+    for lengths in product(range(4), repeat=3):
+        assert_longest_factor_matches_reference(TRIPLE_BOND, dict(enumerate(lengths)))
+
+
 def test_broken_invariants_raise_structure_violation(monkeypatch):
-    # checks that must survive python -O: plain raises, not asserts
-    monkeypatch.setattr(counting, "count_two_factors", lambda g: 0)
-    with pytest.raises(StructureViolation):
-        count_report(PRISM)
-    monkeypatch.undo()
+    # checks that must survive python -O: plain raises, not asserts;
     # the only matching offered leaves every long edge outside the 2-factor
     monkeypatch.setattr(counting, "_iter_perfect_matchings", lambda h: iter([frozenset({0})]))
     with pytest.raises(StructureViolation):

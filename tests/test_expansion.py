@@ -35,7 +35,7 @@ from clawmatch import (
 )
 from clawmatch import expansion
 from clawmatch.cli import main
-from clawmatch.cyclespace import _mask, _unmask, cycle_space_masks
+from clawmatch.cyclespace import _mask, _unmask
 from bruteforce import reference_3ec_remark, reference_certificate_problems, reference_lift
 from corpus import (
     K4,
@@ -466,7 +466,8 @@ def lifts_along_the_walk(d):
     """The cycle-space lifts of d's base from lift_walk and from lift, member by member."""
     gadgets = expansion._Gadgets(d)
     walk = list(gadgets.lift_walk(d.base, 1 << 10))
-    return walk, [gadgets.lift(c) for c in cycle_space_masks(d.base, 1 << 10)]
+    members = [_mask(c.members) for c in enumerate_cycle_space(d.base, 1 << 10)]
+    return walk, [gadgets.lift(c) for c in members]
 
 
 def assert_walk_and_certify_agree_with_reference(g, name):
@@ -610,7 +611,7 @@ def test_corrupted_triangle_state_names_the_vertices_of_the_old_scan(monkeypatch
 def cycle_space_host():
     """A diamond-free host on the cycle-space branch, and its base's members in walk order."""
     g, d = build(K4, [0] * 6)
-    return g, d, cycle_space_masks(d.base, 1 << 10)
+    return g, d, [_mask(c.members) for c in enumerate_cycle_space(d.base, 1 << 10)]
 
 
 def assert_certify_raises_on_first(monkeypatch, capsys, tmp_path, g, d, corrupt, member, stray):

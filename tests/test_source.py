@@ -1,0 +1,98 @@
+"""Source rules of the library, checked on the syntax tree of every module.
+
+- No `assert` statement: `python -O` strips them, so a check written as
+  one silently stops checking.
+- No recursion: no function calls itself by name, and no method calls
+  itself through `self.<name>`, so no answer depends on the recursion limit.
+- Zero dependencies: every absolute import names a standard-library module.
+- Every name a module imports is used there (`__init__` re-exports, so it
+  is exempt).
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "clawmatch"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    lines = [node.lineno for node in ast.walk(parse(path)) if isinstance(node, ast.Assert)]
+    assert lines == [], f"{path.name}: assert at lines {lines}"
+
+
+def _self_calls(fn: ast.FunctionDef | ast.AsyncFunctionDef, method: bool) -> list[int]:
+    """Lines in fn's body that call fn: by name, or through self.<name> if fn is a method."""
+    lines = []
+    for node in ast.walk(fn):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if method:
+            if (
+                isinstance(f, ast.Attribute)
+                and f.attr == fn.name
+                and isinstance(f.value, ast.Name)
+                and f.value.id == "self"
+            ):
+                lines.append(node.lineno)
+        elif isinstance(f, ast.Name) and f.id == fn.name:
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_calls_itself(path):
+    tree = parse(path)
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    found = [
+        (fn.name, line)
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for line in _self_calls(fn, id(fn) in methods)
+    ]
+    assert found == [], f"{path.name}: recursive calls {found}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_absolute_imports_are_standard_library(path):
+    names = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module)
+    outside = [n for n in names if n.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == [], f"{path.name}: imports outside the standard library {outside}"
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "__init__.py"], ids=lambda p: p.name
+)
+def test_every_imported_name_is_used(path):
+    tree = parse(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    assert unused == [], f"{path.name}: imported but unused {unused}"
