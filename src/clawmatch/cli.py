@@ -139,10 +139,9 @@ def _cmd_certify(args) -> int:
         oracle = {
             m.sorted_tuple() for m in counting.enumerate_perfect_matchings(g, expansion.CAP)
         }
-        missing = [row for row in cert.matchings if row not in oracle]
-        if missing or len(cert.matchings) > len(oracle):
-            print("error: certificate disagrees with the oracle enumeration", file=sys.stderr)
-            return 3
+        # certificate rows are distinct, so none missing means none extra
+        if any(row not in oracle for row in cert.matchings):
+            raise StructureViolation("certificate disagrees with the oracle enumeration")
         _emit("oracle_check=ok\n")
     return 0
 

@@ -4,10 +4,14 @@ Everything here is plain backtracking on purpose.  These counts are the
 oracle the constructive machinery is checked against, so they must stay
 simple enough to trust; no transfer matrices, no Pfaffians.  Counts are
 Python ints, hence arbitrary precision for free.
+
+Both searches go vertex by vertex, the lowest-id vertex still short of
+edges trying its incident edges in id order; enumerations stop at the cap.
 """
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Iterator, Mapping
 
 from .errors import CapExceeded, NoTwoFactor, StructureViolation
@@ -69,80 +73,74 @@ def count_perfect_matchings(g: Multigraph) -> int:
     return sum(1 for _ in _iter_perfect_matchings(g))
 
 
+def _collect(g: Multigraph, found: Iterator[frozenset[int]], cap: int) -> list[EdgeSubset]:
+    """The first cap + 1 sets found, or CapExceeded(cap + 1, cap) if there are that many."""
+    sets = list(islice(found, cap + 1))
+    if len(sets) > cap:
+        raise CapExceeded(cap + 1, cap)
+    return [EdgeSubset(g, s) for s in sets]
+
+
 def enumerate_perfect_matchings(g: Multigraph, cap: int) -> list[EdgeSubset]:
-    out = []
-    for mset in _iter_perfect_matchings(g):
-        out.append(EdgeSubset(g, mset))
-        if len(out) > cap:
-            raise CapExceeded(count_perfect_matchings(g), cap)
-    return out
+    return _collect(g, _iter_perfect_matchings(g), cap)
 
 
 def _iter_two_factors(g: Multigraph) -> Iterator[frozenset[int]]:
     """All spanning subgraphs with every degree exactly 2 (loops count twice).
 
-    Decides the edges in id order, trying to include each before excluding
-    it.  The decisions are kept on an explicit stack, so the search depth is
-    not bounded by Python's recursion limit.
+    Backtracking on the lowest-id vertex with room, that is degree below 2,
+    incident edges in id order.  A vertex that takes both of its edges takes
+    the second after the first, so each 2-factor is reached once; a loop needs
+    both of its vertex's places.  The search keeps its frames on an explicit
+    stack, so its depth is not bounded by Python's recursion limit.
     """
     if any(d < 2 for d in g.degrees()):
         return
-    deg = [0] * g.n
-    rem = [0] * g.n  # undecided degree still available at each vertex
-    for u, v in g.edges:
-        rem[u] += 1
-        rem[v] += 1
+    n, edges, incident = g.n, g.edges, g.incident
+    if n == 0:
+        yield frozenset()
+        return
+    room = [2] * n
     chosen: list[int] = []
-
-    def feasible(v: int) -> bool:
-        return deg[v] <= 2 and deg[v] + rem[v] >= 2
-
-    stack: list[tuple[int, bool]] = []  # (edge id, whether it is included) per decided edge
-    i = 0  # the next edge to decide
+    # a frame is a vertex with room and its incident edges not yet tried; the top
+    # frame is (v, options), the ones below it are on the stack, and chosen holds
+    # the edge each of those has taken
+    stack: list[tuple[int, Iterator[int]]] = []
+    v, options = 0, iter(incident(0))
     while True:
-        if i == g.m:
-            if all(d == 2 for d in deg):
-                yield frozenset(chosen)
+        for e in options:
+            u, w = edges[e]
+            o = w if u == v else u
+            if room[o] > (u == w):
+                break
         else:
-            u, v = g.edges[i]
-            step = 2 if u == v else 1
-            rem[u] -= step
-            rem[v] -= step if u != v else 0
-            # include edge i
-            deg[u] += step
-            deg[v] += step if u != v else 0
-            if feasible(u) and feasible(v):
-                chosen.append(i)
-                stack.append((i, True))
-                i += 1
-                continue
-            deg[u] -= step
-            deg[v] -= step if u != v else 0
-            # exclude edge i
-            if feasible(u) and feasible(v):
-                stack.append((i, False))
-                i += 1
-                continue
-            rem[u] += step
-            rem[v] += step if u != v else 0
-        # backtrack to the latest included edge that can still be excluded
-        while stack:
-            i, included = stack.pop()
-            u, v = g.edges[i]
-            step = 2 if u == v else 1
-            if included:
-                chosen.pop()
-                deg[u] -= step
-                deg[v] -= step if u != v else 0
-                # exclude edge i
-                if feasible(u) and feasible(v):
-                    stack.append((i, False))
-                    i += 1
-                    break
-            rem[u] += step
-            rem[v] += step if u != v else 0
-        else:
-            return
+            if not stack:
+                return
+            u, w = edges[chosen.pop()]
+            room[u] += 1
+            room[w] += 1
+            v, options = stack.pop()
+            continue
+        room[v] -= 1
+        room[o] -= 1
+        chosen.append(e)
+        if room[v]:
+            # v's second edge comes after its first
+            stack.append((v, options))
+            at_v = incident(v)
+            options = iter(at_v[at_v.index(e) + 1 :])
+            continue
+        nxt = v + 1
+        while nxt < n and not room[nxt]:
+            nxt += 1
+        if nxt < n:
+            stack.append((v, options))
+            v, options = nxt, iter(incident(nxt))
+            continue
+        yield frozenset(chosen)
+        chosen.pop()
+        room[v] += 1
+        room[o] += 1
 
 
 def count_two_factors(g: Multigraph) -> int:
@@ -150,12 +148,7 @@ def count_two_factors(g: Multigraph) -> int:
 
 
 def enumerate_two_factors(g: Multigraph, cap: int) -> list[EdgeSubset]:
-    out = []
-    for fset in _iter_two_factors(g):
-        out.append(EdgeSubset(g, fset))
-        if len(out) > cap:
-            raise CapExceeded(count_two_factors(g), cap)
-    return out
+    return _collect(g, _iter_two_factors(g), cap)
 
 
 def max_length_two_factor(h: Multigraph, lengths: Mapping[int, int]) -> EdgeSubset:

@@ -61,7 +61,8 @@ class StructureViolation(GraphError):
 
 
 class CapExceeded(GraphError):
-    """Enumeration would exceed the caller's cap; carries the required count."""
+    """Enumeration would exceed the caller's cap; carries the required count,
+    or cap + 1 where only an enumeration could tell it."""
 
     def __init__(self, required: int, cap: int):
         super().__init__(f"enumeration needs {required} items, cap is {cap}")

@@ -20,8 +20,9 @@ call, and are the only place that looks host edges up by their ends:
 - per base edge, the host edges taken when the member traverses it
   (connectors and every diamond's bit-0 walk) and when it does not
   (every diamond's 4-cycle);
-- per diamond, the XOR that turns its bit-0 walk into its bit-1 walk
-  (_Gadgets.routes lists those of a member in routing-bit order).
+- per diamond, the XOR that turns its bit-0 walk into its bit-1 walk,
+  which is its 4-cycle (_Gadgets.routes lists those of a member in
+  routing-bit order).
 The entries of different base vertices and base edges share no host edge,
 so a lift is the XOR of its disjoint pieces, a routing an XOR of flips, and
 the matching the complement full ^ factor.  Both branches walk a Gray
@@ -119,11 +120,11 @@ class _Gadgets:
             walk, idle, flips = _mask(rep.connectors), 0, []
             if rep.string:
                 for entry, exit_port, s, t in string_passages(g, rep.string):
-                    zero = bits((entry, s), (s, t), (t, exit_port))
-                    one = bits((entry, t), (t, s), (s, exit_port))
-                    walk |= zero
-                    idle |= bits((entry, s), (s, exit_port), (exit_port, t), (t, entry))
-                    flips.append(zero ^ one)
+                    cycle = bits((entry, s), (s, exit_port), (exit_port, t), (t, entry))
+                    walk |= bits((entry, s), (s, t), (t, exit_port))
+                    idle |= cycle
+                    # entry-s-t-exit XOR entry-t-s-exit is the 4-cycle
+                    flips.append(cycle)
             self.edges.append((1 << e, walk, idle))
             self.flips.append(flips)
 

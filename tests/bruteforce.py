@@ -10,6 +10,9 @@ per-vertex degree list each.
 
 The reference_* functions are earlier versions of library code, kept
 unchanged so that tests can hold the current versions to the same output.
+recursive_iter_two_factors restates the current 2-factor search with one
+nested generator per taken edge, so tests can hold its explicit stack to
+the same sequence.
 """
 
 from itertools import combinations, permutations
@@ -292,8 +295,9 @@ def reference_iter_perfect_matchings(g: Multigraph) -> Iterator[frozenset[int]]:
 
 
 def reference_iter_two_factors(g: Multigraph) -> Iterator[frozenset[int]]:
-    """counting._iter_two_factors as it was before it ran on an explicit stack:
-    one nested generator per edge.
+    """counting._iter_two_factors as it was before it ran on an explicit stack, and
+    before it searched vertex by vertex: edges decided in id order, one nested
+    generator per edge.
 
     All spanning subgraphs with every degree exactly 2 (loops count twice).
     """
@@ -334,6 +338,43 @@ def reference_iter_two_factors(g: Multigraph) -> Iterator[frozenset[int]]:
         rem[v] += step if u != v else 0
 
     yield from rec(0)
+
+
+def recursive_iter_two_factors(g: Multigraph) -> Iterator[frozenset[int]]:
+    """counting._iter_two_factors with one nested generator per taken edge.
+
+    Backtracking on the lowest-id vertex with room (degree below 2), incident
+    edges in id order; a vertex's second edge comes after its first, and a loop
+    needs both of its vertex's places.
+    """
+    if any(d < 2 for d in g.degrees()):
+        return
+    room = [2] * g.n
+    chosen: list[int] = []
+
+    def rec(v: int, after: int) -> Iterator[frozenset[int]]:
+        while v < g.n and room[v] == 0:
+            v += 1
+        if v == g.n:
+            yield frozenset(chosen)
+            return
+        for e in g.incident(v):
+            if e <= after:
+                continue
+            u, w = g.edges[e]
+            o = w if u == v else u
+            if room[o] < (2 if u == w else 1):
+                continue
+            room[u] -= 1
+            room[w] -= 1
+            chosen.append(e)
+            # while v has room, its next edge comes after e
+            yield from rec(v, e if room[v] else -1)
+            chosen.pop()
+            room[u] += 1
+            room[w] += 1
+
+    yield from rec(0, -1)
 
 
 def reference_max_length_two_factor(h: Multigraph, lengths) -> EdgeSubset:

@@ -144,8 +144,8 @@ def test_criterion_7_cycle_space_oracle_equivalence():
 
 def test_criterion_8_complement_bijection():
     with criterion(8, "2-factor and matching counts agree via complements", 60.0):
-        for name, g in cubic_corpus_small():
-            assert g.n <= 18, name
+        for name, g in cubic_corpus_small() + certify_corpus():
+            assert g.n <= 28, name
             factors = {f.members for f in enumerate_two_factors(g, 1 << 20)}
             matchings = {m.members for m in enumerate_perfect_matchings(g, 1 << 20)}
             assert len(factors) == count_two_factors(g), name
@@ -272,3 +272,13 @@ def test_criterion_15_one_cut_pass_and_one_claw_scan_per_graph(monkeypatch, tmp_
             assert main(["check", str(doc)]) == 0
         # bridges fills the summary; only a 2-edge-connected host needs the 3EC tree
         assert len(passes) == expected
+
+
+def test_criterion_16_two_factor_oracle_on_large_hosts():
+    base = random_base(16, seed=1)
+    for name, g, expected in (
+        ("ring of 16 diamonds, n=64", ring_of_diamonds(16), 2**16 + 1),
+        ("diamond-free host, n=48", build(base, [0] * base.m)[0], 512),
+    ):
+        with criterion(16, f"2-factor and matching counts agree on a {name}", 10.0):
+            assert count_two_factors(g) == count_perfect_matchings(g) == expected, name

@@ -11,7 +11,16 @@ import pytest
 from hypothesis import example, given, settings
 
 import clawmatch
-from clawmatch import build, figure1_graph, parse_graph, random_base, serialize_graph
+from clawmatch import (
+    build,
+    certify,
+    counting,
+    figure1_graph,
+    parse_graph,
+    random_base,
+    serialize_certificate,
+    serialize_graph,
+)
 from clawmatch.cli import main
 from corpus import (
     K4,
@@ -131,6 +140,17 @@ def test_certify_command(capsys, k4_file):
     assert "branch=k4" in out
     assert "count=3" in out
     assert "oracle_check=ok" in out
+
+
+def test_certify_oracle_disagreement_exits_3(capsys, monkeypatch, k4_file):
+    enumerate_all = counting.enumerate_perfect_matchings
+    monkeypatch.setattr(
+        counting, "enumerate_perfect_matchings", lambda g, cap: enumerate_all(g, cap)[1:]
+    )
+    code, out, err = run(capsys, "certify", k4_file, "--verify-oracle")
+    assert code == 3
+    assert err == "internal error: certificate disagrees with the oracle enumeration\n"
+    assert out == serialize_certificate(certify(K4))
 
 
 def test_certify_rejects_bridged_input(capsys, tmp_path):
@@ -303,7 +323,7 @@ def test_console_entry_point(tmp_path):
 
 @pytest.fixture
 def fig1_500_file(tmp_path):
-    # n = 2014: the oracle's searches run 1007 matched edges or 3021 decided edges deep
+    # n = 2014: the oracle's searches run 1007 matched edges or 2014 taken edges deep
     path = tmp_path / "fig1-500.txt"
     path.write_text(serialize_graph(figure1_graph(500)))
     return str(path)

@@ -1,3 +1,5 @@
+import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -23,6 +25,7 @@ from clawmatch import counting
 from bruteforce import (
     brute_perfect_matchings,
     brute_two_factors,
+    recursive_iter_two_factors,
     reference_iter_perfect_matchings,
     reference_iter_two_factors,
     reference_max_length_two_factor,
@@ -91,6 +94,16 @@ def test_enumerate_cap():
     assert exc.value.required == 3
     with pytest.raises(CapExceeded):
         enumerate_two_factors(K4, 2)
+
+
+def test_enumerations_stop_at_the_cap():
+    g = ring_of_diamonds(22)  # 2^22 + 1 matchings and 2-factors
+    for enumerate_sets in (enumerate_perfect_matchings, enumerate_two_factors):
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded) as exc:
+            enumerate_sets(g, 10)
+        assert time.perf_counter() - start < 1.0, enumerate_sets.__name__
+        assert (exc.value.required, exc.value.cap) == (11, 10)
 
 
 def test_two_factor_counts():
@@ -207,7 +220,10 @@ def test_broken_invariants_raise_structure_violation(monkeypatch):
 
 def assert_reference_order(g: Multigraph) -> None:
     assert list(counting._iter_perfect_matchings(g)) == list(reference_iter_perfect_matchings(g))
-    assert list(counting._iter_two_factors(g)) == list(reference_iter_two_factors(g))
+    factors = list(counting._iter_two_factors(g))
+    assert factors == list(recursive_iter_two_factors(g))
+    # the edge-order search reaches the same factors in another order
+    assert Counter(factors) == Counter(reference_iter_two_factors(g))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

@@ -7,6 +7,8 @@
 - Zero dependencies: every absolute import names a standard-library module.
 - Every name a module imports is used there (`__init__` re-exports, so it
   is exempt).
+- `clawmatch.__all__` lists every name `__init__` imports, each once, and
+  nothing else.
 """
 
 import ast
@@ -96,3 +98,25 @@ def test_every_imported_name_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted((line, name) for name, line in imported.items() if name not in used)
     assert unused == [], f"{path.name}: imported but unused {unused}"
+
+
+def test_all_lists_each_imported_name_once():
+    tree = parse(SRC / "__init__.py")
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    (exported,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    ]
+    duplicates = sorted(name for name in set(exported) if exported.count(name) > 1)
+    assert duplicates == [], f"__all__ lists {duplicates} more than once"
+    assert set(exported) == imported, (
+        f"imported but not in __all__ {sorted(imported - set(exported))}, "
+        f"in __all__ but not imported {sorted(set(exported) - imported)}"
+    )
