@@ -83,9 +83,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_build(args) -> int:
     base = _load(args.base)
-    parts = [p for p in args.lengths.split(",") if p != ""]
     try:
-        lengths = [int(p) for p in parts]
+        lengths = [int(p) for p in args.lengths.split(",")]
     except ValueError:
         print("error: --lengths must be a comma-separated list of integers", file=sys.stderr)
         return 2

@@ -24,26 +24,28 @@ call, and are the only place that looks host edges up by their ends:
   which is its 4-cycle (_Gadgets.routes lists those of a member in
   routing-bit order).
 The entries of different base vertices and base edges share no host edge,
-so a lift is the XOR of its disjoint pieces, a routing an XOR of flips, and
-the matching the complement full ^ factor.  Both branches walk a Gray
-code (cyclespace.gray_walk); the long-2-factor branch walks the routing
-flips of its one member.  In the cycle-space branch consecutive members
-differ by one fundamental cycle b, so it updates the previous lift instead
-of lifting each member from zero: it XORs in the walk ^ idle of every edge
-of b and, at each base vertex on b, the old state ^ the new state.  Every
-lifted factor is still checked exactly, one row at a time: in a cubic host
-it is a 2-factor iff its complement is a perfect matching, and a row of
-edge ids is a perfect matching iff it has n/2 edges whose end-vertex bitmasks sum to the n
-one-bits of (1 << n) - 1 (see _is_perfect_row).  certificate_problems
-and complement_matching check rows with the same test.  The vertex-by-vertex degree scan runs
-only to name the offending vertices once a row has failed.
+so a lift is the XOR of its disjoint pieces and a routing an XOR of flips.
+Every routing enumeration steps cyclespace.gray_walk: the long-2-factor
+branch walks the flips of its one member, and a ring of diamonds, a string
+closed on itself, walks its connectors and bit-0 walks over its 4-cycles
+after its idle factor (every 4-cycle).  In the cycle-space branch
+consecutive members differ by one fundamental cycle b, so it updates the
+previous lift instead of lifting each member from zero: it XORs in the
+walk ^ idle of every edge of b and, at each base vertex on b, the old state
+^ the new state.  K4's factors are the complements of its 3 pairings.
+Every row certify, expand and complement_matching make comes from _rows,
+which checks it exactly: in a cubic host a factor is a 2-factor iff its
+complement is a perfect matching, and a row of edge ids is one iff it has
+n/2 edges whose end-vertex bitmasks sum to (1 << n) - 1 (see
+_is_perfect_row), the test certificate_problems runs too.  The degree scan
+runs only to name the offending vertices once a row has failed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, pairwise
-from typing import Iterator
+from itertools import chain, combinations, pairwise
+from typing import Iterable, Iterator
 
 from .counting import enumerate_perfect_matchings, max_length_two_factor
 from .cyclespace import _basis_masks, _mask, _unmask, gray_walk
@@ -85,6 +87,33 @@ def _is_perfect_row(row: tuple[int, ...], end_bits: list[int], n: int) -> bool:
     return 2 * len(row) == n and sum(map(end_bits.__getitem__, row)) == (1 << n) - 1
 
 
+def _rows(g: Multigraph, factors: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """Per factor mask of the cubic graph g, the edge ids of its complement, once that
+    is seen to be a perfect matching, which holds iff the factor is a 2-factor."""
+    full, end_bits = (1 << g.m) - 1, _end_bits(g)
+    for factor in factors:
+        row = _unmask(full ^ factor)
+        if not _is_perfect_row(row, end_bits, g.n):
+            deg = subset_degrees(g, _unmask(factor))
+            bad = [v for v, dv in enumerate(deg) if dv != 2]
+            raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
+        yield row
+
+
+def _string(g: Multigraph, walk: int, passages: Iterable[tuple[int, int, int, int]]):
+    """Connector mask walk plus every bit-0 walk entry-s-t-exit of a diamond string's
+    passages (see string_passages), the OR of their 4-cycles, and the 4-cycles in order."""
+    edge = g.edge_between
+    idle, cycles = 0, []
+    for entry, exit_port, s, t in passages:
+        es, et = 1 << edge(entry, s), 1 << edge(entry, t)
+        sx, tx = 1 << edge(s, exit_port), 1 << edge(t, exit_port)
+        walk |= es | 1 << edge(s, t) | tx
+        cycles.append(es | et | sx | tx)
+        idle |= cycles[-1]
+    return walk, idle, cycles
+
+
 class _Gadgets:
     """The lift tables of one expanded decomposition (see the module docstring)."""
 
@@ -94,18 +123,11 @@ class _Gadgets:
         g, h = d.graph, d.base
         if not is_cubic(g):
             raise ValueError("complementing a 2-factor needs a cubic expanded graph")
-
-        def bits(*pairs: tuple[int, int]) -> int:
-            return _mask(g.edge_between(u, w) for u, w in pairs)
-
-        self.graph = g
-        self.full = (1 << g.m) - 1
-        self.end_bits = _end_bits(g)
         # (v, mask of the base edges at v, {member & that mask: triangle edges})
         self.vertex: list[tuple[int, int, dict[int, int]]] = []
         for v, corners in enumerate(d.triangles):
             inc = _mask(h.incident(v))
-            sides = [(pair, bits(pair)) for pair in combinations(corners, 2)]
+            sides = [(pair, 1 << g.edge_between(*pair)) for pair in combinations(corners, 2)]
             states = {0: sum(side for _, side in sides)}
             for e in h.incident(v):
                 # the member uses the other two edges at v: route through e's corner
@@ -117,14 +139,8 @@ class _Gadgets:
         self.edges: list[tuple[int, int, int]] = []
         self.flips: list[list[int]] = []
         for e, rep in enumerate(d.replacements):
-            walk, idle, flips = _mask(rep.connectors), 0, []
-            if rep.string:
-                for entry, exit_port, s, t in string_passages(g, rep.string):
-                    cycle = bits((entry, s), (s, exit_port), (exit_port, t), (t, entry))
-                    walk |= bits((entry, s), (s, t), (t, exit_port))
-                    idle |= cycle
-                    # entry-s-t-exit XOR entry-t-s-exit is the 4-cycle
-                    flips.append(cycle)
+            passages = string_passages(g, rep.string) if rep.string else ()
+            walk, idle, flips = _string(g, _mask(rep.connectors), passages)
             self.edges.append((1 << e, walk, idle))
             self.flips.append(flips)
 
@@ -176,17 +192,6 @@ class _Gadgets:
                 raise
             yield factor
 
-    def matching(self, factor: int) -> tuple[int, ...]:
-        """Edge ids of the perfect matching complementary to factor, once factor is
-        seen to be a 2-factor of the cubic host, which holds iff the complement is
-        a perfect matching."""
-        row = _unmask(self.full ^ factor)
-        if not _is_perfect_row(row, self.end_bits, self.graph.n):
-            deg = subset_degrees(self.graph, _unmask(factor))
-            bad = [v for v, dv in enumerate(deg) if dv != 2]
-            raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
-        return row
-
 
 def expand(member: EdgeSubset, d: Decomposition, routing: int = 0) -> EdgeSubset:
     """Lift an even subgraph of the base to a 2-factor of the expanded graph.
@@ -208,7 +213,7 @@ def expand(member: EdgeSubset, d: Decomposition, routing: int = 0) -> EdgeSubset
     for i, flip in enumerate(flips):
         if routing >> i & 1:
             factor ^= flip
-    gadgets.matching(factor)
+    next(_rows(d.graph, [factor]))
     return EdgeSubset(d.graph, _unmask(factor))
 
 
@@ -216,10 +221,9 @@ def complement_matching(g: Multigraph, factor: EdgeSubset) -> EdgeSubset:
     """The perfect matching complementary to a 2-factor of a cubic graph."""
     if not is_cubic(g):
         raise ValueError("complementation needs a cubic host")
-    row = _unmask((1 << g.m) - 1 ^ _mask(factor.members))
-    if factor.host != g or not _is_perfect_row(row, _end_bits(g), g.n):
+    if factor.host != g:
         raise DegreeViolation("argument is not a 2-factor of the host")
-    return EdgeSubset(g, row)
+    return EdgeSubset(g, next(_rows(g, [_mask(factor.members)])))
 
 
 @dataclass(frozen=True)
@@ -237,26 +241,16 @@ class Certificate:
     bound_ok: bool
 
 
-def _ring_family(g: Multigraph, ring) -> list[tuple[int, ...]]:
-    # the all-connector matching plus the 2^d per-diamond internal pairings
+def _ring_factors(g: Multigraph, ring) -> Iterator[int]:
+    """The 2^d + 1 2-factors of a ring of d diamonds, a string closed on itself: the idle
+    factor of every 4-cycle, then its every routing (ports cross in either order)."""
     size = (1 << len(ring)) + 1
     if size > CAP:
         raise CapExceeded(size, CAP)
     owner = {v: i for i, dia in enumerate(ring) for v in dia.vertices}
-    connecting = [e for e, (u, v) in enumerate(g.edges) if owner[u] != owner[v]]
-    chords = [g.edge_between(*dia.internals) for dia in ring]
-    family = [tuple(sorted(connecting + chords))]
-    pairings = []
-    for dia in ring:
-        p, q = dia.ports
-        s, t = dia.internals
-        straight = (g.edge_between(p, s), g.edge_between(q, t))
-        crossed = (g.edge_between(p, t), g.edge_between(q, s))
-        pairings.append((straight, crossed))
-    for bits in range(1 << len(ring)):
-        rows = [e for i, pair in enumerate(pairings) for e in pair[(bits >> i) & 1]]
-        family.append(tuple(sorted(rows)))
-    return family
+    connectors = _mask(e for e, (u, v) in enumerate(g.edges) if owner[u] != owner[v])
+    walk, idle, cycles = _string(g, connectors, [(*dia.ports, *dia.internals) for dia in ring])
+    return chain([idle], gray_walk(walk, cycles))
 
 
 def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
@@ -271,10 +265,11 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
     d = classify(g)
     if d.kind == KIND_K4:
         pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
-        rows = [tuple(sorted(g.edge_between(u, v) for u, v in pair)) for pair in pairings]
+        full = (1 << g.m) - 1
+        rows = list(_rows(g, [full ^ _mask(g.edge_between(*p) for p in pair) for pair in pairings]))
         branch = "k4"
     elif d.kind == KIND_RING:
-        rows = _ring_family(g, d.ring)
+        rows = list(_rows(g, _ring_factors(g, d.ring)))
         branch = "ring"
     else:
         n, k = g.n, d.base.n
@@ -284,14 +279,14 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
         gadgets = _Gadgets(d)
         rows = []
         if run_cycle:
-            rows += map(gadgets.matching, gadgets.lift_walk(d.base, CAP))
+            rows += _rows(g, gadgets.lift_walk(d.base, CAP))
         if run_long:
             lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
             member = _mask(max_length_two_factor(d.base, lengths).members)
             flips = gadgets.routes(member)
             if 1 << len(flips) > CAP:
                 raise CapExceeded(1 << len(flips), CAP)
-            rows += map(gadgets.matching, gray_walk(gadgets.lift(member), flips))
+            rows += _rows(g, gray_walk(gadgets.lift(member), flips))
         if run_cycle and run_long:
             branch = "both"
         elif run_cycle:

@@ -13,6 +13,7 @@ not abstract isomorphism classes, so rebuilding is exact.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -422,10 +423,14 @@ def build(
         raise InvalidBase("base is not 2-edge-connected")
     length_of = [0] * h.m
     for e in range(h.m):
-        value = lengths[e]
-        if value < 0:
+        try:
+            length_of[e] = operator.index(lengths[e])
+        except (KeyError, IndexError):
+            raise ValueError(f"length of edge {e} is missing") from None
+        except TypeError:
+            raise ValueError(f"length of edge {e} is not an integer") from None
+        if length_of[e] < 0:
             raise ValueError(f"length of edge {e} is negative")
-        length_of[e] = int(value)
 
     k = h.n
     corner = [0] * (2 * h.m)  # corner vertex of edge e at its side s, at 2 * e + s

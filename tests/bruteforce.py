@@ -45,7 +45,7 @@ from clawmatch import (
 )
 from clawmatch.counting import _iter_perfect_matchings
 from clawmatch.cyclespace import _mask, _unmask
-from clawmatch.expansion import _Gadgets
+from clawmatch.expansion import _Gadgets, _rows
 from clawmatch.structure import _scan_diamonds
 
 
@@ -444,7 +444,7 @@ def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
         return False
     gadgets = _Gadgets(d)
     members = [_mask(c.members) for c in enumerate_cycle_space(d.base, cap)]
-    complements = {gadgets.matching(gadgets.lift(c)) for c in members}
+    complements = set(_rows(g, map(gadgets.lift, members)))
     if len(complements) != len(members):
         return False
     try:

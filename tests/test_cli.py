@@ -92,6 +92,10 @@ def test_build_command(capsys, tmp_path):
     code, _, err = run(capsys, "build", "--base", str(base), "--lengths", "0,0")
     assert code == 2
     assert "expected 3 lengths" in err
+    for lengths in ("1,,0,0", ",1,0,0,", "0,0,0,", "", "0,x,0"):
+        code, out, err = run(capsys, "build", "--base", str(base), "--lengths", lengths)
+        assert (code, out) == (2, ""), lengths
+        assert err == "error: --lengths must be a comma-separated list of integers\n", lengths
 
 
 def test_gen_ring_then_count(capsys, tmp_path):

@@ -132,8 +132,13 @@ def test_complement_matching_examples():
     assert complement_matching(PRISM, both_triangles).members == {6, 7, 8}
     with pytest.raises(DegreeViolation):
         complement_matching(PRISM, EdgeSubset(PRISM, frozenset({0})))
-    with pytest.raises(DegreeViolation):
+    # triangle 0-1-2 without its edge 1-2 leaves vertices 1 and 2 at degree 1
+    with pytest.raises(DegreeViolation) as exc:
+        complement_matching(PRISM, EdgeSubset(PRISM, frozenset({0, 1, 3, 4, 5})))
+    assert str(exc.value) == "expansion is not a 2-factor at vertices [1, 2]"
+    with pytest.raises(DegreeViolation) as exc:
         complement_matching(PRISM, EdgeSubset(K4, frozenset({0, 1, 4, 5})))
+    assert str(exc.value) == "argument is not a 2-factor of the host"
 
 
 def test_certify_k4():
@@ -145,13 +150,15 @@ def test_certify_k4():
 
 
 def test_certify_ring_families():
-    for d in (2, 3, 4):
+    for d in range(2, 9):
         g = ring_of_diamonds(d)
         cert = certify(g)
         assert cert.branch == "ring"
         assert len(cert.matchings) == 2**d + 1
         assert verify_certificate(g, cert)
-        assert len(cert.matchings) == count_perfect_matchings(g)
+        # a ring's family is every one of its perfect matchings
+        oracle = {m.sorted_tuple() for m in enumerate_perfect_matchings(g, 1 << 10)}
+        assert set(cert.matchings) == oracle
 
 
 def test_certify_ring_branch_respects_the_cap(monkeypatch, capsys, tmp_path):
@@ -531,6 +538,38 @@ def test_corrupted_decomposition_raises_instead_of_emitting_rows(monkeypatch, ca
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("internal error: expansion is not a 2-factor")
+
+
+@pytest.mark.parametrize(
+    "g, pair, wrong, bad",
+    [
+        # diamond 0's s-t lookup answers its edge 0-1, so its bit-0 walk misses 1-2
+        (ring_of_diamonds(3), (1, 2), 0, [1, 2]),
+        # the pairing edge 0-1 answers 2-3, so the pairing 01|23 collapses to one edge
+        (K4, (0, 1), 5, [0, 1]),
+    ],
+    ids=["ring-3", "k4"],
+)
+def test_wrong_edge_lookup_after_classify_raises_instead_of_emitting_rows(
+    monkeypatch, capsys, tmp_path, g, pair, wrong, bad
+):
+    d = classify(g)
+    path = tmp_path / "host.txt"
+    path.write_text(serialize_graph(g))
+    right = Multigraph.edge_between
+
+    def edge_between(self, u, v):
+        return wrong if {u, v} == set(pair) else right(self, u, v)
+
+    monkeypatch.setattr(expansion, "classify", lambda host: d)
+    monkeypatch.setattr(Multigraph, "edge_between", edge_between)
+    message = f"expansion is not a 2-factor at vertices {bad}"
+    with pytest.raises(DegreeViolation) as exc:
+        certify(g)
+    assert str(exc.value) == message
+    assert main(["certify", str(path)]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"internal error: {message}\n")
 
 
 def old_degree_scan(g, factor):

@@ -9,6 +9,8 @@
   is exempt).
 - `clawmatch.__all__` lists every name `__init__` imports, each once, and
   nothing else.
+- Only `expansion._rows` and `expansion.certificate_problems` reference
+  `_is_perfect_row`, so every row the library makes is checked on one path.
 """
 
 import ast
@@ -120,3 +122,13 @@ def test_all_lists_each_imported_name_once():
         f"imported but not in __all__ {sorted(imported - set(exported))}, "
         f"in __all__ but not imported {sorted(set(exported) - imported)}"
     )
+
+
+def test_only_rows_and_certificate_problems_check_rows():
+    found = []
+    for path in MODULES:
+        for top in parse(path).body:
+            names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            if "_is_perfect_row" in names:
+                found.append(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
+    assert sorted(found) == ["expansion._rows", "expansion.certificate_problems"]

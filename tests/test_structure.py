@@ -162,6 +162,10 @@ def test_bad_input_errors_keep_their_types_and_messages():
         (build, (fig1, [0] * fig1.m), InvalidBase, "base is not 2-edge-connected"),
         (build, (looped, [0, 0, 0]), InvalidBase, "base has a loop"),
         (build, (TRIPLE_BOND, [1, -1, 0]), ValueError, "length of edge 1 is negative"),
+        (build, (TRIPLE_BOND, [0.5, 1.9, 0]), ValueError, "length of edge 0 is not an integer"),
+        (build, (TRIPLE_BOND, [0, "1", 0]), ValueError, "length of edge 1 is not an integer"),
+        (build, (TRIPLE_BOND, {0: 1}), ValueError, "length of edge 1 is missing"),
+        (build, (TRIPLE_BOND, [0, 0]), ValueError, "length of edge 2 is missing"),
         (find_claw, (TRIPLE_BOND,), NotSimple, "graph has loops or parallel edges"),
         (find_claw, (LOOP1,), NotSimple, "graph has loops or parallel edges"),
     ]
