@@ -81,13 +81,22 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
+def _is_decimal(field: str) -> bool:
+    """Surrounding whitespace, an optional "-" and ASCII digits.
+
+    int() alone would also take "1_0", "+0" and non-ASCII digits.
+    """
+    digits = field.strip().removeprefix("-")
+    return digits.isascii() and digits.isdigit()
+
+
 def _cmd_build(args) -> int:
     base = _load(args.base)
-    try:
-        lengths = [int(p) for p in args.lengths.split(",")]
-    except ValueError:
+    fields = args.lengths.split(",")
+    if not all(map(_is_decimal, fields)):
         print("error: --lengths must be a comma-separated list of integers", file=sys.stderr)
         return 2
+    lengths = [int(p) for p in fields]
     if len(lengths) != base.m:
         print(f"error: expected {base.m} lengths, got {len(lengths)}", file=sys.stderr)
         return 2

@@ -7,6 +7,12 @@ Python ints, hence arbitrary precision for free.
 
 Both searches go vertex by vertex, the lowest-id vertex still short of
 edges trying its incident edges in id order; enumerations stop at the cap.
+The matching search, behind every matching count and the longest
+2-factor, steps over a per-vertex table of (edge id, far end) arcs built
+once per call and finds the next open vertex with one C-level list scan.
+The 2-factor search keeps reading g.edges: the same table was measured
+there with no gain (its second-edge step must find its place in the
+table again), so the simpler loop stays.
 """
 
 from __future__ import annotations
@@ -24,42 +30,45 @@ def _iter_perfect_matchings(g: Multigraph) -> Iterator[frozenset[int]]:
     Loops never belong to a matching; parallel edges count separately.  The
     search keeps its frames on an explicit stack, so its depth is not bounded
     by Python's recursion limit.
+
+    The loop steps over data built once per call.  arcs[v] holds an
+    (edge id, far end) pair for each non-loop edge at v, in id order, so a
+    step neither reads g.edges nor tests for a loop.  matched has a spare
+    False at index n as a sentinel, so matched.index(False, v + 1) finds
+    the next open vertex in C and returns n once every vertex is matched.
     """
-    # bound once: lookups on g inside the loop tie its speed to the size of g.__dict__
-    n, edges, incident = g.n, g.edges, g.incident
+    n, edges = g.n, g.edges
     if n == 0:
         yield frozenset()
         return
-    matched = [False] * n
+    arcs = []
+    for v in range(n):
+        ends = ((e, *edges[e]) for e in g.incident(v))
+        arcs.append(tuple((e, w if u == v else u) for e, u, w in ends if u != w))
+    matched = [False] * (n + 1)
     chosen: list[int] = []
-    # a frame is a vertex being matched and its incident edges not yet tried; the top
-    # frame is (v, options), the ones below it are on the stack, and chosen holds the
-    # edge each of those has matched its vertex with
-    stack: list[tuple[int, Iterator[int]]] = []
-    v, options = 0, iter(incident(0))
+    # a frame is a vertex being matched and its arcs not yet tried; the top frame is
+    # (v, options), the ones below it are on the stack as (v, o, options), where o is
+    # the far end of the edge chosen holds for v
+    stack: list[tuple[int, int, Iterator[tuple[int, int]]]] = []
+    v, options = 0, iter(arcs[0])
     while True:
-        for e in options:
-            u, w = edges[e]
-            if u == w:
-                continue
-            o = w if u == v else u
+        for e, o in options:
             if not matched[o]:
                 break
         else:
             if not stack:
                 return
-            u, w = edges[chosen.pop()]
-            matched[u] = matched[w] = False
-            v, options = stack.pop()
+            chosen.pop()
+            v, o, options = stack.pop()
+            matched[v] = matched[o] = False
             continue
         matched[v] = matched[o] = True
         chosen.append(e)
-        nxt = v + 1
-        while nxt < n and matched[nxt]:
-            nxt += 1
+        nxt = matched.index(False, v + 1)
         if nxt < n:
-            stack.append((v, options))
-            v, options = nxt, iter(incident(nxt))
+            stack.append((v, o, options))
+            v, options = nxt, iter(arcs[nxt])
             continue
         yield frozenset(chosen)
         chosen.pop()

@@ -424,7 +424,10 @@ def build(
     length_of = [0] * h.m
     for e in range(h.m):
         try:
-            length_of[e] = operator.index(lengths[e])
+            length = lengths[e]
+            if isinstance(length, bool):  # an int subclass, but not a diamond count
+                raise TypeError
+            length_of[e] = operator.index(length)
         except (KeyError, IndexError):
             raise ValueError(f"length of edge {e} is missing") from None
         except TypeError:

@@ -92,10 +92,18 @@ def test_build_command(capsys, tmp_path):
     code, _, err = run(capsys, "build", "--base", str(base), "--lengths", "0,0")
     assert code == 2
     assert "expected 3 lengths" in err
-    for lengths in ("1,,0,0", ",1,0,0,", "0,0,0,", "", "0,x,0"):
+    # only plain decimal fields: int() would also take underscores, a "+" and other digits
+    bad = ("1,,0,0", ",1,0,0,", "0,0,0,", "", "0,x,0", "1_0, +0,0", "1_0,0,0", "+0,0,0")
+    bad += ("0,\u0661,0", "0,\uff11,0", "0,\u00b2,0", "0,- 1,0", "0,--1,0", "0,-,0")
+    for lengths in bad:
         code, out, err = run(capsys, "build", "--base", str(base), "--lengths", lengths)
         assert (code, out) == (2, ""), lengths
         assert err == "error: --lengths must be a comma-separated list of integers\n", lengths
+    code, out, _ = run(capsys, "build", "--base", str(base), "--lengths", " 1 ,0,\t0")
+    assert (code, parse_graph(out).n) == (0, 10)
+    # a negative field is a decimal, so it reaches build's own check
+    code, out, err = run(capsys, "build", "--base", str(base), "--lengths", "0, -1,0")
+    assert (code, out, err) == (2, "", "error: length of edge 1 is negative\n")
 
 
 def test_gen_ring_then_count(capsys, tmp_path):

@@ -1,6 +1,6 @@
 import time
 from collections import Counter
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +11,13 @@ from clawmatch import (
     Multigraph,
     NoTwoFactor,
     StructureViolation,
+    build,
     count_perfect_matchings,
     count_two_factors,
     enumerate_perfect_matchings,
     enumerate_two_factors,
     is_perfect_matching,
+    is_three_edge_connected,
     is_two_factor,
     max_length_two_factor,
     random_base,
@@ -239,6 +241,20 @@ def test_oracle_yields_the_reference_sequence_on_random_multigraphs(data):
 def test_oracle_yields_the_reference_sequence_on_the_corpus():
     for name, g in cubic_corpus_small() + base_corpus() + certify_corpus():
         assert_reference_order(g)
+
+
+@pytest.mark.parametrize("k", (12, 16))
+def test_oracle_yields_the_reference_sequence_on_bench_sized_hosts(k):
+    # 3-edge-connected diamond-free hosts of n = 36 and 48, like the oracle-check workload's
+    bases = (random_base(k, seed) for seed in range(100))
+    bases = list(islice(filter(is_three_edge_connected, bases), 3))
+    assert len(bases) == 3
+    for base in bases:
+        g, _ = build(base, [0] * base.m)
+        found = list(counting._iter_perfect_matchings(g))
+        assert found == list(reference_iter_perfect_matchings(g))
+        # the 3EC remark: exactly 2^(n/6+1) perfect matchings
+        assert len(found) == 1 << (g.n // 6 + 1)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)

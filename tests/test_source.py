@@ -11,6 +11,8 @@
   nothing else.
 - Only `expansion._rows` and `expansion.certificate_problems` reference
   `_is_perfect_row`, so every row the library makes is checked on one path.
+- `counting` imports only `errors` and `graphs` from the package, so the
+  oracle stays independent of the machinery it checks.
 """
 
 import ast
@@ -132,3 +134,21 @@ def test_only_rows_and_certificate_problems_check_rows():
             if "_is_perfect_row" in names:
                 found.append(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     assert sorted(found) == ["expansion._rows", "expansion.certificate_problems"]
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The clawmatch modules path imports from, relative or absolute imports alike."""
+    dotted = []
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            dotted += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("clawmatch" if node.level else "", node.module)))
+            dotted += [f"{module}.{alias.name}" for alias in node.names]
+    return {name.split(".")[1] for name in dotted if name.startswith("clawmatch.")}
+
+
+def test_oracle_imports_only_errors_and_graphs():
+    assert _package_imports(SRC / "counting.py") <= {"errors", "graphs"}
+    # the helper does find package imports: the certify machinery imports the oracle
+    assert {"counting", "cyclespace", "structure"} <= _package_imports(SRC / "expansion.py")

@@ -164,6 +164,8 @@ def test_bad_input_errors_keep_their_types_and_messages():
         (build, (TRIPLE_BOND, [1, -1, 0]), ValueError, "length of edge 1 is negative"),
         (build, (TRIPLE_BOND, [0.5, 1.9, 0]), ValueError, "length of edge 0 is not an integer"),
         (build, (TRIPLE_BOND, [0, "1", 0]), ValueError, "length of edge 1 is not an integer"),
+        (build, (TRIPLE_BOND, [0, 0, True]), ValueError, "length of edge 2 is not an integer"),
+        (build, (TRIPLE_BOND, (0, False, 0)), ValueError, "length of edge 1 is not an integer"),
         (build, (TRIPLE_BOND, {0: 1}), ValueError, "length of edge 1 is missing"),
         (build, (TRIPLE_BOND, [0, 0]), ValueError, "length of edge 2 is missing"),
         (find_claw, (TRIPLE_BOND,), NotSimple, "graph has loops or parallel edges"),
