@@ -21,17 +21,21 @@ from .errors import NotSimple
 class Multigraph:
     """n vertices and an indexed edge tuple, frozen.
 
-    Lookup tables and the answers to the cut and claw questions are
-    cached properties, kept in the instance dict on first use.  Nothing can
-    change n or edges after construction, so they never go stale, and
-    equality and hashing compare the two fields only.
+    Edges may be given as any 2-element sequences; they are kept as plain
+    tuples, and an edge that already is one is kept as given.  Lookup
+    tables (incidence and neighbours, one tuple per vertex) and the answers
+    to the simplicity, cut and claw questions are cached properties, kept
+    in the instance dict on first use.  There is no table keyed by vertex
+    pair: edge_between scans the incidence of one end.  Nothing can change
+    n or edges after construction, so they never go stale, and equality
+    and hashing compare the two fields only.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((u, v) for u, v in self.edges))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         for i, (u, v) in enumerate(self.edges):
@@ -101,31 +105,36 @@ class Multigraph:
         return _scan_claw(self)
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether some edge joins u and v; False for an id outside range(n)."""
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return False
         return v in self._neighbors[u] if u != v else any(a == b == u for a, b in self.edges)
 
     @cached_property
-    def _pair_ids(self) -> dict[tuple[int, int], int]:
-        ids: dict[tuple[int, int], int] = {}
-        for i, (u, v) in enumerate(self.edges):
-            key = (u, v) if u <= v else (v, u)
-            if key in ids or u == v:
-                return {}  # not simple; edge_between refuses below
-            ids[key] = i
-        return ids
+    def _simple(self) -> bool:
+        """No loop and no parallel pair: every edge gives a distinct key min * n + max.
+
+        A loop gives no key and a parallel pair one key for two edges, so
+        the graph is simple iff there are m keys.
+        """
+        n = self.n
+        keys = {u * n + v if u < v else v * n + u for u, v in self.edges if u != v}
+        return len(keys) == len(self.edges)
 
     def edge_between(self, u: int, v: int) -> int:
-        """Edge id joining u and v.  Simple graphs only."""
-        ids = self._pair_ids
-        if not ids and self.m:
+        """Edge id joining u and v, by a scan of u's incidence.  Simple graphs only."""
+        if not self._simple:
             raise NotSimple("edge_between requires a simple graph")
-        key = (u, v) if u <= v else (v, u)
-        try:
-            return ids[key]
-        except KeyError:
-            raise ValueError(f"no edge between {u} and {v}") from None
+        if 0 <= u < self.n and 0 <= v < self.n:
+            edges = self.edges
+            for i in self._incidence[u]:
+                a, b = edges[i]
+                if a ^ b ^ u == v:  # the far end of edge i; no loops, so never u itself
+                    return i
+        raise ValueError(f"no edge between {u} and {v}")
 
     def is_simple(self) -> bool:
-        return not self.edges or bool(self._pair_ids)
+        return self._simple
 
     def ensure_simple(self) -> None:
         if not self.is_simple():

@@ -38,7 +38,7 @@ KIND_RING = "ring"
 KIND_EXPANDED = "expanded"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Diamond:
     """An induced K4 minus one edge.
 
@@ -59,7 +59,7 @@ class Diamond:
             raise ValueError("ports and internals must partition the diamond")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiamondString:
     """A maximal chain of diamonds joined port-to-port.
 
@@ -83,7 +83,7 @@ class DiamondString:
         return len(self.diamonds)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeReplacement:
     """What one base edge became in the expanded graph.
 
@@ -103,7 +103,7 @@ class EdgeReplacement:
         return len(self.string.diamonds) if self.string else 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Decomposition:
     kind: str
     graph: Multigraph
@@ -340,33 +340,56 @@ def contract_to_base(g: Multigraph, strings: list[DiamondString]) -> Decompositi
 
 
 def _verify_cover(d: Decomposition) -> None:
-    """Every host edge must play exactly one structural role."""
-    g = d.graph
-    if d.kind not in (KIND_RING, KIND_EXPANDED):
-        return
-    edge = g.edge_between
-    ids: list[int] = []
-    if d.kind == KIND_RING:
-        owner = {v: i for i, dia in enumerate(d.ring) for v in dia.vertices}
-        for dia in d.ring:
-            ids.extend(_diamond_edges(edge, dia))
-        ids.extend(e for e, (u, v) in enumerate(g.edges) if owner[u] != owner[v])
-    else:
-        for a, b, c in d.triangles:
-            ids += [edge(a, b), edge(a, c), edge(b, c)]
-        for rep in d.replacements:
-            ids.extend(rep.connectors)
-            if rep.string:
-                for dia in rep.string.diamonds:
-                    ids.extend(_diamond_edges(edge, dia))
-    if sorted(ids) != list(range(g.m)):
+    """Every host edge must play exactly one structural role.
+
+    Each vertex is labelled with the one triangle or diamond (a part)
+    holding it; a vertex in two parts or in none is a violation.  One pass
+    over the edges then counts, per part, the edges with both ends in it
+    (its sides) and collects every other edge as a cross edge; an edge
+    joining a diamond's two ports is a violation.  The graph is simple,
+    so the counts are exact: 3 sides on a triangle's 3 vertices are all
+    three of its pairs, and 5 sides on a diamond's 4 vertices without its
+    port pair are the other five.  The cover holds iff every part is full
+    and the connectors are exactly the cross edges; a ring has no
+    connector list, its cross edges are the port-to-port joins.
+    """
+    if d.kind in (KIND_RING, KIND_EXPANDED) and not _covers(d):
         raise StructureViolation("decomposition does not cover the host edge set exactly")
 
 
-def _diamond_edges(edge, dia: Diamond) -> list[int]:
-    p, q = dia.ports
-    s, t = dia.internals
-    return [edge(p, s), edge(p, t), edge(s, t), edge(s, q), edge(t, q)]
+def _covers(d: Decomposition) -> bool:
+    g = d.graph
+    g.ensure_simple()
+    if d.kind == KIND_RING:
+        diamonds = d.ring
+    else:
+        diamonds = [dia for rep in d.replacements if rep.string for dia in rep.string.diamonds]
+    parts = [*d.triangles, *(dia.vertices for dia in diamonds)]
+    part = [-1] * g.n
+    for i, verts in enumerate(parts):
+        for v in verts:
+            part[v] = i
+    # n labels with none left at -1 means no vertex was labelled twice
+    if sum(map(len, parts)) != g.n or -1 in part:
+        return False
+    is_port = [False] * g.n
+    for dia in diamonds:
+        for p in dia.ports:
+            is_port[p] = True
+    sides = [0] * len(parts)
+    cross: list[int] = []
+    for e, (u, v) in enumerate(g.edges):
+        i = part[u]
+        if i != part[v]:
+            cross.append(e)
+        elif is_port[u] and is_port[v]:
+            return False
+        else:
+            sides[i] += 1
+    if sides != [3] * len(d.triangles) + [5] * len(diamonds):
+        return False
+    connectors = sorted(e for rep in d.replacements for e in rep.connectors)
+    return d.kind == KIND_RING or connectors == cross
 
 
 def classify(g: Multigraph) -> Decomposition:

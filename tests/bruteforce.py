@@ -461,7 +461,7 @@ def reference_degrees(g: Multigraph) -> tuple[int, ...]:
 
 
 def reference_is_simple(g: Multigraph) -> bool:
-    """Multigraph.is_simple as it was before it read the pair-id table."""
+    """Multigraph.is_simple by a scan with tuple keys; the library counts int keys instead."""
     seen = set()
     for u, v in g.edges:
         if u == v:

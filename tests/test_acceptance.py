@@ -8,6 +8,7 @@ tests/test_acceptance.py`` to see the lines as they happen.
 import io
 import random
 import time
+import tracemalloc
 from contextlib import contextmanager, redirect_stdout
 
 from clawmatch import graphs
@@ -27,6 +28,7 @@ from clawmatch import (
     is_claw_free,
     is_cubic,
     max_length_two_factor,
+    parse_graph,
     random_base,
     ring_of_diamonds,
     serialize_decomposition,
@@ -282,3 +284,29 @@ def test_criterion_16_two_factor_oracle_on_large_hosts():
     ):
         with criterion(16, f"2-factor and matching counts agree on a {name}", 10.0):
             assert count_two_factors(g) == count_perfect_matchings(g) == expected, name
+
+
+# what a Multigraph may keep: its two fields and the per-vertex or per-graph caches,
+# but no table keyed by vertex pair
+GRAPH_ATTRIBUTES = {"n", "edges", "_incidence", "_neighbors", "_cuts", "_claw", "_simple"}
+
+
+def test_criterion_17_structure_pass_memory_per_vertex():
+    n = 20000
+    doc = serialize_graph(large_expansion(n, seed=17))
+    label = f"parse, classify and build within 1100 traced bytes per vertex, n={n}"
+    with criterion(17, label, 20.0):
+        tracemalloc.start()
+        try:
+            g = parse_graph(doc)
+            assert not bridges(g).members
+            assert is_claw_free(g)
+            d = classify(g)
+            rebuilt, _ = build(d.base, d.lengths())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rebuilt == g
+        assert peak <= 1100 * n, f"traced peak {peak} bytes, {peak / n:.0f} per vertex"
+        for h in (g, d.base, rebuilt):
+            assert set(vars(h)) <= GRAPH_ATTRIBUTES, sorted(vars(h))

@@ -54,11 +54,31 @@ def random_multigraph(rng: random.Random, n: int, m: int) -> Multigraph:
     return Multigraph(n, tuple((rng.randrange(n), rng.randrange(n)) for _ in range(m)))
 
 
+class Pair(tuple):
+    pass
+
+
 def test_multigraph_rejects_bad_endpoints():
     with pytest.raises(ValueError):
         Multigraph(4, ((0, 5),))
     with pytest.raises(ValueError):
         Multigraph(2, ((-1, 0),))
+    # any 2-element sequence is an edge, kept as a plain tuple
+    plain = Multigraph(3, ((0, 1), (1, 2), (2, 2)))
+    for edges in ([[0, 1], [1, 2], [2, 2]], [Pair((0, 1)), Pair((1, 2)), Pair((2, 2))]):
+        g = Multigraph(3, edges)
+        assert g == plain
+        assert all(type(edge) is tuple for edge in g.edges)
+    for bad in (((0,),), ((0, 1, 2),), ((0, 1), [1])):
+        with pytest.raises(ValueError):
+            Multigraph(3, bad)
+
+
+def test_has_edge_is_false_outside_the_vertex_range():
+    g = Multigraph(4, ((0, 1), (1, 2), (2, 3)))
+    assert g.has_edge(1, 2) and g.has_edge(3, 2)
+    for u, v in ((-1, 2), (2, -1), (4, 2), (2, 4), (-1, -1), (4, 4), (1, 3)):
+        assert not g.has_edge(u, v), (u, v)
 
 
 def test_edge_subset_validates_members():
@@ -294,6 +314,29 @@ def simple_graphs(draw):
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30), label="edges")
     flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)), label="flips")
     return Multigraph(n, tuple((v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(simple_graphs())
+def test_edge_between_matches_a_scan_of_the_edges(g):
+    # every pair, out-of-range ids included: the incidence scan reads _incidence[u],
+    # where u = n is past the end and u = -1 would wrap around to the last vertex
+    for u in range(-1, g.n + 1):
+        for v in range(-1, g.n + 1):
+            found = [i for i, (a, b) in enumerate(g.edges) if {a, b} == {u, v}]
+            if found:
+                assert g.edge_between(u, v) == found[0]
+            else:
+                with pytest.raises(ValueError, match=f"^no edge between {u} and {v}$"):
+                    g.edge_between(u, v)
+
+
+def test_edge_between_refuses_loops_and_parallel_pairs():
+    assert K4.edge_between(2, 0) == K4.edge_between(0, 2)
+    for g in (LOOP1, TRIPLE_BOND, Multigraph(3, ((0, 1), (1, 2), (1, 0)))):
+        assert not g.is_simple()
+        with pytest.raises(NotSimple, match="^edge_between requires a simple graph$"):
+            g.edge_between(0, 1)
 
 
 def answer_or_error(question, g: Multigraph):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clawmatch import (
+    Diamond,
     InvalidBase,
     KIND_EXPANDED,
     KIND_K4,
@@ -15,6 +17,7 @@ from clawmatch import (
     NotCubic,
     NotSimple,
     NotTwoEdgeConnected,
+    StructureViolation,
     build,
     classify,
     contract_to_base,
@@ -31,7 +34,7 @@ from clawmatch import (
     serialize_decomposition,
     string_passages,
 )
-from clawmatch.structure import _scan_diamonds
+from clawmatch.structure import _scan_diamonds, _verify_cover
 from bruteforce import (
     brute_diamond_vertex_sets,
     brute_isomorphic,
@@ -175,6 +178,48 @@ def test_bad_input_errors_keep_their_types_and_messages():
         with pytest.raises(error) as exc:
             fn(*args)
         assert type(exc.value) is error and str(exc.value) == message, (fn.__name__, args)
+
+
+def swapped(dia: Diamond) -> Diamond:
+    """The same four vertices with ports and internals exchanged, so the ports are adjacent."""
+    return Diamond(dia.vertices, dia.internals, dia.ports)
+
+
+def with_replacement(d, e: int, **changes):
+    reps = list(d.replacements)
+    reps[e] = dataclasses.replace(reps[e], **changes)
+    return dataclasses.replace(d, replacements=tuple(reps))
+
+
+def test_verify_cover_refuses_broken_covers():
+    # edges 0 and 2 of the triple bond carry strings of 3 and 1 diamonds, edge 1 is direct
+    g, d = build(TRIPLE_BOND, [3, 0, 1])
+    _verify_cover(d)
+    side = g.edge_between(*d.triangles[0][:2])
+    string = d.replacements[0].string
+    middle = list(string.diamonds)
+    middle[1] = swapped(middle[1])
+    ring = classify(ring_of_diamonds(3))
+    _verify_cover(ring)
+    broken = {
+        "a connector swapped for a triangle side": with_replacement(d, 1, connectors=(side,)),
+        "a dropped connector": with_replacement(
+            d, 0, connectors=d.replacements[0].connectors[:-1]
+        ),
+        "two triangles sharing a vertex": dataclasses.replace(
+            d, triangles=(d.triangles[0], (d.triangles[0][2],) + d.triangles[1][1:])
+        ),
+        "a diamond with adjacent ports": with_replacement(
+            d, 0, string=dataclasses.replace(string, diamonds=tuple(middle))
+        ),
+        "a ring diamond with adjacent ports": dataclasses.replace(
+            ring, ring=(swapped(ring.ring[0]),) + ring.ring[1:]
+        ),
+    }
+    for name, bad in broken.items():
+        with pytest.raises(StructureViolation) as exc:
+            _verify_cover(bad)
+        assert str(exc.value) == "decomposition does not cover the host edge set exactly", name
 
 
 def test_contract_roundtrip_examples():
