@@ -56,7 +56,7 @@ def _emit(text: str) -> None:
 def _cmd_check(args) -> int:
     g = _load(args.file)
     simple = g.is_simple()
-    br = sorted(graphs.bridges(g).members)
+    br = graphs.bridges(g).sorted_tuple()
     _emit(f"n={g.n}\n")
     _emit(f"m={g.m}\n")
     _emit(f"simple={'true' if simple else 'false'}\n")
@@ -81,19 +81,10 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _is_decimal(field: str) -> bool:
-    """Surrounding whitespace, an optional "-" and ASCII digits.
-
-    int() alone would also take "1_0", "+0" and non-ASCII digits.
-    """
-    digits = field.strip().removeprefix("-")
-    return digits.isascii() and digits.isdigit()
-
-
 def _cmd_build(args) -> int:
     base = _load(args.base)
     fields = args.lengths.split(",")
-    if not all(map(_is_decimal, fields)):
+    if not all(map(formats._is_decimal, fields)):
         print("error: --lengths must be a comma-separated list of integers", file=sys.stderr)
         return 2
     lengths = [int(p) for p in fields]
@@ -133,7 +124,7 @@ def _cmd_cycle_space(args) -> int:
     _emit(f"dimension={cb.dimension}\n")
     _emit(f"members={1 << cb.dimension}\n")
     for i, b in enumerate(cb.basis):
-        _emit(f"basis_{i}={','.join(map(str, b.sorted_tuple()))}\n")
+        _emit(f"basis_{i}={','.join(map(str, b))}\n")
     for i, member in enumerate(members):
         _emit(f"member_{i}={','.join(map(str, member.sorted_tuple()))}\n")
     return 0

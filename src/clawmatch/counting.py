@@ -12,7 +12,8 @@ The matching search, behind every matching count and the longest
 once per call and finds the next open vertex with one C-level list scan.
 The 2-factor search keeps reading g.edges: the same table was measured
 there with no gain (its second-edge step must find its place in the
-table again), so the simpler loop stays.
+table again), so the simpler loop stays.  Both yield edge bitmasks, the
+stored form of an EdgeSubset, so an enumeration wraps them as they are.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from itertools import islice
 from typing import Iterator, Mapping
 
 from .errors import CapExceeded, NoTwoFactor, StructureViolation
-from .graphs import EdgeSubset, Multigraph, is_cubic, is_two_edge_connected
+from .graphs import EdgeSubset, Multigraph, _unmask, is_cubic, is_two_edge_connected
 
 
-def _iter_perfect_matchings(g: Multigraph) -> Iterator[frozenset[int]]:
+def _iter_perfect_matchings(g: Multigraph) -> Iterator[int]:
     """Backtracking on the lowest-id unmatched vertex, incident edges in id order.
 
     Loops never belong to a matching; parallel edges count separately.  The
@@ -36,11 +37,13 @@ def _iter_perfect_matchings(g: Multigraph) -> Iterator[frozenset[int]]:
     step neither reads g.edges nor tests for a loop.  matched has a spare
     False at index n as a sentinel, so matched.index(False, v + 1) finds
     the next open vertex in C and returns n once every vertex is matched.
+    A matching is yielded as its edge bitmask, the sum of bit[e] over its distinct edges.
     """
     n, edges = g.n, g.edges
     if n == 0:
-        yield frozenset()
+        yield 0
         return
+    bit = [1 << e for e in range(g.m)]
     arcs = []
     for v in range(n):
         ends = ((e, *edges[e]) for e in g.incident(v))
@@ -70,7 +73,7 @@ def _iter_perfect_matchings(g: Multigraph) -> Iterator[frozenset[int]]:
             stack.append((v, o, options))
             v, options = nxt, iter(arcs[nxt])
             continue
-        yield frozenset(chosen)
+        yield sum(map(bit.__getitem__, chosen))
         chosen.pop()
         matched[v] = matched[o] = False
 
@@ -82,33 +85,35 @@ def count_perfect_matchings(g: Multigraph) -> int:
     return sum(1 for _ in _iter_perfect_matchings(g))
 
 
-def _collect(g: Multigraph, found: Iterator[frozenset[int]], cap: int) -> list[EdgeSubset]:
-    """The first cap + 1 sets found, or CapExceeded(cap + 1, cap) if there are that many."""
-    sets = list(islice(found, cap + 1))
-    if len(sets) > cap:
+def _collect(g: Multigraph, found: Iterator[int], cap: int) -> list[EdgeSubset]:
+    """The first cap + 1 masks found, or CapExceeded(cap + 1, cap) if there are that many."""
+    masks = list(islice(found, cap + 1))
+    if len(masks) > cap:
         raise CapExceeded(cap + 1, cap)
-    return [EdgeSubset(g, s) for s in sets]
+    return [EdgeSubset(g, mask) for mask in masks]
 
 
 def enumerate_perfect_matchings(g: Multigraph, cap: int) -> list[EdgeSubset]:
     return _collect(g, _iter_perfect_matchings(g), cap)
 
 
-def _iter_two_factors(g: Multigraph) -> Iterator[frozenset[int]]:
+def _iter_two_factors(g: Multigraph) -> Iterator[int]:
     """All spanning subgraphs with every degree exactly 2 (loops count twice).
 
     Backtracking on the lowest-id vertex with room, that is degree below 2,
     incident edges in id order.  A vertex that takes both of its edges takes
     the second after the first, so each 2-factor is reached once; a loop needs
     both of its vertex's places.  The search keeps its frames on an explicit
-    stack, so its depth is not bounded by Python's recursion limit.
+    stack, so its depth is not bounded by Python's recursion limit.  A
+    2-factor is yielded as its edge bitmask, as in the matching search.
     """
     if any(d < 2 for d in g.degrees()):
         return
     n, edges, incident = g.n, g.edges, g.incident
     if n == 0:
-        yield frozenset()
+        yield 0
         return
+    bit = [1 << e for e in range(g.m)]
     room = [2] * n
     chosen: list[int] = []
     # a frame is a vertex with room and its incident edges not yet tried; the top
@@ -146,7 +151,7 @@ def _iter_two_factors(g: Multigraph) -> Iterator[frozenset[int]]:
             stack.append((v, options))
             v, options = nxt, iter(incident(nxt))
             continue
-        yield frozenset(chosen)
+        yield sum(map(bit.__getitem__, chosen))
         chosen.pop()
         room[v] += 1
         room[o] += 1
@@ -180,13 +185,13 @@ def max_length_two_factor(h: Multigraph, lengths: Mapping[int, int]) -> EdgeSubs
     weight = [lengths.get(e, 0) * 2 ** (m + 1) + 2 ** (m - e) for e in range(m)]
     best = min(
         _iter_perfect_matchings(h),
-        key=lambda mset: sum(map(weight.__getitem__, mset)),
+        key=lambda mask: sum(map(weight.__getitem__, _unmask(mask))),
         default=None,
     )
     if best is None:
         raise NoTwoFactor("host has no perfect matching, hence no 2-factor")
-    factor = frozenset(range(m)) - best
-    score = sum(lengths.get(e, 0) for e in factor)
+    factor = ((1 << m) - 1) ^ best
+    score = sum(lengths.get(e, 0) for e in _unmask(factor))
     total = sum(lengths.get(e, 0) for e in range(m))
     # the averaging bound is only guaranteed on bridgeless hosts
     if is_two_edge_connected(h) and score < -(-2 * total // 3):

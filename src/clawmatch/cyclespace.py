@@ -13,33 +13,20 @@ and a loop is a 1-cycle, each a legitimate basis element.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count
 from typing import Iterator
 
 from .errors import CapExceeded, StructureViolation
-from .graphs import EdgeSubset, Multigraph, subset_degrees
+from .graphs import EdgeSubset, Multigraph, _mask
 
 
 @dataclass(frozen=True)
 class CycleBasis:
+    """Each basis cycle as its ascending edge ids, as a certificate holds its rows: a
+    basis has m - n + c short cycles, and a mask as wide as the host costs O(m) bits."""
+
     host: Multigraph
-    basis: tuple[EdgeSubset, ...]
+    basis: tuple[tuple[int, ...], ...]
     dimension: int
-
-
-def _mask(members) -> int:
-    m = 0
-    for e in members:
-        m |= 1 << e
-    return m
-
-
-_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
-
-
-def _unmask(mask: int) -> tuple[int, ...]:
-    """Ascending edge ids of a bitmask; the bit string is walked in C, not bit by bit."""
-    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_VALUES)))
 
 
 def cycle_basis(h: Multigraph) -> CycleBasis:
@@ -93,18 +80,11 @@ def cycle_basis(h: Multigraph) -> CycleBasis:
             f = parent_edge[v]
             cycle.append(f)
             v ^= other[f]
-        basis.append(EdgeSubset(h, cycle))
+        basis.append(tuple(sorted(cycle)))
     dim = h.m - h.n + h._cuts[0]
     if len(basis) != dim:
         raise StructureViolation(f"cycle basis has {len(basis)} elements, dimension is {dim}")
     return CycleBasis(h, tuple(basis), dim)
-
-
-def is_even_subgraph(h: Multigraph, s: EdgeSubset) -> bool:
-    """True iff every vertex has even degree in s (a loop contributes 2)."""
-    if s.host != h:
-        raise ValueError("subset is not hosted on this graph")
-    return all(d % 2 == 0 for d in subset_degrees(h, s.members))
 
 
 def gray_walk(start: int, flips: list[int]) -> Iterator[int]:
@@ -123,9 +103,9 @@ def _basis_masks(h: Multigraph, cap: int) -> list[int]:
     total = 1 << cb.dimension
     if total > cap:
         raise CapExceeded(total, cap)
-    return [_mask(b.members) for b in cb.basis]
+    return [_mask(b) for b in cb.basis]
 
 
 def enumerate_cycle_space(h: Multigraph, cap: int) -> list[EdgeSubset]:
     """All 2^dimension members, Gray-code order over the cycle basis, empty set first."""
-    return [EdgeSubset(h, _unmask(m)) for m in gray_walk(0, _basis_masks(h, cap))]
+    return [EdgeSubset(h, m) for m in gray_walk(0, _basis_masks(h, cap))]

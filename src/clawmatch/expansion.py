@@ -48,11 +48,13 @@ from itertools import chain, combinations, pairwise
 from typing import Iterable, Iterator
 
 from .counting import enumerate_perfect_matchings, max_length_two_factor
-from .cyclespace import _basis_masks, _mask, _unmask, gray_walk
+from .cyclespace import _basis_masks, gray_walk
 from .errors import BoundFailure, CapExceeded, DegreeViolation
 from .graphs import (
     EdgeSubset,
     Multigraph,
+    _mask,
+    _unmask,
     find_claw,
     is_cubic,
     is_three_edge_connected,
@@ -205,16 +207,15 @@ def expand(member: EdgeSubset, d: Decomposition, routing: int = 0) -> EdgeSubset
     gadgets = _Gadgets(d)
     if member.host != d.base:
         raise ValueError("member is not hosted on the decomposition's base")
-    mask = _mask(member.members)
-    factor = gadgets.lift(mask)
-    flips = gadgets.routes(mask)
+    factor = gadgets.lift(member.mask)
+    flips = gadgets.routes(member.mask)
     if not 0 <= routing < 1 << len(flips):
         raise ValueError(f"routing must lie in range(2**{len(flips)}), one bit per crossed diamond")
     for i, flip in enumerate(flips):
         if routing >> i & 1:
             factor ^= flip
     next(_rows(d.graph, [factor]))
-    return EdgeSubset(d.graph, _unmask(factor))
+    return EdgeSubset(d.graph, factor)
 
 
 def complement_matching(g: Multigraph, factor: EdgeSubset) -> EdgeSubset:
@@ -223,7 +224,7 @@ def complement_matching(g: Multigraph, factor: EdgeSubset) -> EdgeSubset:
         raise ValueError("complementation needs a cubic host")
     if factor.host != g:
         raise DegreeViolation("argument is not a 2-factor of the host")
-    return EdgeSubset(g, next(_rows(g, [_mask(factor.members)])))
+    return EdgeSubset.of(g, next(_rows(g, [factor.mask])))
 
 
 @dataclass(frozen=True)
@@ -282,7 +283,7 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
             rows += _rows(g, gadgets.lift_walk(d.base, CAP))
         if run_long:
             lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
-            member = _mask(max_length_two_factor(d.base, lengths).members)
+            member = max_length_two_factor(d.base, lengths).mask
             flips = gadgets.routes(member)
             if 1 << len(flips) > CAP:
                 raise CapExceeded(1 << len(flips), CAP)

@@ -17,6 +17,13 @@ from .graphs import Multigraph
 from .structure import KIND_EXPANDED, KIND_K4, KIND_RING, Decomposition
 
 
+def _is_decimal(field: str) -> bool:
+    """Surrounding whitespace, an optional "-" and ASCII digits: the integers documents and
+    CLI fields take.  int() alone would also take "1_0", "+0" and non-ASCII digits."""
+    digits = field.strip().removeprefix("-")
+    return digits.isascii() and digits.isdigit()
+
+
 def parse_graph(text: str) -> Multigraph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
@@ -30,20 +37,18 @@ def parse_graph(text: str) -> Multigraph:
         if header is None:
             if parts[0] != "p" or len(parts) != 3:
                 raise ParseError(lineno, "expected header 'p <n> <m>'")
-            try:
-                n, m = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise ParseError(lineno, "header counts must be integers") from None
+            if not (_is_decimal(parts[1]) and _is_decimal(parts[2])):
+                raise ParseError(lineno, "header counts must be integers")
+            n, m = int(parts[1]), int(parts[2])
             if n < 0 or m < 0:
                 raise ParseError(lineno, "header counts must be nonnegative")
             header = (n, m)
             continue
         if parts[0] != "e" or len(parts) != 3:
             raise ParseError(lineno, "expected edge line 'e <u> <v>'")
-        try:
-            u, v = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(lineno, "edge endpoints must be integers") from None
+        if not (_is_decimal(parts[1]) and _is_decimal(parts[2])):
+            raise ParseError(lineno, "edge endpoints must be integers")
+        u, v = int(parts[1]), int(parts[2])
         if not (0 <= u < header[0] and 0 <= v < header[0]):
             raise ParseError(lineno, f"endpoint out of range: ({u}, {v}) with n={header[0]}")
         if len(edges) == header[1]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, count
 from typing import Iterable, Iterator
 
 from .errors import NotSimple
@@ -73,6 +74,8 @@ class Multigraph:
         return self._neighbors[v]
 
     def degree(self, v: int) -> int:
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
         deg = 0
         for i in self._incidence[v]:
             u, w = self.edges[i]
@@ -87,6 +90,8 @@ class Multigraph:
         return tuple(deg)
 
     def other_end(self, e: int, v: int) -> int:
+        if not 0 <= e < self.m:
+            raise ValueError(f"edge index {e} out of range")
         u, w = self.edges[e]
         if v == u:
             return w
@@ -141,37 +146,62 @@ class Multigraph:
             raise NotSimple("graph has loops or parallel edges")
 
 
+def _mask(ids: Iterable[int]) -> int:
+    """The edge bitmask of ids, bit e set for each id e; repeats collapse."""
+    m = 0
+    for e in ids:
+        m |= 1 << e
+    return m
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _unmask(mask: int) -> tuple[int, ...]:
+    """Ascending edge ids of a bitmask; the bit string is walked in C, not bit by bit."""
+    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_VALUES)))
+
+
 @dataclass(frozen=True)
 class EdgeSubset:
-    """A set of edge indices of a fixed host multigraph."""
+    """A set of edge ids of a fixed host multigraph, stored as a bitmask: bit e for edge e.
+    EdgeSubset.of builds one from ids; members, iteration (ascending), len, `in` and
+    sorted_tuple are read off the mask, and equality and hashing compare host and mask."""
 
     host: Multigraph
-    members: frozenset[int]
+    mask: int
 
     def __post_init__(self):
-        members = frozenset(self.members)
-        object.__setattr__(self, "members", members)
-        if members and not (0 <= min(members) and max(members) < self.host.m):
-            for e in members:  # only to name the member the error reports
-                if not (0 <= e < self.host.m):
-                    raise ValueError(f"edge index {e} out of range")
+        if self.mask < 0:
+            raise ValueError(f"edge mask {self.mask} is negative")
+        if self.mask >> self.host.m:
+            raise ValueError(f"edge index {self.mask.bit_length() - 1} out of range")
+
+    @classmethod
+    def of(cls, host: Multigraph, ids: Iterable[int]) -> EdgeSubset:
+        """The subset of ids; repeats collapse, and the first id outside range(host.m) raises."""
+        mask = 0
+        for e in ids:
+            if not 0 <= e < host.m:
+                raise ValueError(f"edge index {e} out of range")
+            mask |= 1 << e
+        return cls(host, mask)
+
+    @property
+    def members(self) -> frozenset[int]:
+        return frozenset(_unmask(self.mask))
 
     def __contains__(self, e: int) -> bool:
-        return e in self.members
+        return e >= 0 and self.mask >> e & 1 == 1
 
     def __len__(self) -> int:
-        return len(self.members)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self.members))
-
-    def sym_diff(self, other: "EdgeSubset") -> "EdgeSubset":
-        if self.host != other.host:
-            raise ValueError("symmetric difference needs a common host")
-        return EdgeSubset(self.host, self.members ^ other.members)
+        return iter(_unmask(self.mask))
 
     def sorted_tuple(self) -> tuple[int, ...]:
-        return tuple(sorted(self.members))
+        return _unmask(self.mask)
 
 
 @dataclass(frozen=True)
@@ -193,14 +223,6 @@ def subset_degrees(g: Multigraph, members: Iterable[int]) -> list[int]:
         deg[u] += 1
         deg[v] += 1
     return deg
-
-
-def is_perfect_matching(g: Multigraph, members: Iterable[int]) -> bool:
-    return all(d == 1 for d in subset_degrees(g, members))
-
-
-def is_two_factor(g: Multigraph, members: Iterable[int]) -> bool:
-    return all(d == 2 for d in subset_degrees(g, members))
 
 
 def connected_components(g: Multigraph) -> list[tuple[int, ...]]:
@@ -317,7 +339,7 @@ def _cut_forest(
 
 def bridges(g: Multigraph) -> EdgeSubset:
     """All cutedges, by one DFS forest and its lowpoint sweep (see _cut_forest), once per graph."""
-    return EdgeSubset(g, frozenset(g._cuts[1]))
+    return EdgeSubset(g, _mask(g._cuts[1]))
 
 
 def is_two_edge_connected(g: Multigraph) -> bool:

@@ -10,6 +10,8 @@ per-vertex degree list each.
 
 The reference_* functions are earlier versions of library code, kept
 unchanged so that tests can hold the current versions to the same output.
+is_perfect_matching, is_two_factor and is_even_subgraph are degree checks
+the library once exported and no library code called.
 recursive_iter_two_factors restates the current 2-factor search with one
 nested generator per taken edge, so tests can hold its explicit stack to
 the same sequence.
@@ -36,15 +38,12 @@ from clawmatch import (
     enumerate_two_factors,
     find_claw,
     is_cubic,
-    is_perfect_matching,
     is_three_edge_connected,
     is_two_edge_connected,
-    is_two_factor,
     string_passages,
     subset_degrees,
 )
-from clawmatch.counting import _iter_perfect_matchings
-from clawmatch.cyclespace import _mask, _unmask
+from clawmatch.graphs import _mask, _unmask
 from clawmatch.expansion import _Gadgets, _rows
 from clawmatch.structure import _scan_diamonds
 
@@ -112,6 +111,23 @@ def brute_diamond_vertex_sets(g: Multigraph) -> set:
         if len(present) == 5:
             out.add(quad)
     return out
+
+
+def is_perfect_matching(g: Multigraph, members) -> bool:
+    """Every vertex has degree 1 in the edges of members."""
+    return all(d == 1 for d in subset_degrees(g, members))
+
+
+def is_two_factor(g: Multigraph, members) -> bool:
+    """Every vertex has degree 2 in the edges of members (a loop counts twice)."""
+    return all(d == 2 for d in subset_degrees(g, members))
+
+
+def is_even_subgraph(h: Multigraph, s: EdgeSubset) -> bool:
+    """True iff every vertex has even degree in s (a loop contributes 2)."""
+    if s.host != h:
+        raise ValueError("subset is not hosted on this graph")
+    return all(d % 2 == 0 for d in subset_degrees(h, s.members))
 
 
 def brute_even_subsets(g: Multigraph) -> set:
@@ -395,7 +411,7 @@ def reference_max_length_two_factor(h: Multigraph, lengths) -> EdgeSubset:
     best: frozenset[int] | None = None
     best_key: tuple[int, ...] | None = None
     best_score = -1
-    for mset in _iter_perfect_matchings(h):
+    for mset in reference_iter_perfect_matchings(h):
         factor = all_edges - mset
         score = sum(lengths.get(e, 0) for e in factor)
         key = tuple(sorted(factor))
@@ -409,7 +425,7 @@ def reference_max_length_two_factor(h: Multigraph, lengths) -> EdgeSubset:
         raise StructureViolation(
             f"longest 2-factor has length {best_score}, below 2/3 of the total {total}"
         )
-    return EdgeSubset(h, best)
+    return EdgeSubset.of(h, best)
 
 
 def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
@@ -510,7 +526,7 @@ def reference_bridges(g: Multigraph) -> EdgeSubset:
                     low[parent] = min(low[parent], low[v])
                     if low[v] > disc[parent]:
                         found.append(entry_edge)
-    return EdgeSubset(g, frozenset(found))
+    return EdgeSubset.of(g, frozenset(found))
 
 
 def reference_find_claw(g: Multigraph) -> Claw | None:
@@ -581,7 +597,7 @@ def reference_cycle_basis(h: Multigraph) -> CycleBasis:
         if in_tree[e]:
             continue
         u, v = h.edges[e]
-        basis.append(EdgeSubset(h, _unmask(root_mask[u] ^ root_mask[v] ^ (1 << e))))
+        basis.append(_unmask(root_mask[u] ^ root_mask[v] ^ (1 << e)))
     c = len(connected_components(h))
     dim = h.m - h.n + c
     if len(basis) != dim:

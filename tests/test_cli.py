@@ -194,6 +194,22 @@ def test_parse_error_exit_code(capsys, tmp_path):
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "doc, error",
+    [
+        ("p 1_0 0\n", "line 1: header counts must be integers"),
+        ("p +2 1\ne 0 1\n", "line 1: header counts must be integers"),
+        ("p \u0662 1\ne 0 1\n", "line 1: header counts must be integers"),
+        ("p 2 1\ne 0 +1\n", "line 2: edge endpoints must be integers"),
+    ],
+)
+def test_check_rejects_integers_that_are_not_plain_decimal(capsys, tmp_path, doc, error):
+    path = tmp_path / "doc.txt"
+    path.write_text(doc, encoding="utf-8")
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, out, err) == (2, "", f"error: {error}\n")
+
+
 def test_missing_file_exit_code(capsys):
     code, _, err = run(capsys, "count", "/nonexistent/file.txt")
     assert code == 2

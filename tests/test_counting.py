@@ -16,17 +16,18 @@ from clawmatch import (
     count_two_factors,
     enumerate_perfect_matchings,
     enumerate_two_factors,
-    is_perfect_matching,
     is_three_edge_connected,
-    is_two_factor,
     max_length_two_factor,
     random_base,
     ring_of_diamonds,
 )
 from clawmatch import counting
+from clawmatch.graphs import _mask
 from bruteforce import (
     brute_perfect_matchings,
     brute_two_factors,
+    is_perfect_matching,
+    is_two_factor,
     recursive_iter_two_factors,
     reference_iter_perfect_matchings,
     reference_iter_two_factors,
@@ -214,18 +215,20 @@ def test_max_length_two_factor_matches_the_reference_on_triple_bond():
 
 def test_broken_invariants_raise_structure_violation(monkeypatch):
     # checks that must survive python -O: plain raises, not asserts;
-    # the only matching offered leaves every long edge outside the 2-factor
-    monkeypatch.setattr(counting, "_iter_perfect_matchings", lambda h: iter([frozenset({0})]))
+    # the only matching offered, edge 0 as a mask, leaves every long edge outside the 2-factor
+    monkeypatch.setattr(counting, "_iter_perfect_matchings", lambda h: iter([1 << 0]))
     with pytest.raises(StructureViolation):
         max_length_two_factor(TRIPLE_BOND, {0: 3, 1: 0, 2: 0})
 
 
 def assert_reference_order(g: Multigraph) -> None:
-    assert list(counting._iter_perfect_matchings(g)) == list(reference_iter_perfect_matchings(g))
+    # the searches yield edge masks, the references frozensets of edge ids
+    matchings = list(counting._iter_perfect_matchings(g))
+    assert matchings == list(map(_mask, reference_iter_perfect_matchings(g)))
     factors = list(counting._iter_two_factors(g))
-    assert factors == list(recursive_iter_two_factors(g))
+    assert factors == list(map(_mask, recursive_iter_two_factors(g)))
     # the edge-order search reaches the same factors in another order
-    assert Counter(factors) == Counter(reference_iter_two_factors(g))
+    assert Counter(factors) == Counter(map(_mask, reference_iter_two_factors(g)))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -252,7 +255,7 @@ def test_oracle_yields_the_reference_sequence_on_bench_sized_hosts(k):
     for base in bases:
         g, _ = build(base, [0] * base.m)
         found = list(counting._iter_perfect_matchings(g))
-        assert found == list(reference_iter_perfect_matchings(g))
+        assert found == list(map(_mask, reference_iter_perfect_matchings(g)))
         # the 3EC remark: exactly 2^(n/6+1) perfect matchings
         assert len(found) == 1 << (g.n // 6 + 1)
 

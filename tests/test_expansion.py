@@ -24,8 +24,6 @@ from clawmatch import (
     enumerate_perfect_matchings,
     enumerate_two_factors,
     expand,
-    is_perfect_matching,
-    is_two_factor,
     max_length_two_factor,
     random_base,
     ring_of_diamonds,
@@ -35,8 +33,14 @@ from clawmatch import (
 )
 from clawmatch import expansion
 from clawmatch.cli import main
-from clawmatch.cyclespace import _mask, _unmask
-from bruteforce import reference_3ec_remark, reference_certificate_problems, reference_lift
+from clawmatch.graphs import _mask, _unmask
+from bruteforce import (
+    is_perfect_matching,
+    is_two_factor,
+    reference_3ec_remark,
+    reference_certificate_problems,
+    reference_lift,
+)
 from corpus import (
     K4,
     K33,
@@ -61,13 +65,13 @@ def prism_decomposition():
 
 def test_expand_empty_member_is_all_triangles_and_diamond_squares():
     g, d = prism_decomposition()
-    empty = EdgeSubset(d.base, frozenset())
+    empty = EdgeSubset.of(d.base, frozenset())
     factor = expand(empty, d)
     # the six triangle edges of the two prism triangles
     assert factor.members == {0, 1, 2, 3, 4, 5}
 
     g2, d2 = build(TRIPLE_BOND, [1, 0, 0])
-    empty2 = EdgeSubset(d2.base, frozenset())
+    empty2 = EdgeSubset.of(d2.base, frozenset())
     factor2 = expand(empty2, d2)
     assert is_two_factor(g2, factor2.members)
     # triangles contribute 3 edges each, the idle diamond its 4-cycle
@@ -76,7 +80,7 @@ def test_expand_empty_member_is_all_triangles_and_diamond_squares():
 
 def test_expand_two_parallel_edges_gives_six_cycle():
     g, d = prism_decomposition()
-    member = EdgeSubset(d.base, frozenset({0, 1}))
+    member = EdgeSubset.of(d.base, frozenset({0, 1}))
     factor = expand(member, d)
     assert factor.members == {1, 2, 4, 5, 6, 7}
     assert is_two_factor(g, factor.members)
@@ -86,7 +90,7 @@ def test_expand_two_parallel_edges_gives_six_cycle():
 
 def test_expand_routing_choices_differ_only_inside_the_diamond():
     g, d = build(TRIPLE_BOND, [1, 0, 0])
-    member = EdgeSubset(d.base, frozenset({0, 1}))
+    member = EdgeSubset.of(d.base, frozenset({0, 1}))
     assert routings(member, d) == range(2)
     f0 = expand(member, d, 0)
     f1 = expand(member, d, 1)
@@ -100,12 +104,12 @@ def test_expand_routing_choices_differ_only_inside_the_diamond():
 
 def test_expand_rejects_odd_members_and_wrong_routing():
     g, d = prism_decomposition()
-    single = EdgeSubset(d.base, frozenset({0}))
+    single = EdgeSubset.of(d.base, frozenset({0}))
     with pytest.raises(DegreeViolation):
         expand(single, d)
-    member = EdgeSubset(d.base, frozenset({0, 1}))
+    member = EdgeSubset.of(d.base, frozenset({0, 1}))
     g2, d2 = build(TRIPLE_BOND, [1, 0, 0])
-    member2 = EdgeSubset(d2.base, frozenset({0, 1}))
+    member2 = EdgeSubset.of(d2.base, frozenset({0, 1}))
     with pytest.raises(ValueError):
         expand(member2, d2, -1)
     with pytest.raises(ValueError):
@@ -125,19 +129,19 @@ def test_expansion_validity_every_member_every_routing():
 
 def test_complement_matching_examples():
     # K4: the 4-cycle 0-1-3-2 leaves the opposite pair (0,3),(1,2)
-    cycle = EdgeSubset(K4, frozenset({0, 1, 4, 5}))
+    cycle = EdgeSubset.of(K4, frozenset({0, 1, 4, 5}))
     assert complement_matching(K4, cycle).members == {2, 3}
     # prism: the two triangles leave the three rungs
-    both_triangles = EdgeSubset(PRISM, frozenset({0, 1, 2, 3, 4, 5}))
+    both_triangles = EdgeSubset.of(PRISM, frozenset({0, 1, 2, 3, 4, 5}))
     assert complement_matching(PRISM, both_triangles).members == {6, 7, 8}
     with pytest.raises(DegreeViolation):
-        complement_matching(PRISM, EdgeSubset(PRISM, frozenset({0})))
+        complement_matching(PRISM, EdgeSubset.of(PRISM, frozenset({0})))
     # triangle 0-1-2 without its edge 1-2 leaves vertices 1 and 2 at degree 1
     with pytest.raises(DegreeViolation) as exc:
-        complement_matching(PRISM, EdgeSubset(PRISM, frozenset({0, 1, 3, 4, 5})))
+        complement_matching(PRISM, EdgeSubset.of(PRISM, frozenset({0, 1, 3, 4, 5})))
     assert str(exc.value) == "expansion is not a 2-factor at vertices [1, 2]"
     with pytest.raises(DegreeViolation) as exc:
-        complement_matching(PRISM, EdgeSubset(K4, frozenset({0, 1, 4, 5})))
+        complement_matching(PRISM, EdgeSubset.of(K4, frozenset({0, 1, 4, 5})))
     assert str(exc.value) == "argument is not a 2-factor of the host"
 
 
@@ -390,7 +394,7 @@ def test_verify_3ec_remark_rejects_a_missing_or_foreign_matching(monkeypatch):
     monkeypatch.setattr(expansion, "enumerate_perfect_matchings", lambda h, cap: oracle(h, cap)[1:])
     assert not verify_3ec_remark(g)
     # the right count, but one row whose complement is no lifted member
-    foreign = EdgeSubset(g, frozenset(range(g.n // 2)))
+    foreign = EdgeSubset.of(g, frozenset(range(g.n // 2)))
     assert not is_perfect_matching(g, foreign.members)
     monkeypatch.setattr(
         expansion, "enumerate_perfect_matchings", lambda h, cap: [foreign] + oracle(h, cap)[1:]
@@ -525,7 +529,7 @@ def test_corrupted_decomposition_raises_instead_of_emitting_rows(monkeypatch, ca
 
     with pytest.raises(DegreeViolation):
         expand(chosen, bad)
-    single = EdgeSubset(bad.base, frozenset({0}))
+    single = EdgeSubset.of(bad.base, frozenset({0}))
     with pytest.raises(DegreeViolation):
         expand(single, bad)
 
@@ -592,7 +596,7 @@ def with_corrupted_gadgets(monkeypatch, corrupt):
 
 def long_branch_host(pair):
     g, d = build(TRIPLE_BOND, [2, 1, 0])  # long-2-factor branch over the first two base edges
-    chosen = EdgeSubset(d.base, frozenset({0, 1}))
+    chosen = EdgeSubset.of(d.base, frozenset({0, 1}))
     # the edge a corrupted table toggles: a triangle edge at base vertex 0, which the
     # lift of chosen takes for two of the three pairs and leaves out for the third
     stray = g.edge_between(*(d.triangles[0][i] for i in pair))
@@ -657,7 +661,7 @@ def assert_certify_raises_on_first(monkeypatch, capsys, tmp_path, g, d, corrupt,
     """certify, the CLI and the walk against lift under corrupted tables, where member is
     the first member, in walk order, whose lift takes the corrupted entry that stray toggles."""
     assert member != 0  # the walk takes the corrupted entry only after step 0
-    chosen = EdgeSubset(d.base, _unmask(member))
+    chosen = EdgeSubset.of(d.base, _unmask(member))
     expected = old_degree_scan(g, reference_lift(chosen, d, 0) ^ {stray})
     assert expected == sorted(g.edges[stray])
     with_corrupted_gadgets(monkeypatch, corrupt)

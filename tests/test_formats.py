@@ -59,6 +59,24 @@ def test_parse_comments_and_blank_lines():
     assert parse_graph(doc).m == 1
 
 
+@pytest.mark.parametrize(
+    "doc, line, message",
+    [
+        ("p 1_0 0\n", 1, "header counts must be integers"),
+        ("p +2 1\ne 0 1\n", 1, "header counts must be integers"),
+        ("p \u0662 1\ne 0 1\n", 1, "header counts must be integers"),  # an Arabic-Indic 2
+        ("p 2 1\ne 0 +1\n", 2, "edge endpoints must be integers"),
+        ("# comment\np 11 1\ne 1_0 0\n", 3, "edge endpoints must be integers"),
+        ("p 3 1\ne \u0662 0\n", 2, "edge endpoints must be integers"),
+    ],
+)
+def test_parse_takes_plain_decimal_integers_only(doc, line, message):
+    # int() alone takes underscores, a "+" sign and non-ASCII digits
+    with pytest.raises(ParseError, match=f"^line {line}: {message}$") as exc:
+        parse_graph(doc)
+    assert exc.value.line == line
+
+
 def test_parse_errors_carry_line_numbers():
     with pytest.raises(ParseError) as exc:
         parse_graph("p 4 1\ne 0 5\n")

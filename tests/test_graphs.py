@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -81,15 +82,52 @@ def test_has_edge_is_false_outside_the_vertex_range():
         assert not g.has_edge(u, v), (u, v)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_edge_subset_agrees_with_a_frozenset_model(data):
+    host = data.draw(multigraphs(), label="host")
+    m = host.m
+    edge_ids = st.integers(0, m - 1) if m else st.nothing()
+    ids = data.draw(st.lists(edge_ids, max_size=2 * m), label="ids")
+    model = frozenset(ids)
+    s = EdgeSubset.of(host, ids)
+    assert s.members == model
+    assert s.sorted_tuple() == tuple(sorted(model))
+    assert list(s) == sorted(model)
+    assert len(s) == len(model)
+    for e in range(-2, m + 2):
+        assert (e in s) == (e in model), e
+    reordered = EdgeSubset.of(host, data.draw(st.permutations(ids), label="reordered"))
+    assert reordered == s and hash(reordered) == hash(s)
+    other = data.draw(st.lists(edge_ids, max_size=2 * m), label="other ids")
+    assert (EdgeSubset.of(host, other) == s) == (frozenset(other) == model)
+    assert EdgeSubset(host, s.mask) == s
+    negative = data.draw(st.integers(max_value=-1), label="negative")
+    with pytest.raises(ValueError, match=f"^edge mask {re.escape(str(negative))} is negative$"):
+        EdgeSubset(host, negative)
+    with pytest.raises(ValueError, match=f"^edge index {m} out of range$"):
+        EdgeSubset(host, s.mask | 1 << m)
+    with pytest.raises(ValueError, match=f"^edge index {negative} out of range$"):
+        EdgeSubset.of(host, [*ids, negative, m])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.integers(0, 64), max_size=60) | st.lists(st.integers(0, 5000), max_size=40))
+def test_unmask_lists_the_set_bits_in_ascending_order(ids):
+    mask = graphs._mask(ids)
+    assert graphs._unmask(mask) == tuple(e for e in range(mask.bit_length()) if mask >> e & 1)
+    assert graphs._unmask(mask) == tuple(sorted(set(ids)))
+
+
 def test_edge_subset_validates_members():
     with pytest.raises(ValueError, match="^edge index 10 out of range$"):
-        EdgeSubset(K4, frozenset({10}))
+        EdgeSubset.of(K4, frozenset({10}))
     with pytest.raises(ValueError, match="^edge index -1 out of range$"):
-        EdgeSubset(K4, {0, -1, 5})
+        EdgeSubset.of(K4, {0, -1, 5})
     with pytest.raises(ValueError, match="^edge index 6 out of range$"):
-        EdgeSubset(K4, range(7))
-    assert len(EdgeSubset(K4, ())) == 0
-    s = EdgeSubset(K4, {5, 0})
+        EdgeSubset.of(K4, range(7))
+    assert len(EdgeSubset.of(K4, ())) == 0
+    s = EdgeSubset.of(K4, {5, 0})
     assert s.sorted_tuple() == (0, 5)
     assert 5 in s and 3 not in s
 
@@ -331,6 +369,37 @@ def test_edge_between_matches_a_scan_of_the_edges(g):
                     g.edge_between(u, v)
 
 
+def test_degree_and_other_end_reject_ids_out_of_range():
+    # plain indexing would answer for the last vertex and the last edge
+    g = Multigraph(4, ((0, 1), (1, 2), (2, 3)))
+    with pytest.raises(ValueError, match="^vertex -1 out of range$"):
+        g.degree(-1)
+    with pytest.raises(ValueError, match="^edge index -1 out of range$"):
+        g.other_end(-1, 2)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(simple_graphs())
+def test_degree_and_other_end_match_a_scan_of_the_edges(g):
+    for v in range(-1, g.n + 1):
+        if 0 <= v < g.n:
+            assert g.degree(v) == sum((a == v) + (b == v) for a, b in g.edges)
+        else:
+            with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+                g.degree(v)
+    for e in range(-1, g.m + 1):
+        for v in range(-1, g.n + 1):
+            if not 0 <= e < g.m:
+                with pytest.raises(ValueError, match=f"^edge index {e} out of range$"):
+                    g.other_end(e, v)
+            elif v in g.edges[e]:
+                a, b = g.edges[e]
+                assert g.other_end(e, v) == (b if v == a else a)
+            else:
+                with pytest.raises(ValueError, match=f"^vertex {v} is not an endpoint of edge {e}$"):
+                    g.other_end(e, v)
+
+
 def test_edge_between_refuses_loops_and_parallel_pairs():
     assert K4.edge_between(2, 0) == K4.edge_between(0, 2)
     for g in (LOOP1, TRIPLE_BOND, Multigraph(3, ((0, 1), (1, 2), (1, 0)))):
@@ -356,7 +425,7 @@ def test_find_claw_matches_its_reference(g):
 # each cut and claw question with the answer it must give, computed on a fresh copy:
 # the brute-force or reference version, and for classify the uncached library call
 CACHED_QUESTIONS = {
-    bridges: lambda g: EdgeSubset(g, brute_bridges(g)),
+    bridges: lambda g: EdgeSubset.of(g, brute_bridges(g)),
     is_two_edge_connected: two_edge_connected_by_removal,
     is_three_edge_connected: brute_three_edge_connected,
     find_claw: reference_find_claw,

@@ -13,13 +13,19 @@
   `_is_perfect_row`, so every row the library makes is checked on one path.
 - `counting` imports only `errors` and `graphs` from the package, so the
   oracle stays independent of the machinery it checks.
+- An edge set has one stored form, the int mask of `EdgeSubset`: only
+  `graphs` defines `_mask` and `_unmask`, `EdgeSubset`'s fields are `host`
+  and `mask`, and no other module reads `.members`.
 """
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
 import pytest
+
+from clawmatch.graphs import EdgeSubset
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "clawmatch"
 MODULES = sorted(SRC.glob("*.py"))
@@ -152,3 +158,27 @@ def test_oracle_imports_only_errors_and_graphs():
     assert _package_imports(SRC / "counting.py") <= {"errors", "graphs"}
     # the helper does find package imports: the certify machinery imports the oracle
     assert {"counting", "cyclespace", "structure"} <= _package_imports(SRC / "expansion.py")
+
+
+def _members_readers(paths) -> set[str]:
+    """The stems of the modules among paths that read an attribute named members."""
+    return {
+        path.stem
+        for path in paths
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Attribute) and node.attr == "members"
+    }
+
+
+def test_edge_sets_have_one_stored_form():
+    defined = sorted(
+        f"{path.stem}.{node.name}"
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.FunctionDef) and node.name in ("_mask", "_unmask")
+    )
+    assert defined == ["graphs._mask", "graphs._unmask"]
+    assert [f.name for f in dataclasses.fields(EdgeSubset)] == ["host", "mask"]
+    assert _members_readers(MODULES) <= {"graphs"}
+    # the scan does find reads: the brute-force references read members
+    assert _members_readers([Path(__file__).with_name("bruteforce.py")]) == {"bruteforce"}
