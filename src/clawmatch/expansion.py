@@ -14,7 +14,7 @@ bound with exact integer arithmetic.
 
 Lifting is table driven and edge sets are int bitmasks over edge ids.
 The gadget tables of a decomposition are built once per certify or expand
-call, and are the only place that looks host edges up by their ends:
+call; they and K4's three pairings are the only host lookups by ends:
 - per base vertex, the triangle edges taken for each pair of used base
   edges and for none;
 - per base edge, the host edges taken when the member traverses it

@@ -109,12 +109,6 @@ class Multigraph:
         """What _scan_claw finds; find_claw reads it only after checking the graph is simple."""
         return _scan_claw(self)
 
-    def has_edge(self, u: int, v: int) -> bool:
-        """Whether some edge joins u and v; False for an id outside range(n)."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            return False
-        return v in self._neighbors[u] if u != v else any(a == b == u for a, b in self.edges)
-
     @cached_property
     def _simple(self) -> bool:
         """No loop and no parallel pair: every edge gives a distinct key min * n + max.
@@ -216,52 +210,41 @@ class Claw:
 
 
 def subset_degrees(g: Multigraph, members: Iterable[int]) -> list[int]:
-    """Degree of every vertex in the spanning subgraph picked by members (loops count twice)."""
+    """Degree of every vertex in the spanning subgraph picked by members (loops count twice).
+
+    The first id outside range(m) raises, instead of indexing from the end.
+    """
     deg = [0] * g.n
+    edges, m = g.edges, g.m
     for e in members:
-        u, v = g.edges[e]
+        if not 0 <= e < m:
+            raise ValueError(f"edge index {e} out of range")
+        u, v = edges[e]
         deg[u] += 1
         deg[v] += 1
     return deg
 
 
 def connected_components(g: Multigraph) -> list[tuple[int, ...]]:
-    """Components as sorted vertex tuples, ordered by smallest vertex."""
-    seen = [False] * g.n
-    comps = []
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        stack = [root]
-        seen[root] = True
-        comp = [root]
-        while stack:
-            v = stack.pop()
-            for w in g.neighbors(v):
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    stack.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
+    """Components as sorted vertex tuples, ordered by smallest vertex.
+
+    They are the runs of _cut_forest's preorder that start at a root.  Each
+    root is the least vertex no earlier tree reached, so the least vertex
+    of its component, and the roots come in ascending order.
+    """
+    order, parent_edge, _, _ = _cut_forest(g)
+    comps: list[list[int]] = []
+    for v in order:
+        if parent_edge[v] < 0:
+            comps.append([v])
+        else:
+            comps[-1].append(v)
+    return [tuple(sorted(comp)) for comp in comps]
 
 
 def is_connected(g: Multigraph) -> bool:
-    """At most one component, by one search from vertex 0."""
-    if not g.n:
-        return True
-    nbrs = g._neighbors
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    reached = 1
-    while stack:
-        for w in nbrs[stack.pop()]:
-            if not seen[w]:
-                seen[w] = True
-                reached += 1
-                stack.append(w)
-    return reached == g.n
+    """At most one component: the root count of the graph's one cut pass."""
+    return g._cuts[0] <= 1
 
 
 def is_cubic(g: Multigraph) -> bool:

@@ -128,6 +128,18 @@ class Decomposition:
         raise ValueError(f"vertex {h_vertex} is not an end of base edge {h_edge}")
 
 
+def _leaving(g: Multigraph, p: int, dia: Diamond) -> list[tuple[int, int]]:
+    """The edges at port p that leave its diamond dia, as (edge id, far end), from p's incidence."""
+    edges = g.edges
+    out = []
+    for e in g._incidence[p]:
+        a, b = edges[e]
+        w = a ^ b ^ p  # the far end of edge e from p
+        if w not in dia.vertices:
+            out.append((e, w))
+    return out
+
+
 def string_passages(g: Multigraph, s: DiamondString) -> list[tuple[int, int, int, int]]:
     """Per diamond in order: (entry port, exit port, internal, internal)."""
     passages = []
@@ -138,8 +150,8 @@ def string_passages(g: Multigraph, s: DiamondString) -> list[tuple[int, int, int
         exit_port = dia.ports[1] if dia.ports[0] == entry else dia.ports[0]
         passages.append((entry, exit_port, dia.internals[0], dia.internals[1]))
         if idx + 1 < len(s.diamonds):
-            nxt = s.diamonds[idx + 1]
-            cand = [p for p in nxt.ports if g.has_edge(exit_port, p)]
+            far = {w for _, w in _leaving(g, exit_port, dia)}
+            cand = [p for p in s.diamonds[idx + 1].ports if p in far]
             if len(cand) != 1:
                 raise StructureViolation("consecutive diamonds are not joined by one port edge")
             entry = cand[0]
@@ -206,10 +218,10 @@ def _group_strings(
     seen = [False] * len(diamonds)
 
     def outside(i: int, p: int) -> int:
-        ext = [w for w in g.neighbors(p) if owner.get(w) != i]
+        ext = _leaving(g, p, diamonds[i])
         if len(ext) != 1:
             raise StructureViolation(f"port {p} has {len(ext)} outside neighbors")
-        return ext[0]
+        return ext[0][1]
 
     def walk(i: int, entry: int) -> tuple[list[int], int]:
         # cross diamond i from entry to its other port and step out, until the
@@ -307,20 +319,21 @@ def contract_to_base(g: Multigraph, strings: list[DiamondString]) -> Decompositi
         if tx == ty:
             continue  # a triangle side
         records.append((tx, ty, (x, y), None, (eid,)))
+    if strings:
+        g.ensure_simple()  # so the one edge leaving a port is the one neighbor outside its diamond
     for s in strings:
-        head_dia, tail_dia = s.diamonds[0], s.diamonds[-1]
-        hu = [w for w in nbrs[s.head] if w not in head_dia.vertices]
-        tv = [w for w in nbrs[s.tail] if w not in tail_dia.vertices]
-        if len(hu) != 1 or len(tv) != 1 or in_diamond[hu[0]] or in_diamond[tv[0]]:
+        hu = _leaving(g, s.head, s.diamonds[0])
+        tv = _leaving(g, s.tail, s.diamonds[-1])
+        if len(hu) != 1 or len(tv) != 1 or in_diamond[hu[0][1]] or in_diamond[tv[0][1]]:
             raise StructureViolation("string end does not attach to a triangle corner")
-        u, v = hu[0], tv[0]
+        (head_edge, u), (tail_edge, v) = hu[0], tv[0]
         if tri_index[u] == tri_index[v]:
             raise StructureViolation("string closes on one triangle, base would have a loop")
-        connectors = [g.edge_between(u, s.head)]
+        connectors = [head_edge]
         passages = string_passages(g, s)
-        for (_, exit_port, _, _), (entry, _, _, _) in zip(passages, passages[1:]):
-            connectors.append(g.edge_between(exit_port, entry))
-        connectors.append(g.edge_between(s.tail, v))
+        for (_, exit_port, _, _), dia, (entry, _, _, _) in zip(passages, s.diamonds, passages[1:]):
+            connectors += [e for e, w in _leaving(g, exit_port, dia) if w == entry]
+        connectors.append(tail_edge)
         records.append((tri_index[u], tri_index[v], (u, v), s, tuple(connectors)))
 
     records.sort(key=lambda r: (min(r[0], r[1]), max(r[0], r[1]), r[4][0]))

@@ -10,8 +10,9 @@ per-vertex degree list each.
 
 The reference_* functions are earlier versions of library code, kept
 unchanged so that tests can hold the current versions to the same output.
-is_perfect_matching, is_two_factor and is_even_subgraph are degree checks
-the library once exported and no library code called.
+has_edge (once a Multigraph method), is_perfect_matching, is_two_factor and
+is_even_subgraph are predicates the library once exported and no library
+code called.
 recursive_iter_two_factors restates the current 2-factor search with one
 nested generator per taken edge, so tests can hold its explicit stack to
 the same sequence.
@@ -27,11 +28,11 @@ from clawmatch import (
     Claw,
     CycleBasis,
     Diamond,
+    DiamondString,
     EdgeSubset,
     Multigraph,
     NoTwoFactor,
     StructureViolation,
-    connected_components,
     classify,
     count_perfect_matchings,
     enumerate_cycle_space,
@@ -46,6 +47,13 @@ from clawmatch import (
 from clawmatch.graphs import _mask, _unmask
 from clawmatch.expansion import _Gadgets, _rows
 from clawmatch.structure import _scan_diamonds
+
+
+def has_edge(g: Multigraph, u: int, v: int) -> bool:
+    """Whether some edge joins u and v; False for an id outside range(n)."""
+    if not (0 <= u < g.n and 0 <= v < g.n):
+        return False
+    return v in g.neighbors(u) if u != v else any(a == b == u for a, b in g.edges)
 
 
 def component_count(g: Multigraph, banned=frozenset()) -> int:
@@ -98,7 +106,7 @@ def brute_claw_centers(g: Multigraph) -> list:
     for v in range(g.n):
         nb = g.neighbors(v)
         for a, b, c in combinations(nb, 3):
-            if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c)):
+            if not (has_edge(g, a, b) or has_edge(g, a, c) or has_edge(g, b, c)):
                 out.append((v, (a, b, c)))
     return out
 
@@ -107,7 +115,7 @@ def brute_diamond_vertex_sets(g: Multigraph) -> set:
     """All 4-sets inducing K4 minus exactly one edge."""
     out = set()
     for quad in combinations(range(g.n), 4):
-        present = [(a, b) for a, b in combinations(quad, 2) if g.has_edge(a, b)]
+        present = [(a, b) for a, b in combinations(quad, 2) if has_edge(g, a, b)]
         if len(present) == 5:
             out.add(quad)
     return out
@@ -537,7 +545,7 @@ def reference_find_claw(g: Multigraph) -> Claw | None:
         if len(nb) < 3:
             continue
         for a, b, c in combinations(nb, 3):
-            if g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c):
+            if has_edge(g, a, b) or has_edge(g, a, c) or has_edge(g, b, c):
                 continue
             return Claw(v, (a, b, c))
     return None
@@ -555,7 +563,7 @@ def reference_scan_diamonds(g: Multigraph) -> list[Diamond]:
         if len(common) != 2:
             continue
         p, q = sorted(common)
-        if g.has_edge(p, q):
+        if has_edge(g, p, q):
             continue
         verts = tuple(sorted((a, b, p, q)))
         found[verts] = Diamond(verts, (p, q), (a, b))
@@ -566,6 +574,49 @@ def reference_scan_diamonds(g: Multigraph) -> list[Diamond]:
             raise StructureViolation("two distinct diamonds intersect")
         covered |= set(dia.vertices)
     return diamonds
+
+
+def reference_components(g: Multigraph) -> list[tuple[int, ...]]:
+    """graphs.connected_components as it was before it read the cut pass: one search
+    per component, roots in ascending order."""
+    seen = [False] * g.n
+    comps = []
+    for root in range(g.n):
+        if seen[root]:
+            continue
+        stack = [root]
+        seen[root] = True
+        comp = [root]
+        while stack:
+            v = stack.pop()
+            for w in g.neighbors(v):
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+                    stack.append(w)
+        comps.append(tuple(sorted(comp)))
+    return comps
+
+
+def reference_string_passages(g: Multigraph, s: DiamondString) -> list[tuple[int, int, int, int]]:
+    """structure.string_passages as it was before it read the incidence of each exit port:
+    the next entry is the next diamond's one port adjacent to the exit port."""
+    passages = []
+    entry = s.head
+    for idx, dia in enumerate(s.diamonds):
+        if entry not in dia.ports:
+            raise StructureViolation("string orientation broken: entry is not a port")
+        exit_port = dia.ports[1] if dia.ports[0] == entry else dia.ports[0]
+        passages.append((entry, exit_port, dia.internals[0], dia.internals[1]))
+        if idx + 1 < len(s.diamonds):
+            nxt = s.diamonds[idx + 1]
+            cand = [p for p in nxt.ports if has_edge(g, exit_port, p)]
+            if len(cand) != 1:
+                raise StructureViolation("consecutive diamonds are not joined by one port edge")
+            entry = cand[0]
+        elif exit_port != s.tail:
+            raise StructureViolation("string tail does not match the walk")
+    return passages
 
 
 def reference_cycle_basis(h: Multigraph) -> CycleBasis:
@@ -598,7 +649,7 @@ def reference_cycle_basis(h: Multigraph) -> CycleBasis:
             continue
         u, v = h.edges[e]
         basis.append(_unmask(root_mask[u] ^ root_mask[v] ^ (1 << e)))
-    c = len(connected_components(h))
+    c = len(reference_components(h))
     dim = h.m - h.n + c
     if len(basis) != dim:
         raise StructureViolation(f"cycle basis has {len(basis)} elements, dimension is {dim}")

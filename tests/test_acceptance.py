@@ -256,7 +256,13 @@ def test_criterion_15_one_cut_pass_and_one_claw_scan_per_graph(monkeypatch, tmp_
     g = Multigraph(built.n, built.edges)  # a fresh object, as parsed from a document
     passes = counted(monkeypatch, "_cut_forest")
     scans = counted(monkeypatch, "_scan_claw")
-    with criterion(15, f"one cut pass and one claw scan per graph, n={g.n}", 10.0):
+    lookups = []
+    edge_between = Multigraph.edge_between
+    monkeypatch.setattr(
+        Multigraph, "edge_between", lambda h, u, v: lookups.append((u, v)) or edge_between(h, u, v)
+    )
+    label = f"one cut pass and one claw scan per graph, no edge looked up by its ends, n={g.n}"
+    with criterion(15, label, 10.0):
         assert not bridges(g).members
         assert is_claw_free(g)
         d = classify(g)
@@ -266,6 +272,8 @@ def test_criterion_15_one_cut_pass_and_one_claw_scan_per_graph(monkeypatch, tmp_
         # the host and the base once each, although classify and build ask again
         assert [id(h) for h in passes] == [id(g), id(d.base)]
         assert [id(h) for h in scans] == [id(g)]
+        # strings are walked along incidence, so the pipeline never calls edge_between
+        assert lookups == []
     for host, expected in ((circular_ladder(300), 2), (figure1_graph(3), 1)):
         doc = tmp_path / "host.txt"
         doc.write_text(serialize_graph(host))

@@ -23,12 +23,15 @@ from clawmatch import (
     is_two_edge_connected,
     random_base,
     ring_of_diamonds,
+    subset_degrees,
 )
 from bruteforce import (
     brute_bridges,
     brute_claw_centers,
     brute_three_edge_connected,
+    has_edge,
     reference_bridges,
+    reference_components,
     reference_degrees,
     reference_find_claw,
     reference_is_simple,
@@ -77,9 +80,9 @@ def test_multigraph_rejects_bad_endpoints():
 
 def test_has_edge_is_false_outside_the_vertex_range():
     g = Multigraph(4, ((0, 1), (1, 2), (2, 3)))
-    assert g.has_edge(1, 2) and g.has_edge(3, 2)
+    assert has_edge(g, 1, 2) and has_edge(g, 3, 2)
     for u, v in ((-1, 2), (2, -1), (4, 2), (2, 4), (-1, -1), (4, 4), (1, 3)):
-        assert not g.has_edge(u, v), (u, v)
+        assert not has_edge(g, u, v), (u, v)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -234,8 +237,8 @@ def test_find_claw_matches_exhaustive_scan():
         assert (got is None) == (not expected)
         if got is not None:
             a, b, c = got.leaves
-            assert all(g.has_edge(got.center, x) for x in got.leaves)
-            assert not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c))
+            assert all(has_edge(g, got.center, x) for x in got.leaves)
+            assert not (has_edge(g, a, b) or has_edge(g, a, c) or has_edge(g, b, c))
 
 
 def test_is_claw_free():
@@ -325,7 +328,26 @@ def several_components(draw):
 
 
 def two_edge_connected_by_removal(g: Multigraph) -> bool:
-    return g.n >= 2 and len(connected_components(g)) == 1 and not brute_bridges(g)
+    return g.n >= 2 and len(reference_components(g)) == 1 and not brute_bridges(g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(multigraphs(), several_components(), st.builds(figure1_graph, st.integers(0, 3))))
+def test_components_match_their_reference_before_and_after_bridges(g):
+    # a fresh object, so the first questions come before any cut pass is cached
+    g = Multigraph(g.n, g.edges)
+    expected = reference_components(g)
+    for _ in range(2):
+        assert connected_components(g) == expected
+        assert is_connected(g) == (len(expected) <= 1)
+        bridges(g)
+
+
+def test_is_connected_reads_the_cut_pass():
+    # two roots planted in the summary make a connected graph read as disconnected
+    g = Multigraph(K4.n, K4.edges)
+    vars(g)["_cuts"] = (2, ())
+    assert is_connected(K4) and not is_connected(g)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -367,6 +389,26 @@ def test_edge_between_matches_a_scan_of_the_edges(g):
             else:
                 with pytest.raises(ValueError, match=f"^no edge between {u} and {v}$"):
                     g.edge_between(u, v)
+
+
+def test_subset_degrees_rejects_ids_out_of_range():
+    # plain indexing would count the ends of the last edge
+    with pytest.raises(ValueError, match="^edge index -1 out of range$"):
+        subset_degrees(K4, [-1])
+    with pytest.raises(ValueError, match="^edge index 6 out of range$"):
+        subset_degrees(K4, [0, 6, -1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(simple_graphs())
+def test_subset_degrees_matches_a_scan_of_the_edges(g):
+    for e in range(-1, g.m + 1):
+        if 0 <= e < g.m:
+            assert subset_degrees(g, [e]) == [int(v in g.edges[e]) for v in range(g.n)]
+        else:
+            with pytest.raises(ValueError, match=f"^edge index {e} out of range$"):
+                subset_degrees(g, [e])
+    assert subset_degrees(g, range(g.m)) == list(g.degrees())
 
 
 def test_degree_and_other_end_reject_ids_out_of_range():

@@ -16,6 +16,9 @@
 - An edge set has one stored form, the int mask of `EdgeSubset`: only
   `graphs` defines `_mask` and `_unmask`, `EdgeSubset`'s fields are `host`
   and `mask`, and no other module reads `.members`.
+- Host edges are looked up by their ends in few places: only `graphs`
+  (which defines it) and `expansion` (the gadget tables and K4's pairings)
+  reference `edge_between`, and no module defines or calls `has_edge`.
 """
 
 import ast
@@ -182,3 +185,22 @@ def test_edge_sets_have_one_stored_form():
     assert _members_readers(MODULES) <= {"graphs"}
     # the scan does find reads: the brute-force references read members
     assert _members_readers([Path(__file__).with_name("bruteforce.py")]) == {"bruteforce"}
+
+
+def _referencing(paths, name: str) -> set[str]:
+    """The stems of the modules among paths that define, name or read an attribute called name."""
+    return {
+        path.stem
+        for path in paths
+        for node in ast.walk(parse(path))
+        if (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == name)
+    }
+
+
+def test_edges_are_looked_up_by_their_ends_in_graphs_and_expansion_only():
+    assert _referencing(MODULES, "edge_between") == {"graphs", "expansion"}
+    assert _referencing(MODULES, "has_edge") == set()
+    # the scan does find both forms: the brute-force references define and call has_edge
+    assert _referencing([Path(__file__).with_name("bruteforce.py")], "has_edge") == {"bruteforce"}

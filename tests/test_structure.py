@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from clawmatch import (
     Diamond,
+    DiamondString,
     InvalidBase,
     KIND_EXPANDED,
     KIND_K4,
@@ -39,7 +40,9 @@ from bruteforce import (
     brute_diamond_vertex_sets,
     brute_isomorphic,
     edge_multiset,
+    has_edge,
     reference_scan_diamonds,
+    reference_string_passages,
 )
 from corpus import (
     DOUBLE_DOUBLE,
@@ -137,7 +140,7 @@ def test_classify_errors_are_distinct():
     with pytest.raises(NotClawFree) as exc:
         classify(K33)  # cubic and 2EC but full of claws
     claw = exc.value.claw
-    assert all(K33.has_edge(claw.center, leaf) for leaf in claw.leaves)
+    assert all(has_edge(K33, claw.center, leaf) for leaf in claw.leaves)
     with pytest.raises(NotTwoEdgeConnected) as exc:
         classify(figure1_graph(0))
     assert exc.value.bridge is not None
@@ -456,3 +459,61 @@ def test_find_strings_ordering_rules(g):
 @given(st.one_of(shuffled_diamond_hosts(), st.sampled_from([K4, build(K4, [0] * 6)[0]])))
 def test_scan_diamonds_matches_its_reference(g):
     assert _scan_diamonds(g) == reference_scan_diamonds(g)
+
+
+def string_variants(g: Multigraph) -> list[DiamondString]:
+    """Every string and ring of g as a diamond sequence, reversed, and with one diamond
+    swapped for another of g, each from every head port to every tail port."""
+    strings, rings = find_strings(g)
+    seqs = [s.diamonds for s in strings] + list(rings)
+    every = [dia for seq in seqs for dia in seq]
+    variants = []
+    for seq in seqs:
+        variants += [seq, seq[::-1]]
+        for i, own in enumerate(seq):
+            variants += [seq[:i] + (other,) + seq[i + 1 :] for other in every if other != own]
+    return [
+        DiamondString(seq, head, tail)
+        for seq in variants
+        for head in seq[0].ports
+        for tail in seq[-1].ports
+    ]
+
+
+def passages_or_violation(passages, g: Multigraph, s: DiamondString):
+    try:
+        return passages(g, s)
+    except StructureViolation as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shuffled_diamond_hosts())
+def test_string_passages_match_their_reference_on_broken_strings(g):
+    for s in string_variants(g):
+        expected = passages_or_violation(reference_string_passages, g, s)
+        assert passages_or_violation(string_passages, g, s) == expected
+
+
+def test_broken_strings_reach_every_violation():
+    # the variants above reach every outcome of string_passages but the orientation
+    # check, which a DiamondString cannot fail: its head is a port of its first diamond
+    g, _ = build(TRIPLE_BOND, [2, 1, 0])
+    outcomes = {
+        out if isinstance(out, str) else "passages"
+        for out in (passages_or_violation(string_passages, g, s) for s in string_variants(g))
+    }
+    assert outcomes == {
+        "passages",
+        "consecutive diamonds are not joined by one port edge",
+        "string tail does not match the walk",
+    }
+
+
+def test_contract_to_base_refuses_a_multigraph_with_strings():
+    # the connectors are the edges leaving the ports, one each only in a simple graph
+    g, _ = build(TRIPLE_BOND, [1, 1, 0])
+    strings, _ = find_strings(g)
+    for extra in (g.edges[0], (0, 0)):
+        with pytest.raises(NotSimple, match="^graph has loops or parallel edges$"):
+            contract_to_base(Multigraph(g.n, g.edges + (extra,)), strings)
