@@ -4,8 +4,10 @@ Every such graph is K4, a ring of diamonds, or is built from a
 2-edge-connected cubic base multigraph by replacing each base vertex
 with a triangle and some base edges with strings of diamonds.  This
 module recognizes that structure (find_diamonds / find_strings /
-classify / contract_to_base), inverts it (build), and provides the
-corpus generators.
+classify), inverts it (build), and provides the corpus generators.
+classify walks each diamond string once: the walk that orders a
+string's diamonds also records its connectors, and the contraction to
+the base reads them.
 
 All decompositions store concrete vertex and edge ids of the host graph,
 not abstract isomorphism classes, so rebuilding is exact.
@@ -87,13 +89,12 @@ class DiamondString:
 class EdgeReplacement:
     """What one base edge became in the expanded graph.
 
-    ends are the base endpoints, corners the triangle vertices carrying
-    the edge on each side (aligned with ends).  connectors are the host
-    edges joining corners to the string ends and consecutive diamonds;
-    with no string it is the single direct corner-to-corner edge.
+    corners are the triangle vertices carrying the edge on each side,
+    aligned with the base edge's ends.  connectors are the host edges
+    joining corners to the string ends and consecutive diamonds; with no
+    string it is the single direct corner-to-corner edge.
     """
 
-    ends: tuple[int, int]
     corners: tuple[int, int]
     string: DiamondString | None
     connectors: tuple[int, ...]
@@ -120,11 +121,11 @@ class Decomposition:
 
     def corner(self, h_edge: int, h_vertex: int) -> int:
         """Triangle corner of h_vertex carrying h_edge."""
-        rep = self.replacements[h_edge]
-        if h_vertex == rep.ends[0]:
-            return rep.corners[0]
-        if h_vertex == rep.ends[1]:
-            return rep.corners[1]
+        a, b = self.base.edges[h_edge]
+        if h_vertex == a:
+            return self.replacements[h_edge].corners[0]
+        if h_vertex == b:
+            return self.replacements[h_edge].corners[1]
         raise ValueError(f"vertex {h_vertex} is not an end of base edge {h_edge}")
 
 
@@ -145,8 +146,7 @@ def string_passages(g: Multigraph, s: DiamondString) -> list[tuple[int, int, int
     passages = []
     entry = s.head
     for idx, dia in enumerate(s.diamonds):
-        if entry not in dia.ports:
-            raise StructureViolation("string orientation broken: entry is not a port")
+        # the head is a port of the first diamond, and each later entry one of its own diamond
         exit_port = dia.ports[1] if dia.ports[0] == entry else dia.ports[0]
         passages.append((entry, exit_port, dia.internals[0], dia.internals[1]))
         if idx + 1 < len(s.diamonds):
@@ -213,50 +213,55 @@ def find_diamonds(g: Multigraph) -> list[Diamond]:
 
 def _group_strings(
     g: Multigraph, diamonds: list[Diamond]
-) -> tuple[list[DiamondString], list[tuple[Diamond, ...]]]:
+) -> tuple[list[DiamondString], list[tuple[Diamond, ...]], list[tuple[int, ...]]]:
+    """find_strings' strings and rings, and each string's connectors: the
+    edge into its head, then the edge out of every diamond's exit port."""
     owner = {v: i for i, dia in enumerate(diamonds) for v in dia.vertices}
     seen = [False] * len(diamonds)
+    out: dict[int, tuple[int, int]] = {}  # port -> its one (edge id, far end) out of its diamond
+    for dia in diamonds:
+        for p in dia.ports:
+            ext = _leaving(g, p, dia)
+            if len(ext) != 1:
+                raise StructureViolation(f"port {p} has {len(ext)} outside neighbors")
+            out[p] = ext[0]
 
-    def outside(i: int, p: int) -> int:
-        ext = _leaving(g, p, diamonds[i])
-        if len(ext) != 1:
-            raise StructureViolation(f"port {p} has {len(ext)} outside neighbors")
-        return ext[0][1]
-
-    def walk(i: int, entry: int) -> tuple[list[int], int]:
+    def walk(i: int, entry: int) -> tuple[list[int], int, list[int]]:
         # cross diamond i from entry to its other port and step out, until the
         # step leaves the diamonds (a string's tail) or meets a seen one (a ring closed)
         order = []
+        joins = [out[entry][0]]
         while True:
             seen[i] = True
             order.append(i)
             p, q = diamonds[i].ports
             exit_port = q if entry == p else p
-            w = outside(i, exit_port)
+            e, w = out[exit_port]
+            joins.append(e)
             if w not in owner or seen[owner[w]]:
-                return order, exit_port
+                return order, exit_port, joins
             i, entry = owner[w], w
 
     # each port has one outside neighbor and ports are nonadjacent, so the
     # diamonds join into paths and cycles: the walks from the free ports take
     # every path, and every diamond they leave unseen lies on a cycle
-    free = sorted(
-        p for i, dia in enumerate(diamonds) for p in dia.ports if outside(i, p) not in owner
-    )
+    free = sorted(p for p, (_, w) in out.items() if w not in owner)
     strings: list[DiamondString] = []
+    connectors: list[tuple[int, ...]] = []
     for head in free:
         if not seen[owner[head]]:
-            order, tail = walk(owner[head], head)
+            order, tail, joins = walk(owner[head], head)
             strings.append(DiamondString(tuple(diamonds[j] for j in order), head, tail))
+            connectors.append(tuple(joins))
     rings: list[tuple[Diamond, ...]] = []
     for i, dia in enumerate(diamonds):
         if not seen[i]:
             # diamonds come in least-vertex order, so i holds its ring's least vertex;
             # entering through the port facing the neighbor with the larger least
             # vertex leaves toward the smaller one
-            entry = max(dia.ports, key=lambda p: diamonds[owner[outside(i, p)]].vertices[0])
+            entry = max(dia.ports, key=lambda p: diamonds[owner[out[p][1]]].vertices[0])
             rings.append(tuple(diamonds[j] for j in walk(i, entry)[0]))
-    return strings, rings
+    return strings, rings, connectors
 
 
 def find_strings(g: Multigraph) -> tuple[list[DiamondString], list[tuple[Diamond, ...]]]:
@@ -272,14 +277,18 @@ def find_strings(g: Multigraph) -> tuple[list[DiamondString], list[tuple[Diamond
     smaller least vertex (the two neighbors of a 2-diamond ring are the
     same diamond, so its order is fixed).
     """
-    return _group_strings(g, find_diamonds(g))
+    strings, rings, _ = _group_strings(g, find_diamonds(g))
+    return strings, rings
 
 
-def contract_to_base(g: Multigraph, strings: list[DiamondString]) -> Decomposition:
+def _contract(
+    g: Multigraph, strings: list[DiamondString], connectors: list[tuple[int, ...]]
+) -> Decomposition:
     """Contract triangles to base vertices and strings to base edges.
 
-    Requires a graph that classify would not call K4 or a ring of
-    diamonds; the result's base is cubic, loop-free and 2-edge-connected.
+    Takes the strings and connectors of _group_strings on a graph that
+    classify would not call K4 or a ring of diamonds; the result's base
+    is cubic, loop-free and 2-edge-connected.
     """
     nbrs = g._neighbors
     in_diamond = [False] * g.n
@@ -319,28 +328,17 @@ def contract_to_base(g: Multigraph, strings: list[DiamondString]) -> Decompositi
         if tx == ty:
             continue  # a triangle side
         records.append((tx, ty, (x, y), None, (eid,)))
-    if strings:
-        g.ensure_simple()  # so the one edge leaving a port is the one neighbor outside its diamond
-    for s in strings:
-        hu = _leaving(g, s.head, s.diamonds[0])
-        tv = _leaving(g, s.tail, s.diamonds[-1])
-        if len(hu) != 1 or len(tv) != 1 or in_diamond[hu[0][1]] or in_diamond[tv[0][1]]:
-            raise StructureViolation("string end does not attach to a triangle corner")
-        (head_edge, u), (tail_edge, v) = hu[0], tv[0]
+    for s, conn in zip(strings, connectors):
+        # the end connectors leave free ports, so their far ends u and v lie in triangles
+        (a, b), (x, y) = g.edges[conn[0]], g.edges[conn[-1]]
+        u, v = a ^ b ^ s.head, x ^ y ^ s.tail
         if tri_index[u] == tri_index[v]:
             raise StructureViolation("string closes on one triangle, base would have a loop")
-        connectors = [head_edge]
-        passages = string_passages(g, s)
-        for (_, exit_port, _, _), dia, (entry, _, _, _) in zip(passages, s.diamonds, passages[1:]):
-            connectors += [e for e, w in _leaving(g, exit_port, dia) if w == entry]
-        connectors.append(tail_edge)
-        records.append((tri_index[u], tri_index[v], (u, v), s, tuple(connectors)))
+        records.append((tri_index[u], tri_index[v], (u, v), s, conn))
 
     records.sort(key=lambda r: (min(r[0], r[1]), max(r[0], r[1]), r[4][0]))
     base = Multigraph(len(triangles), tuple((tu, tv) for tu, tv, *_ in records))
-    replacements = tuple(
-        EdgeReplacement((tu, tv), corners, s, conn) for tu, tv, corners, s, conn in records
-    )
+    replacements = tuple(EdgeReplacement(corners, s, conn) for _, _, corners, s, conn in records)
     if not is_cubic(base):
         raise StructureViolation("contracted base is not cubic")
     if not is_two_edge_connected(base):
@@ -425,7 +423,7 @@ def classify(g: Multigraph) -> Decomposition:
     if diamonds and 4 * len(diamonds) == g.n:
         if len(diamonds) < 2:
             raise StructureViolation("a ring of diamonds has at least 2 diamonds")
-        _, rings = _group_strings(g, diamonds)
+        _, rings, _ = _group_strings(g, diamonds)
         if len(rings) != 1:
             raise StructureViolation("all-diamond graph is not a single ring")
         d = Decomposition(KIND_RING, g, ring=rings[0])
@@ -433,10 +431,10 @@ def classify(g: Multigraph) -> Decomposition:
         return d
     if g.n == 4:
         return Decomposition(KIND_K4, g)
-    strings, rings = _group_strings(g, diamonds)
+    strings, rings, connectors = _group_strings(g, diamonds)
     if rings:
         raise StructureViolation("closed diamond cycle in a graph with triangle vertices")
-    return contract_to_base(g, strings)
+    return _contract(g, strings, connectors)
 
 
 def build(
@@ -484,10 +482,10 @@ def build(
 
     next_vertex = 3 * k
     replacements: list[EdgeReplacement] = []
-    for e, (a, b) in enumerate(h.edges):
+    for e in range(h.m):
         ca, cb = corner[2 * e], corner[2 * e + 1]
         if length_of[e] == 0:
-            replacements.append(EdgeReplacement((a, b), (ca, cb), None, (len(g_edges),)))
+            replacements.append(EdgeReplacement((ca, cb), None, (len(g_edges),)))
             g_edges.append((ca, cb))
             continue
         anchor = ca
@@ -503,7 +501,7 @@ def build(
         connectors.append(len(g_edges))
         g_edges.append((anchor, cb))
         string = DiamondString(tuple(diamonds), diamonds[0].ports[0], diamonds[-1].ports[1])
-        replacements.append(EdgeReplacement((a, b), (ca, cb), string, tuple(connectors)))
+        replacements.append(EdgeReplacement((ca, cb), string, tuple(connectors)))
 
     g = Multigraph(next_vertex, tuple(g_edges))
     if not g.is_simple():

@@ -27,8 +27,10 @@ from clawmatch import (
     CapExceeded,
     Claw,
     CycleBasis,
+    Decomposition,
     Diamond,
     DiamondString,
+    EdgeReplacement,
     EdgeSubset,
     Multigraph,
     NoTwoFactor,
@@ -46,7 +48,7 @@ from clawmatch import (
 )
 from clawmatch.graphs import _mask, _unmask
 from clawmatch.expansion import _Gadgets, _rows
-from clawmatch.structure import _scan_diamonds
+from clawmatch.structure import _leaving, _scan_diamonds, _verify_cover
 
 
 def has_edge(g: Multigraph, u: int, v: int) -> bool:
@@ -617,6 +619,83 @@ def reference_string_passages(g: Multigraph, s: DiamondString) -> list[tuple[int
         elif exit_port != s.tail:
             raise StructureViolation("string tail does not match the walk")
     return passages
+
+
+def reference_contract_to_base(g: Multigraph, strings: list[DiamondString]) -> Decomposition:
+    """structure.contract_to_base as it was before classify's string walk recorded the
+    connectors: it walks every string again through string_passages and asks each exit
+    port for its edge out.  Only the EdgeReplacement fields changed (ends is gone).
+
+    Requires a graph that classify would not call K4 or a ring of
+    diamonds; the result's base is cubic, loop-free and 2-edge-connected.
+    """
+    nbrs = g._neighbors
+    in_diamond = [False] * g.n
+    for s in strings:
+        for dia in s.diamonds:
+            for v in dia.vertices:
+                in_diamond[v] = True
+
+    # group the remaining vertices into their unique triangles
+    tri_index = [-1] * g.n
+    triangles: list[tuple[int, int, int]] = []
+    for v in range(g.n):
+        if in_diamond[v] or tri_index[v] >= 0:
+            continue
+        nb = nbrs[v]
+        found = 0
+        for i in range(len(nb) - 1):
+            na = nbrs[nb[i]]
+            for j in range(i + 1, len(nb)):
+                if nb[j] in na:
+                    if not found:
+                        a, b = nb[i], nb[j]
+                    found += 1
+        if found != 1:
+            raise StructureViolation(f"vertex {v} lies in {found} triangles, expected 1")
+        if in_diamond[a] or in_diamond[b] or tri_index[a] >= 0 or tri_index[b] >= 0:
+            raise StructureViolation(f"triangle at vertex {v} overlaps other structure")
+        tri_index[v] = tri_index[a] = tri_index[b] = len(triangles)
+        triangles.append(tuple(sorted((v, a, b))))
+
+    # base edges: direct corner-to-corner edges plus one edge per string
+    records: list[tuple[int, int, tuple[int, int], DiamondString | None, tuple[int, ...]]] = []
+    for eid, (x, y) in enumerate(g.edges):
+        if in_diamond[x] or in_diamond[y]:
+            continue
+        tx, ty = tri_index[x], tri_index[y]
+        if tx == ty:
+            continue  # a triangle side
+        records.append((tx, ty, (x, y), None, (eid,)))
+    if strings:
+        g.ensure_simple()  # so the one edge leaving a port is the one neighbor outside its diamond
+    for s in strings:
+        hu = _leaving(g, s.head, s.diamonds[0])
+        tv = _leaving(g, s.tail, s.diamonds[-1])
+        if len(hu) != 1 or len(tv) != 1 or in_diamond[hu[0][1]] or in_diamond[tv[0][1]]:
+            raise StructureViolation("string end does not attach to a triangle corner")
+        (head_edge, u), (tail_edge, v) = hu[0], tv[0]
+        if tri_index[u] == tri_index[v]:
+            raise StructureViolation("string closes on one triangle, base would have a loop")
+        connectors = [head_edge]
+        passages = string_passages(g, s)
+        for (_, exit_port, _, _), dia, (entry, _, _, _) in zip(passages, s.diamonds, passages[1:]):
+            connectors += [e for e, w in _leaving(g, exit_port, dia) if w == entry]
+        connectors.append(tail_edge)
+        records.append((tri_index[u], tri_index[v], (u, v), s, tuple(connectors)))
+
+    records.sort(key=lambda r: (min(r[0], r[1]), max(r[0], r[1]), r[4][0]))
+    base = Multigraph(len(triangles), tuple((tu, tv) for tu, tv, *_ in records))
+    replacements = tuple(EdgeReplacement(corners, s, conn) for _, _, corners, s, conn in records)
+    if not is_cubic(base):
+        raise StructureViolation("contracted base is not cubic")
+    if not is_two_edge_connected(base):
+        raise StructureViolation("contracted base is not 2-edge-connected")
+    d = Decomposition(
+        KIND_EXPANDED, g, base=base, triangles=tuple(triangles), replacements=replacements
+    )
+    _verify_cover(d)
+    return d
 
 
 def reference_cycle_basis(h: Multigraph) -> CycleBasis:

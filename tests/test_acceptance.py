@@ -11,7 +11,7 @@ import time
 import tracemalloc
 from contextlib import contextmanager, redirect_stdout
 
-from clawmatch import graphs
+from clawmatch import graphs, structure
 from clawmatch import (
     Multigraph,
     bridges,
@@ -261,7 +261,20 @@ def test_criterion_15_one_cut_pass_and_one_claw_scan_per_graph(monkeypatch, tmp_
     monkeypatch.setattr(
         Multigraph, "edge_between", lambda h, u, v: lookups.append((u, v)) or edge_between(h, u, v)
     )
-    label = f"one cut pass and one claw scan per graph, no edge looked up by its ends, n={g.n}"
+    ports = []
+    leaving = structure._leaving
+    monkeypatch.setattr(
+        structure, "_leaving", lambda h, p, dia: ports.append(p) or leaving(h, p, dia)
+    )
+    walks = []
+    passages = structure.string_passages
+    monkeypatch.setattr(
+        structure, "string_passages", lambda h, s: walks.append(s) or passages(h, s)
+    )
+    label = (
+        "one cut pass and one claw scan per graph, no edge looked up by its ends, "
+        f"each diamond string walked once, n={g.n}"
+    )
     with criterion(15, label, 10.0):
         assert not bridges(g).members
         assert is_claw_free(g)
@@ -274,6 +287,10 @@ def test_criterion_15_one_cut_pass_and_one_claw_scan_per_graph(monkeypatch, tmp_
         assert [id(h) for h in scans] == [id(g)]
         # strings are walked along incidence, so the pipeline never calls edge_between
         assert lookups == []
+        # one walk per string: each port is asked for its edge out once, and the
+        # contraction reads the connectors that walk recorded
+        assert len(ports) == len(set(ports)) == 2 * d.total_length()
+        assert walks == []
     for host, expected in ((circular_ladder(300), 2), (figure1_graph(3), 1)):
         doc = tmp_path / "host.txt"
         doc.write_text(serialize_graph(host))

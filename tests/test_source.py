@@ -19,6 +19,10 @@
 - Host edges are looked up by their ends in few places: only `graphs`
   (which defines it) and `expansion` (the gadget tables and K4's pairings)
   reference `edge_between`, and no module defines or calls `has_edge`.
+- A diamond string is walked in one place: only `structure._group_strings`
+  (which records the connectors `classify` contracts) and
+  `structure.string_passages` reference `_leaving`, and `EdgeReplacement`
+  keeps no copy of its base edge's ends.
 """
 
 import ast
@@ -29,6 +33,7 @@ from pathlib import Path
 import pytest
 
 from clawmatch.graphs import EdgeSubset
+from clawmatch.structure import EdgeReplacement
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "clawmatch"
 MODULES = sorted(SRC.glob("*.py"))
@@ -135,14 +140,22 @@ def test_all_lists_each_imported_name_once():
     )
 
 
-def test_only_rows_and_certificate_problems_check_rows():
+def _top_level_readers(name: str) -> list[str]:
+    """module.definition for every top-level statement of the library that names name."""
     found = []
     for path in MODULES:
         for top in parse(path).body:
             names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
-            if "_is_perfect_row" in names:
+            if name in names:
                 found.append(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
-    assert sorted(found) == ["expansion._rows", "expansion.certificate_problems"]
+    return sorted(found)
+
+
+def test_only_rows_and_certificate_problems_check_rows():
+    assert _top_level_readers("_is_perfect_row") == [
+        "expansion._rows",
+        "expansion.certificate_problems",
+    ]
 
 
 def _package_imports(path: Path) -> set[str]:
@@ -204,3 +217,15 @@ def test_edges_are_looked_up_by_their_ends_in_graphs_and_expansion_only():
     assert _referencing(MODULES, "has_edge") == set()
     # the scan does find both forms: the brute-force references define and call has_edge
     assert _referencing([Path(__file__).with_name("bruteforce.py")], "has_edge") == {"bruteforce"}
+
+
+def test_diamond_strings_are_walked_in_one_place():
+    assert _top_level_readers("_leaving") == [
+        "structure._group_strings",
+        "structure.string_passages",
+    ]
+    assert [f.name for f in dataclasses.fields(EdgeReplacement)] == [
+        "corners",
+        "string",
+        "connectors",
+    ]

@@ -3,7 +3,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clawmatch import (
@@ -21,7 +21,6 @@ from clawmatch import (
     StructureViolation,
     build,
     classify,
-    contract_to_base,
     cycle_basis,
     figure1_graph,
     find_claw,
@@ -41,6 +40,7 @@ from bruteforce import (
     brute_isomorphic,
     edge_multiset,
     has_edge,
+    reference_contract_to_base,
     reference_scan_diamonds,
     reference_string_passages,
 )
@@ -233,8 +233,7 @@ def test_contract_roundtrip_examples():
     assert d.lengths() == (0,) * 6
 
     g, _ = build(TRIPLE_BOND, [1, 0, 0])
-    strings, _ = find_strings(g)
-    d = contract_to_base(g, strings)
+    d = classify(g)
     assert brute_isomorphic(d.base, TRIPLE_BOND)
     assert sorted(d.lengths()) == [0, 0, 1]
 
@@ -496,8 +495,8 @@ def test_string_passages_match_their_reference_on_broken_strings(g):
 
 
 def test_broken_strings_reach_every_violation():
-    # the variants above reach every outcome of string_passages but the orientation
-    # check, which a DiamondString cannot fail: its head is a port of its first diamond
+    # the variants above reach every outcome of string_passages: each passage, a
+    # broken join between consecutive diamonds and a tail the walk does not end on
     g, _ = build(TRIPLE_BOND, [2, 1, 0])
     outcomes = {
         out if isinstance(out, str) else "passages"
@@ -510,10 +509,20 @@ def test_broken_strings_reach_every_violation():
     }
 
 
-def test_contract_to_base_refuses_a_multigraph_with_strings():
+def test_classify_refuses_a_multigraph_with_strings():
     # the connectors are the edges leaving the ports, one each only in a simple graph
     g, _ = build(TRIPLE_BOND, [1, 1, 0])
-    strings, _ = find_strings(g)
     for extra in (g.edges[0], (0, 0)):
         with pytest.raises(NotSimple, match="^graph has loops or parallel edges$"):
-            contract_to_base(Multigraph(g.n, g.edges + (extra,)), strings)
+            classify(Multigraph(g.n, g.edges + (extra,)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(shuffled_diamond_hosts())
+def test_classify_contracts_like_its_reference(g):
+    # classify reads the connectors its string walk recorded; the reference walks
+    # every string again and asks each port for its edge out
+    d = classify(g)
+    assume(d.kind == KIND_EXPANDED)
+    # equal replacements: the same connectors in the same order
+    assert d == reference_contract_to_base(g, find_strings(g)[0])
