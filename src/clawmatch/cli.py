@@ -185,7 +185,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact brute-force counts")
     p.add_argument("file")
-    p.add_argument("--two-factors", action="store_true", help="count 2-factors instead")
+    p.add_argument(
+        "--two-factors", action="store_true", help="count 2-factors instead (cubic graphs only)"
+    )
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("cycle-space", help="GF(2) cycle basis, optionally the full enumeration")

@@ -5,15 +5,15 @@ oracle the constructive machinery is checked against, so they must stay
 simple enough to trust; no transfer matrices, no Pfaffians.  Counts are
 Python ints, hence arbitrary precision for free.
 
-Both searches go vertex by vertex, the lowest-id vertex still short of
-edges trying its incident edges in id order; enumerations stop at the cap.
-The matching search, behind every matching count and the longest
-2-factor, steps over a per-vertex table of (edge id, far end) arcs built
-once per call and finds the next open vertex with one C-level list scan.
-The 2-factor search keeps reading g.edges: the same table was measured
-there with no gain (its second-edge step must find its place in the
-table again), so the simpler loop stays.  Both yield edge bitmasks, the
-stored form of an EdgeSubset, so an enumeration wraps them as they are.
+There is one search, over perfect matchings: the lowest-id unmatched
+vertex tries its incident edges in id order, stepping over a per-vertex
+table of (edge id, far end) arcs built once per call and finding the
+next open vertex with one C-level list scan; an enumeration stops at
+the cap.  It yields edge bitmasks, the stored form of an EdgeSubset, so
+an enumeration wraps them as they are.  In a cubic graph the 2-factors
+are exactly the complements of the perfect matchings, so the 2-factor
+count, the 2-factor enumeration and the longest 2-factor read that one
+search, and refuse any host that is not cubic.
 """
 
 from __future__ import annotations
@@ -85,84 +85,30 @@ def count_perfect_matchings(g: Multigraph) -> int:
     return sum(1 for _ in _iter_perfect_matchings(g))
 
 
-def _collect(g: Multigraph, found: Iterator[int], cap: int) -> list[EdgeSubset]:
-    """The first cap + 1 masks found, or CapExceeded(cap + 1, cap) if there are that many."""
-    masks = list(islice(found, cap + 1))
+def enumerate_perfect_matchings(g: Multigraph, cap: int) -> list[EdgeSubset]:
+    """The perfect matchings in search order; CapExceeded(cap + 1, cap) if there are more."""
+    masks = list(islice(_iter_perfect_matchings(g), cap + 1))
     if len(masks) > cap:
         raise CapExceeded(cap + 1, cap)
     return [EdgeSubset(g, mask) for mask in masks]
 
 
-def enumerate_perfect_matchings(g: Multigraph, cap: int) -> list[EdgeSubset]:
-    return _collect(g, _iter_perfect_matchings(g), cap)
-
-
-def _iter_two_factors(g: Multigraph) -> Iterator[int]:
-    """All spanning subgraphs with every degree exactly 2 (loops count twice).
-
-    Backtracking on the lowest-id vertex with room, that is degree below 2,
-    incident edges in id order.  A vertex that takes both of its edges takes
-    the second after the first, so each 2-factor is reached once; a loop needs
-    both of its vertex's places.  The search keeps its frames on an explicit
-    stack, so its depth is not bounded by Python's recursion limit.  A
-    2-factor is yielded as its edge bitmask, as in the matching search.
-    """
-    if any(d < 2 for d in g.degrees()):
-        return
-    n, edges, incident = g.n, g.edges, g.incident
-    if n == 0:
-        yield 0
-        return
-    bit = [1 << e for e in range(g.m)]
-    room = [2] * n
-    chosen: list[int] = []
-    # a frame is a vertex with room and its incident edges not yet tried; the top
-    # frame is (v, options), the ones below it are on the stack, and chosen holds
-    # the edge each of those has taken
-    stack: list[tuple[int, Iterator[int]]] = []
-    v, options = 0, iter(incident(0))
-    while True:
-        for e in options:
-            u, w = edges[e]
-            o = w if u == v else u
-            if room[o] > (u == w):
-                break
-        else:
-            if not stack:
-                return
-            u, w = edges[chosen.pop()]
-            room[u] += 1
-            room[w] += 1
-            v, options = stack.pop()
-            continue
-        room[v] -= 1
-        room[o] -= 1
-        chosen.append(e)
-        if room[v]:
-            # v's second edge comes after its first
-            stack.append((v, options))
-            at_v = incident(v)
-            options = iter(at_v[at_v.index(e) + 1 :])
-            continue
-        nxt = v + 1
-        while nxt < n and not room[nxt]:
-            nxt += 1
-        if nxt < n:
-            stack.append((v, options))
-            v, options = nxt, iter(incident(nxt))
-            continue
-        yield sum(map(bit.__getitem__, chosen))
-        chosen.pop()
-        room[v] += 1
-        room[o] += 1
+def _require_cubic(g: Multigraph) -> None:
+    if not is_cubic(g):
+        raise ValueError("host must be cubic for the complement to be a 2-factor")
 
 
 def count_two_factors(g: Multigraph) -> int:
-    return sum(1 for _ in _iter_two_factors(g))
+    """Number of 2-factors of cubic g: one per perfect matching, its complement."""
+    _require_cubic(g)
+    return count_perfect_matchings(g)
 
 
 def enumerate_two_factors(g: Multigraph, cap: int) -> list[EdgeSubset]:
-    return _collect(g, _iter_two_factors(g), cap)
+    """The 2-factors of cubic g, the complements of its perfect matchings in their order."""
+    _require_cubic(g)
+    every_edge = (1 << g.m) - 1
+    return [EdgeSubset(g, every_edge ^ m.mask) for m in enumerate_perfect_matchings(g, cap)]
 
 
 def max_length_two_factor(h: Multigraph, lengths: Mapping[int, int]) -> EdgeSubset:
@@ -179,8 +125,7 @@ def max_length_two_factor(h: Multigraph, lengths: Mapping[int, int]) -> EdgeSubs
     3-edge-coloring puts 2/3 of the mass on some 2-factor, and the max
     dominates the average.
     """
-    if not is_cubic(h):
-        raise ValueError("host must be cubic for the complement to be a 2-factor")
+    _require_cubic(h)
     m = h.m
     weight = [lengths.get(e, 0) * 2 ** (m + 1) + 2 ** (m - e) for e in range(m)]
     best = min(

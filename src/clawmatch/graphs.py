@@ -225,23 +225,6 @@ def subset_degrees(g: Multigraph, members: Iterable[int]) -> list[int]:
     return deg
 
 
-def connected_components(g: Multigraph) -> list[tuple[int, ...]]:
-    """Components as sorted vertex tuples, ordered by smallest vertex.
-
-    They are the runs of _cut_forest's preorder that start at a root.  Each
-    root is the least vertex no earlier tree reached, so the least vertex
-    of its component, and the roots come in ascending order.
-    """
-    order, parent_edge, _, _ = _cut_forest(g)
-    comps: list[list[int]] = []
-    for v in order:
-        if parent_edge[v] < 0:
-            comps.append([v])
-        else:
-            comps[-1].append(v)
-    return [tuple(sorted(comp)) for comp in comps]
-
-
 def is_connected(g: Multigraph) -> bool:
     """At most one component: the root count of the graph's one cut pass."""
     return g._cuts[0] <= 1

@@ -13,18 +13,18 @@ unchanged so that tests can hold the current versions to the same output.
 has_edge (once a Multigraph method), is_perfect_matching, is_two_factor and
 is_even_subgraph are predicates the library once exported and no library
 code called.
-recursive_iter_two_factors restates the current 2-factor search with one
-nested generator per taken edge, so tests can hold its explicit stack to
-the same sequence.
+recursive_iter_two_factors is the tests' 2-factor oracle: the vertex-order
+backtracking search the library ran before it read its 2-factors off the
+perfect matchings (in a cubic graph they are the complements), one nested
+generator per taken edge, so it shares no code with the matching search.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from collections import Counter
 from typing import Iterator
 
 from clawmatch import (
     KIND_EXPANDED,
-    CapExceeded,
     Claw,
     CycleBasis,
     Decomposition,
@@ -38,7 +38,6 @@ from clawmatch import (
     classify,
     count_perfect_matchings,
     enumerate_cycle_space,
-    enumerate_two_factors,
     find_claw,
     is_cubic,
     is_three_edge_connected,
@@ -321,7 +320,7 @@ def reference_iter_perfect_matchings(g: Multigraph) -> Iterator[frozenset[int]]:
 
 
 def reference_iter_two_factors(g: Multigraph) -> Iterator[frozenset[int]]:
-    """counting._iter_two_factors as it was before it ran on an explicit stack, and
+    """counting's 2-factor search as it was before it ran on an explicit stack, and
     before it searched vertex by vertex: edges decided in id order, one nested
     generator per edge.
 
@@ -367,7 +366,8 @@ def reference_iter_two_factors(g: Multigraph) -> Iterator[frozenset[int]]:
 
 
 def recursive_iter_two_factors(g: Multigraph) -> Iterator[frozenset[int]]:
-    """counting._iter_two_factors with one nested generator per taken edge.
+    """counting's vertex-order 2-factor search, which it ran until it read 2-factors
+    off the perfect matchings, with one nested generator per taken edge.
 
     Backtracking on the lowest-id vertex with room (degree below 2), incident
     edges in id order; a vertex's second edge comes after its first, and a loop
@@ -473,12 +473,12 @@ def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
     complements = set(_rows(g, map(gadgets.lift, members)))
     if len(complements) != len(members):
         return False
-    try:
-        factors = enumerate_two_factors(g, max(cap, 2 * len(members)))
-    except CapExceeded:
+    factor_cap = max(cap, 2 * len(members))
+    factors = list(islice(recursive_iter_two_factors(g), factor_cap + 1))
+    if len(factors) > factor_cap:
         return False
     every_edge = frozenset(range(g.m))
-    return complements == {tuple(sorted(every_edge - f.members)) for f in factors}
+    return complements == {tuple(sorted(every_edge - f)) for f in factors}
 
 
 def reference_degrees(g: Multigraph) -> tuple[int, ...]:

@@ -158,6 +158,23 @@ def multigraphs(draw, max_n: int = 9, max_m: int = 16):
 
 
 @st.composite
+def cubic_multigraphs(draw):
+    """Connected cubic hosts: the corpus, many with 2-edge cuts, or random cubic bases."""
+    if draw(st.booleans(), label="corpus"):
+        return draw(st.sampled_from([g for _, g in certify_corpus() + cubic_corpus_small()]))
+    return random_base(draw(st.sampled_from((2, 4, 6, 8))), seed=draw(st.integers(0, 1 << 16)))
+
+
+@st.composite
+def cubic_pairings(draw, max_n: int = 10):
+    """Cubic multigraphs with loops: three half-edges per vertex, paired at random, so
+    bridges, parallel edges, several components and n = 0 occur too."""
+    n = draw(st.sampled_from(range(0, max_n + 1, 2)), label="n")
+    ends = draw(st.permutations([v for v in range(n) for _ in range(3)]), label="half-edges")
+    return Multigraph(n, tuple(zip(ends[::2], ends[1::2])))
+
+
+@st.composite
 def graph_documents(draw):
     """Text that is often a well-formed graph document and often is not: small
     multigraphs with loops and parallel edges, sometimes with a wrong edge count, an

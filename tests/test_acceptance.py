@@ -37,7 +37,7 @@ from clawmatch import (
     verify_3ec_remark,
 )
 from clawmatch.cli import main
-from bruteforce import brute_even_subsets, brute_isomorphic
+from bruteforce import brute_even_subsets, brute_isomorphic, recursive_iter_two_factors
 from corpus import (
     K4,
     PRISM,
@@ -148,8 +148,10 @@ def test_criterion_8_complement_bijection():
     with criterion(8, "2-factor and matching counts agree via complements", 60.0):
         for name, g in cubic_corpus_small() + certify_corpus():
             assert g.n <= 28, name
-            factors = {f.members for f in enumerate_two_factors(g, 1 << 20)}
+            # the 2-factors from the reference search, which shares no code with the matchings
+            factors = set(recursive_iter_two_factors(g))
             matchings = {m.members for m in enumerate_perfect_matchings(g, 1 << 20)}
+            assert {f.members for f in enumerate_two_factors(g, 1 << 20)} == factors, name
             assert len(factors) == count_two_factors(g), name
             assert len(matchings) == count_perfect_matchings(g), name
             assert len(factors) == len(matchings), name
@@ -308,7 +310,8 @@ def test_criterion_16_two_factor_oracle_on_large_hosts():
         ("diamond-free host, n=48", build(base, [0] * base.m)[0], 512),
     ):
         with criterion(16, f"2-factor and matching counts agree on a {name}", 10.0):
-            assert count_two_factors(g) == count_perfect_matchings(g) == expected, name
+            factors = sum(1 for _ in recursive_iter_two_factors(g))
+            assert factors == count_perfect_matchings(g) == count_two_factors(g) == expected, name
 
 
 # what a Multigraph may keep: its two fields and the per-vertex or per-graph caches,

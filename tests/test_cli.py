@@ -118,6 +118,18 @@ def test_gen_ring_then_count(capsys, tmp_path):
     assert out.strip() == "5"
 
 
+def test_count_two_factors_refuses_a_host_that_is_not_cubic(capsys, tmp_path):
+    path = tmp_path / "triangle.txt"
+    path.write_text("p 3 3\ne 0 1\ne 0 2\ne 1 2\n")
+    code, out, err = run(capsys, "count", str(path), "--two-factors")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert run(capsys, "count", str(path)) == (0, "0\n", "")
+    with pytest.raises(SystemExit):
+        main(["count", "--help"])
+    assert "cubic graphs only" in " ".join(capsys.readouterr().out.split())
+
+
 def test_gen_random_base_deterministic(capsys):
     code, out1, _ = run(capsys, "gen", "random-base", "6", "--seed", "4")
     code, out2, _ = run(capsys, "gen", "random-base", "6", "--seed", "4")

@@ -16,6 +16,7 @@ from clawmatch import (
     count_two_factors,
     enumerate_perfect_matchings,
     enumerate_two_factors,
+    is_cubic,
     is_three_edge_connected,
     max_length_two_factor,
     random_base,
@@ -43,6 +44,9 @@ from corpus import (
     base_corpus,
     certify_corpus,
     cubic_corpus_small,
+    cubic_multigraphs,
+    cubic_pairings,
+    multigraphs,
 )
 
 
@@ -112,8 +116,35 @@ def test_enumerations_stop_at_the_cap():
 def test_two_factor_counts():
     assert count_two_factors(K4) == 3 == len(brute_two_factors(K4))
     assert count_two_factors(PRISM) == 4 == len(brute_two_factors(PRISM))
-    assert count_two_factors(TRIANGLE) == 1  # the triangle itself
-    assert count_two_factors(LOOP1) == 1  # a loop counts 2 toward its vertex
+    # hosts that are not cubic: only the reference search counts their 2-factors
+    assert list(recursive_iter_two_factors(TRIANGLE)) == [frozenset({0, 1, 2})]
+    assert list(recursive_iter_two_factors(LOOP1)) == [frozenset({0})]  # a loop counts 2
+    assert brute_two_factors(TRIANGLE) == {frozenset({0, 1, 2})}
+    assert brute_two_factors(LOOP1) == {frozenset({0})}
+
+
+def _two_factor_masks(g: Multigraph) -> list[int]:
+    """The reference search's 2-factors as masks, in its order."""
+    return list(map(_mask, recursive_iter_two_factors(g)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(cubic_multigraphs(), cubic_pairings()))
+def test_two_factors_match_the_reference_search_on_cubic_multigraphs(g):
+    # loops, parallel edges, bridges, several components and n = 0 included
+    expected = _two_factor_masks(g)
+    assert len(set(expected)) == len(expected)
+    assert {f.mask for f in enumerate_two_factors(g, 1 << 20)} == set(expected)
+    assert count_two_factors(g) == len(expected)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(multigraphs().filter(lambda g: not is_cubic(g)))
+def test_two_factors_refuse_a_host_that_is_not_cubic(g):
+    with pytest.raises(ValueError):
+        count_two_factors(g)
+    with pytest.raises(ValueError):
+        enumerate_two_factors(g, 1 << 20)
 
 
 def test_two_factor_enumeration_validates():
@@ -125,14 +156,14 @@ def test_two_factor_enumeration_validates():
 
 def test_cubic_two_factors_equal_matchings():
     for name, g in cubic_corpus_small():
-        assert count_two_factors(g) == count_perfect_matchings(g), name
+        assert count_two_factors(g) == len(_two_factor_masks(g)) == count_perfect_matchings(g), name
 
 
 def test_complement_is_a_bijection_on_cubic_graphs():
     for name, g in cubic_corpus_small():
         if g.m > 24:
             continue
-        factors = {f.members for f in enumerate_two_factors(g, 1 << 20)}
+        factors = set(recursive_iter_two_factors(g))
         matchings = {m.members for m in enumerate_perfect_matchings(g, 1 << 20)}
         all_edges = frozenset(range(g.m))
         assert {all_edges - f for f in factors} == matchings, name
@@ -145,7 +176,8 @@ def test_petersen_sanity():
 
 
 def test_prism_counts_agree():
-    assert count_perfect_matchings(PRISM) == count_two_factors(PRISM) == 4
+    assert count_perfect_matchings(PRISM) == len(_two_factor_masks(PRISM)) == 4
+    assert count_two_factors(PRISM) == 4
 
 
 def test_max_length_two_factor_triple_bond():
@@ -222,13 +254,12 @@ def test_broken_invariants_raise_structure_violation(monkeypatch):
 
 
 def assert_reference_order(g: Multigraph) -> None:
-    # the searches yield edge masks, the references frozensets of edge ids
+    # the search yields edge masks, the references frozensets of edge ids
     matchings = list(counting._iter_perfect_matchings(g))
     assert matchings == list(map(_mask, reference_iter_perfect_matchings(g)))
-    factors = list(counting._iter_two_factors(g))
-    assert factors == list(map(_mask, recursive_iter_two_factors(g)))
-    # the edge-order search reaches the same factors in another order
-    assert Counter(factors) == Counter(map(_mask, reference_iter_two_factors(g)))
+    # the two 2-factor references: the edge-order search reaches the same factors
+    # as the vertex-order one, in another order
+    assert Counter(_two_factor_masks(g)) == Counter(map(_mask, reference_iter_two_factors(g)))
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)

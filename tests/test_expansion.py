@@ -22,7 +22,6 @@ from clawmatch import (
     count_perfect_matchings,
     enumerate_cycle_space,
     enumerate_perfect_matchings,
-    enumerate_two_factors,
     expand,
     max_length_two_factor,
     random_base,
@@ -37,6 +36,7 @@ from clawmatch.graphs import _mask, _unmask
 from bruteforce import (
     is_perfect_matching,
     is_two_factor,
+    recursive_iter_two_factors,
     reference_3ec_remark,
     reference_certificate_problems,
     reference_lift,
@@ -257,6 +257,19 @@ def test_verify_certificate_catches_mutations():
     assert any("bound_ok" in p for p in certificate_problems(K4, bad_flag))
 
 
+def test_a_family_at_the_bound_is_rejected():
+    # 4^12 = 2^24: four distinct perfect matchings of an n = 24 host miss the strict bound
+    # by exactly one exponent step, so a checker testing count^13 would accept them
+    g, _ = build(random_base(8, 0), [0] * 12)
+    assert g.n == 24
+    rows = tuple(m.sorted_tuple() for m in enumerate_perfect_matchings(g, 1 << 20)[:4])
+    assert len(set(rows)) == 4
+    assert certificate_problems(g, Certificate(g, rows, g.n, "cycle-space", True)) == [
+        "bound fails: 4^12 <= 2^24",
+        "bound_ok flag does not match the exact arithmetic",
+    ]
+
+
 @cache
 def corpus_certificates():
     return tuple((g, certify(g)) for _, g in certify_corpus())
@@ -338,8 +351,7 @@ def test_expansion_bijection_when_diamond_free():
         members = enumerate_cycle_space(d.base, 1 << 20)
         lifted = {expand(c, d).members for c in members}
         assert len(lifted) == len(members)
-        oracle = {f.members for f in enumerate_two_factors(g, 1 << 20)}
-        assert lifted == oracle
+        assert lifted == set(recursive_iter_two_factors(g))
 
 
 def test_verify_3ec_remark_true_cases():

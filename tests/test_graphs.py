@@ -13,7 +13,6 @@ from clawmatch import (
     NotSimple,
     bridges,
     classify,
-    connected_components,
     figure1_graph,
     find_claw,
     is_claw_free,
@@ -21,7 +20,6 @@ from clawmatch import (
     is_cubic,
     is_three_edge_connected,
     is_two_edge_connected,
-    random_base,
     ring_of_diamonds,
     subset_degrees,
 )
@@ -49,6 +47,7 @@ from corpus import (
     base_corpus,
     certify_corpus,
     cubic_corpus_small,
+    cubic_multigraphs,
     multigraphs,
     relabelled,
 )
@@ -269,14 +268,6 @@ def test_three_edge_connected_matches_removal_oracle_on_corpus():
     assert [is_three_edge_connected(g) for g in hosts] == expected
 
 
-@st.composite
-def cubic_multigraphs(draw):
-    """Connected cubic hosts: the corpus, many with 2-edge cuts, or random cubic bases."""
-    if draw(st.booleans(), label="corpus"):
-        return draw(st.sampled_from([g for _, g in certify_corpus() + cubic_corpus_small()]))
-    return random_base(draw(st.sampled_from((2, 4, 6, 8))), seed=draw(st.integers(0, 1 << 16)))
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(multigraphs())
 def test_three_edge_connected_matches_removal_oracle_on_random_multigraphs(g):
@@ -308,11 +299,9 @@ def test_three_edge_connected_confirms_colliding_labels(monkeypatch, bits):
     assert [is_three_edge_connected(g) for g in cases] == expected
 
 
-def test_connected_components():
-    assert connected_components(PATH3) == [(0, 1, 2)]
-    g = Multigraph(5, ((0, 1), (2, 3)))
-    assert connected_components(g) == [(0, 1), (2, 3), (4,)]
-    assert not is_connected(g)
+def test_is_connected_on_small_graphs():
+    assert is_connected(PATH3)
+    assert not is_connected(Multigraph(5, ((0, 1), (2, 3))))
     assert is_connected(Multigraph(0, ()))
 
 
@@ -333,13 +322,12 @@ def two_edge_connected_by_removal(g: Multigraph) -> bool:
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(multigraphs(), several_components(), st.builds(figure1_graph, st.integers(0, 3))))
-def test_components_match_their_reference_before_and_after_bridges(g):
-    # a fresh object, so the first questions come before any cut pass is cached
+def test_is_connected_matches_the_reference_before_and_after_bridges(g):
+    # a fresh object, so the first question comes before any cut pass is cached
     g = Multigraph(g.n, g.edges)
-    expected = reference_components(g)
+    expected = len(reference_components(g)) <= 1
     for _ in range(2):
-        assert connected_components(g) == expected
-        assert is_connected(g) == (len(expected) <= 1)
+        assert is_connected(g) == expected
         bridges(g)
 
 

@@ -13,6 +13,9 @@
   `_is_perfect_row`, so every row the library makes is checked on one path.
 - `counting` imports only `errors` and `graphs` from the package, so the
   oracle stays independent of the machinery it checks.
+- The oracle has one search: `counting` defines exactly one `_iter_*`
+  function, the matching search, and no module defines `_iter_two_factors`
+  or `connected_components`, which `clawmatch.__all__` no longer lists.
 - An edge set has one stored form, the int mask of `EdgeSubset`: only
   `graphs` defines `_mask` and `_unmask`, `EdgeSubset`'s fields are `host`
   and `mask`, and no other module reads `.members`.
@@ -32,6 +35,7 @@ from pathlib import Path
 
 import pytest
 
+import clawmatch
 from clawmatch.graphs import EdgeSubset
 from clawmatch.structure import EdgeReplacement
 
@@ -174,6 +178,26 @@ def test_oracle_imports_only_errors_and_graphs():
     assert _package_imports(SRC / "counting.py") <= {"errors", "graphs"}
     # the helper does find package imports: the certify machinery imports the oracle
     assert {"counting", "cyclespace", "structure"} <= _package_imports(SRC / "expansion.py")
+
+
+def _functions_defined(path: Path) -> list[str]:
+    """The names of every function path defines, nested ones and methods included."""
+    return [
+        node.name
+        for node in ast.walk(parse(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+
+
+def test_the_oracle_has_one_search():
+    searches = [f for f in _functions_defined(SRC / "counting.py") if f.startswith("_iter_")]
+    assert searches == ["_iter_perfect_matchings"]
+    gone = {"_iter_two_factors", "connected_components"}
+    assert [p.name for p in MODULES if gone & set(_functions_defined(p))] == []
+    assert gone.isdisjoint(clawmatch.__all__)
+    # the scan does find definitions: the brute-force references define 2-factor searches
+    bruteforce = _functions_defined(Path(__file__).with_name("bruteforce.py"))
+    assert "recursive_iter_two_factors" in bruteforce
 
 
 def _members_readers(paths) -> set[str]:
