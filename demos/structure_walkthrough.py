@@ -10,7 +10,6 @@ from clawmatch import (
     Multigraph,
     build,
     classify,
-    find_diamonds,
     random_base,
     ring_of_diamonds,
     serialize_decomposition,
@@ -35,8 +34,8 @@ def main():
 
     g, made = build(TRIPLE_BOND, [2, 0, 0])
     print(f"--- triple bond with a 2-diamond string on one edge (n={g.n})")
-    print(f"diamonds found by rescan: {len(find_diamonds(g))}")
     recovered = classify(g)
+    print(f"diamonds found by rescan: {recovered.total_length()}")
     print(f"recovered base: k={recovered.base.n}, lengths={sorted(recovered.lengths())}")
     print(f"matches what we built: {sorted(made.lengths()) == sorted(recovered.lengths())}")
     print()

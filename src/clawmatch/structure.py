@@ -3,11 +3,11 @@
 Every such graph is K4, a ring of diamonds, or is built from a
 2-edge-connected cubic base multigraph by replacing each base vertex
 with a triangle and some base edges with strings of diamonds.  This
-module recognizes that structure (find_diamonds / find_strings /
-classify), inverts it (build), and provides the corpus generators.
-classify walks each diamond string once: the walk that orders a
-string's diamonds also records its connectors, and the contraction to
-the base reads them.
+module recognizes that structure (classify, the one recognizer),
+inverts it (build), and provides the corpus generators.  classify's
+diamond scan returns an owner table (each vertex's diamond index, or
+-1) that its string walk and contraction read; each string is walked
+once, and the walk records the connectors the contraction reads.
 
 All decompositions store concrete vertex and edge ids of the host graph,
 not abstract isomorphism classes, so rebuilding is exact.
@@ -160,23 +160,14 @@ def string_passages(g: Multigraph, s: DiamondString) -> list[tuple[int, int, int
     return passages
 
 
-def _require_cubic_claw_free(g: Multigraph) -> None:
-    g.ensure_simple()
-    for v, d in enumerate(g.degrees()):
-        if d != 3:
-            raise NotCubic(v, d)
-    claw = find_claw(g)
-    if claw is not None:
-        raise NotClawFree(claw)
-
-
-def _scan_diamonds(g: Multigraph) -> list[Diamond]:
+def _scan_diamonds(g: Multigraph) -> tuple[list[Diamond], list[int]]:
+    """The diamonds by least vertex, and the owner table: each vertex's diamond index, or -1."""
     # a diamond is discovered exactly once, via its internal edge: the two
     # common neighbors of the internals are the (nonadjacent) ports.  g is
     # cubic and simple here, so a's three neighbors are b and two others,
     # and b is no neighbor of itself: common neighbors are those of a in b's tuple
     nbrs = g._neighbors
-    found: dict[tuple[int, ...], Diamond] = {}
+    diamonds: list[Diamond] = []
     for a, b in g.edges:
         x, y, z = nbrs[a]
         nb = nbrs[b]
@@ -193,30 +184,33 @@ def _scan_diamonds(g: Multigraph) -> list[Diamond]:
             continue
         if q in nbrs[p]:
             continue
-        verts = tuple(sorted((a, b, p, q)))
-        found[verts] = Diamond(verts, (p, q), (a, b))
-    diamonds = [found[k] for k in sorted(found)]
-    covered = [False] * g.n
-    for dia in diamonds:
+        diamonds.append(Diamond((a, b, p, q), (p, q), (a, b)))
+    diamonds.sort(key=operator.attrgetter("vertices"))
+    owner = [-1] * g.n
+    for i, dia in enumerate(diamonds):
         for v in dia.vertices:
-            if covered[v]:
+            if owner[v] >= 0:
                 raise StructureViolation("two distinct diamonds intersect")
-            covered[v] = True
-    return diamonds
-
-
-def find_diamonds(g: Multigraph) -> list[Diamond]:
-    """All diamonds of a simple cubic claw-free graph, by minimum vertex id."""
-    _require_cubic_claw_free(g)
-    return _scan_diamonds(g)
+            owner[v] = i
+    return diamonds, owner
 
 
 def _group_strings(
-    g: Multigraph, diamonds: list[Diamond]
+    g: Multigraph, diamonds: list[Diamond], owner: list[int]
 ) -> tuple[list[DiamondString], list[tuple[Diamond, ...]], list[tuple[int, ...]]]:
-    """find_strings' strings and rings, and each string's connectors: the
-    edge into its head, then the edge out of every diamond's exit port."""
-    owner = {v: i for i, dia in enumerate(diamonds) for v in dia.vertices}
+    """Partition the diamonds and owner table of _scan_diamonds into maximal strings.
+
+    Returns (strings, rings, connectors).  A string runs from its head, the
+    smaller of its two free ports (ports whose outside neighbor lies in no
+    diamond), to its tail, and the strings are sorted by head; its
+    connectors are the edge into its head, then the edge out of every
+    diamond's exit port.  Closed diamond cycles have no head or tail, so
+    they are reported separately; classify accepts one only as a whole
+    ring of diamonds.  A ring starts at the diamond holding its least
+    vertex and continues toward the neighbor with the smaller least vertex
+    (the two neighbors of a 2-diamond ring are the same diamond, so its
+    order is fixed).
+    """
     seen = [False] * len(diamonds)
     out: dict[int, tuple[int, int]] = {}  # port -> its one (edge id, far end) out of its diamond
     for dia in diamonds:
@@ -238,14 +232,14 @@ def _group_strings(
             exit_port = q if entry == p else p
             e, w = out[exit_port]
             joins.append(e)
-            if w not in owner or seen[owner[w]]:
+            if owner[w] < 0 or seen[owner[w]]:
                 return order, exit_port, joins
             i, entry = owner[w], w
 
     # each port has one outside neighbor and ports are nonadjacent, so the
     # diamonds join into paths and cycles: the walks from the free ports take
     # every path, and every diamond they leave unseen lies on a cycle
-    free = sorted(p for p, (_, w) in out.items() if w not in owner)
+    free = sorted(p for p, (_, w) in out.items() if owner[w] < 0)
     strings: list[DiamondString] = []
     connectors: list[tuple[int, ...]] = []
     for head in free:
@@ -264,44 +258,21 @@ def _group_strings(
     return strings, rings, connectors
 
 
-def find_strings(g: Multigraph) -> tuple[list[DiamondString], list[tuple[Diamond, ...]]]:
-    """Partition all diamonds into maximal strings.
-
-    Returns (strings, rings).  A string runs from its head, the smaller
-    of its two free ports (ports whose outside neighbor lies in no
-    diamond), to its tail, and the strings are sorted by head.  Closed
-    diamond cycles have no head or tail, so they are reported separately
-    and classify deals with them; for every graph that is not a ring of
-    diamonds the second list is empty.  A ring starts at the diamond
-    holding its least vertex and continues toward the neighbor with the
-    smaller least vertex (the two neighbors of a 2-diamond ring are the
-    same diamond, so its order is fixed).
-    """
-    strings, rings, _ = _group_strings(g, find_diamonds(g))
-    return strings, rings
-
-
 def _contract(
-    g: Multigraph, strings: list[DiamondString], connectors: list[tuple[int, ...]]
+    g: Multigraph, owner: list[int], strings: list[DiamondString], connectors: list[tuple[int, ...]]
 ) -> Decomposition:
     """Contract triangles to base vertices and strings to base edges.
 
-    Takes the strings and connectors of _group_strings on a graph that
-    classify would not call K4 or a ring of diamonds; the result's base
-    is cubic, loop-free and 2-edge-connected.
+    Takes the owner table of _scan_diamonds and the strings and connectors
+    of _group_strings on a graph that classify would not call K4 or a ring
+    of diamonds; the result's base is cubic, loop-free and 2-edge-connected.
     """
     nbrs = g._neighbors
-    in_diamond = [False] * g.n
-    for s in strings:
-        for dia in s.diamonds:
-            for v in dia.vertices:
-                in_diamond[v] = True
-
     # group the remaining vertices into their unique triangles
     tri_index = [-1] * g.n
     triangles: list[tuple[int, int, int]] = []
     for v in range(g.n):
-        if in_diamond[v] or tri_index[v] >= 0:
+        if owner[v] >= 0 or tri_index[v] >= 0:
             continue
         nb = nbrs[v]
         found = 0
@@ -314,7 +285,7 @@ def _contract(
                     found += 1
         if found != 1:
             raise StructureViolation(f"vertex {v} lies in {found} triangles, expected 1")
-        if in_diamond[a] or in_diamond[b] or tri_index[a] >= 0 or tri_index[b] >= 0:
+        if owner[a] >= 0 or owner[b] >= 0 or tri_index[a] >= 0 or tri_index[b] >= 0:
             raise StructureViolation(f"triangle at vertex {v} overlaps other structure")
         tri_index[v] = tri_index[a] = tri_index[b] = len(triangles)
         triangles.append(tuple(sorted((v, a, b))))
@@ -322,7 +293,7 @@ def _contract(
     # base edges: direct corner-to-corner edges plus one edge per string
     records: list[tuple[int, int, tuple[int, int], DiamondString | None, tuple[int, ...]]] = []
     for eid, (x, y) in enumerate(g.edges):
-        if in_diamond[x] or in_diamond[y]:
+        if owner[x] >= 0 or owner[y] >= 0:
             continue
         tx, ty = tri_index[x], tri_index[y]
         if tx == ty:
@@ -409,7 +380,13 @@ def classify(g: Multigraph) -> Decomposition:
     The returned decomposition stores concrete ids: rebuilding from it
     reproduces g exactly, not just up to isomorphism.
     """
-    _require_cubic_claw_free(g)
+    g.ensure_simple()
+    for v, d in enumerate(g.degrees()):
+        if d != 3:
+            raise NotCubic(v, d)
+    claw = find_claw(g)
+    if claw is not None:
+        raise NotClawFree(claw)
     if g.n == 0:
         raise NotTwoEdgeConnected("graph has no vertices")
     roots, found = g._cuts
@@ -419,11 +396,11 @@ def classify(g: Multigraph) -> Decomposition:
         witness = min(found)
         raise NotTwoEdgeConnected(f"graph has a bridge: edge {witness}", witness)
 
-    diamonds = _scan_diamonds(g)
+    diamonds, owner = _scan_diamonds(g)
     if diamonds and 4 * len(diamonds) == g.n:
         if len(diamonds) < 2:
             raise StructureViolation("a ring of diamonds has at least 2 diamonds")
-        _, rings, _ = _group_strings(g, diamonds)
+        _, rings, _ = _group_strings(g, diamonds, owner)
         if len(rings) != 1:
             raise StructureViolation("all-diamond graph is not a single ring")
         d = Decomposition(KIND_RING, g, ring=rings[0])
@@ -431,10 +408,10 @@ def classify(g: Multigraph) -> Decomposition:
         return d
     if g.n == 4:
         return Decomposition(KIND_K4, g)
-    strings, rings, connectors = _group_strings(g, diamonds)
+    strings, rings, connectors = _group_strings(g, diamonds, owner)
     if rings:
         raise StructureViolation("closed diamond cycle in a graph with triangle vertices")
-    return _contract(g, strings, connectors)
+    return _contract(g, owner, strings, connectors)
 
 
 def build(

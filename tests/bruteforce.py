@@ -13,6 +13,9 @@ unchanged so that tests can hold the current versions to the same output.
 has_edge (once a Multigraph method), is_perfect_matching, is_two_factor and
 is_even_subgraph are predicates the library once exported and no library
 code called.
+find_diamonds and find_strings are the diamond and string finders the
+library once exported, over the private scan and walk classify runs; they
+list what classify would see without its 2-edge-connectivity check.
 recursive_iter_two_factors is the tests' 2-factor oracle: the vertex-order
 backtracking search the library ran before it read its 2-factors off the
 perfect matchings (in a cubic graph they are the complements), one nested
@@ -34,6 +37,8 @@ from clawmatch import (
     EdgeSubset,
     Multigraph,
     NoTwoFactor,
+    NotClawFree,
+    NotCubic,
     StructureViolation,
     classify,
     count_perfect_matchings,
@@ -47,7 +52,7 @@ from clawmatch import (
 )
 from clawmatch.graphs import _mask, _unmask
 from clawmatch.expansion import _Gadgets, _rows
-from clawmatch.structure import _leaving, _scan_diamonds, _verify_cover
+from clawmatch.structure import _group_strings, _leaving, _scan_diamonds, _verify_cover
 
 
 def has_edge(g: Multigraph, u: int, v: int) -> bool:
@@ -463,7 +468,7 @@ def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
         return False
     if count_perfect_matchings(g) != 2 ** (g.n // 6 + 1):
         return False
-    if _scan_diamonds(g):
+    if _scan_diamonds(g)[0]:
         return False
     d = classify(g)
     if d.kind != KIND_EXPANDED or d.total_length() != 0:
@@ -576,6 +581,30 @@ def reference_scan_diamonds(g: Multigraph) -> list[Diamond]:
             raise StructureViolation("two distinct diamonds intersect")
         covered |= set(dia.vertices)
     return diamonds
+
+
+def _require_cubic_claw_free(g: Multigraph) -> None:
+    g.ensure_simple()
+    for v, d in enumerate(g.degrees()):
+        if d != 3:
+            raise NotCubic(v, d)
+    claw = find_claw(g)
+    if claw is not None:
+        raise NotClawFree(claw)
+
+
+def find_diamonds(g: Multigraph) -> list[Diamond]:
+    """All diamonds of a simple cubic claw-free graph, by minimum vertex id."""
+    _require_cubic_claw_free(g)
+    return _scan_diamonds(g)[0]
+
+
+def find_strings(g: Multigraph) -> tuple[list[DiamondString], list[tuple[Diamond, ...]]]:
+    """Partition all diamonds into maximal strings: (strings, rings), ordered as
+    structure._group_strings says."""
+    _require_cubic_claw_free(g)
+    strings, rings, _ = _group_strings(g, *_scan_diamonds(g))
+    return strings, rings
 
 
 def reference_components(g: Multigraph) -> list[tuple[int, ...]]:

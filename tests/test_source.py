@@ -22,6 +22,9 @@
 - Host edges are looked up by their ends in few places: only `graphs`
   (which defines it) and `expansion` (the gadget tables and K4's pairings)
   reference `edge_between`, and no module defines or calls `has_edge`.
+- `classify` is the one diamond and string recognizer: no module defines
+  `find_diamonds`, `find_strings` or `_require_cubic_claw_free`, and
+  `clawmatch.__all__` lists neither finder.
 - A diamond string is walked in one place: only `structure._group_strings`
   (which records the connectors `classify` contracts) and
   `structure.string_passages` reference `_leaving`, and `EdgeReplacement`
@@ -253,3 +256,11 @@ def test_diamond_strings_are_walked_in_one_place():
         "string",
         "connectors",
     ]
+
+
+def test_classify_is_the_one_diamond_recognizer():
+    gone = {"find_diamonds", "find_strings", "_require_cubic_claw_free"}
+    assert [p.name for p in MODULES if gone & set(_functions_defined(p))] == []
+    assert gone.isdisjoint(clawmatch.__all__)
+    # the scan does find definitions: the brute-force helpers define all three
+    assert gone <= set(_functions_defined(Path(__file__).with_name("bruteforce.py")))

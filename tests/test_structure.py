@@ -24,8 +24,6 @@ from clawmatch import (
     cycle_basis,
     figure1_graph,
     find_claw,
-    find_diamonds,
-    find_strings,
     is_claw_free,
     is_cubic,
     is_two_edge_connected,
@@ -39,6 +37,8 @@ from bruteforce import (
     brute_diamond_vertex_sets,
     brute_isomorphic,
     edge_multiset,
+    find_diamonds,
+    find_strings,
     has_edge,
     reference_contract_to_base,
     reference_scan_diamonds,
@@ -457,7 +457,25 @@ def test_find_strings_ordering_rules(g):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.one_of(shuffled_diamond_hosts(), st.sampled_from([K4, build(K4, [0] * 6)[0]])))
 def test_scan_diamonds_matches_its_reference(g):
-    assert _scan_diamonds(g) == reference_scan_diamonds(g)
+    diamonds, owner = _scan_diamonds(g)
+    assert diamonds == reference_scan_diamonds(g)
+    holder = {v: i for i, dia in enumerate(diamonds) for v in dia.vertices}
+    assert owner == [holder.get(v, -1) for v in range(g.n)]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        shuffled_diamond_hosts(),
+        st.builds(ring_of_diamonds, st.integers(2, 8)),
+        st.sampled_from([g for _, g in certify_corpus()]),
+    )
+)
+def test_classify_reports_every_diamond_of_the_brute_scan(g):
+    d = classify(g)
+    strings = [rep.string for rep in d.replacements if rep.string]
+    diamonds = d.ring or [dia for s in strings for dia in s.diamonds]
+    assert sorted(dia.vertices for dia in diamonds) == sorted(brute_diamond_vertex_sets(g))
 
 
 def string_variants(g: Multigraph) -> list[DiamondString]:
