@@ -33,8 +33,8 @@ def cycle_basis(h: Multigraph) -> CycleBasis:
     """Fundamental cycles of a BFS spanning forest, one per non-tree edge, by edge id.
 
     The cycle of a non-tree edge e = (u, v) is e plus the tree paths from
-    u and v up to the vertex where they meet, walked along parent edges
-    from the deeper end first, so its cost is the length of the cycle.
+    u and v up to the vertex where they meet: each step moves the deeper
+    end up its parent edge, so its cost is the length of the cycle.
     A loop is its own basis element (the tree path between its endpoints
     is empty); the off-tree copy of a parallel pair yields a 2-cycle.
     The basis size is checked against m - n + c, with c the component
@@ -65,21 +65,12 @@ def cycle_basis(h: Multigraph) -> CycleBasis:
         if in_tree[e]:
             continue
         cycle = [e]
-        while depth[u] > depth[v]:
-            f = parent_edge[u]
-            cycle.append(f)
-            u ^= other[f]
-        while depth[v] > depth[u]:
-            f = parent_edge[v]
-            cycle.append(f)
-            v ^= other[f]
         while u != v:
+            if depth[u] < depth[v]:
+                u, v = v, u
             f = parent_edge[u]
             cycle.append(f)
             u ^= other[f]
-            f = parent_edge[v]
-            cycle.append(f)
-            v ^= other[f]
         basis.append(tuple(sorted(cycle)))
     dim = h.m - h.n + h._cuts[0]
     if len(basis) != dim:

@@ -52,10 +52,6 @@ class InvalidBase(GraphError):
     """Base multigraph fails the cubic / 2-edge-connected / loop-free contract."""
 
 
-class ParallelCollision(GraphError):
-    """Expansion produced parallel edges (degenerate base, defensively checked)."""
-
-
 class StructureViolation(GraphError):
     """Internal decomposition invariant failed on input that passed validation."""
 

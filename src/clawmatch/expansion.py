@@ -273,27 +273,23 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
         rows = list(_rows(g, _ring_factors(g, d.ring)))
         branch = "ring"
     else:
-        n, k = g.n, d.base.n
-        use_cycle = 6 * k >= n
-        run_cycle = use_cycle or both_branches
-        run_long = (not use_cycle) or both_branches
+        if both_branches:
+            branch = "both"
+        elif 6 * d.base.n >= g.n:
+            branch = "cycle-space"
+        else:
+            branch = "long-2-factor"
         gadgets = _Gadgets(d)
         rows = []
-        if run_cycle:
+        if branch != "long-2-factor":
             rows += _rows(g, gadgets.lift_walk(d.base, CAP))
-        if run_long:
+        if branch != "cycle-space":
             lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
             member = max_length_two_factor(d.base, lengths).mask
             flips = gadgets.routes(member)
             if 1 << len(flips) > CAP:
                 raise CapExceeded(1 << len(flips), CAP)
             rows += _rows(g, gray_walk(gadgets.lift(member), flips))
-        if run_cycle and run_long:
-            branch = "both"
-        elif run_cycle:
-            branch = "cycle-space"
-        else:
-            branch = "long-2-factor"
 
     distinct = sorted(set(rows))
     count = len(distinct)

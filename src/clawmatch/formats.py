@@ -27,13 +27,11 @@ def _is_decimal(field: str) -> bool:
 def parse_graph(text: str) -> Multigraph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
-    last_line = 0
+    lineno = 1  # what an empty document reports
     for lineno, raw in enumerate(text.splitlines(), 1):
-        last_line = lineno
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if header is None:
             if parts[0] != "p" or len(parts) != 3:
                 raise ParseError(lineno, "expected header 'p <n> <m>'")
@@ -55,9 +53,9 @@ def parse_graph(text: str) -> Multigraph:
             raise ParseError(lineno, f"more than the declared {header[1]} edges")
         edges.append((u, v))
     if header is None:
-        raise ParseError(max(last_line, 1), "missing header 'p <n> <m>'")
+        raise ParseError(lineno, "missing header 'p <n> <m>'")
     if len(edges) != header[1]:
-        raise ParseError(max(last_line, 1), f"expected {header[1]} edges, found {len(edges)}")
+        raise ParseError(lineno, f"expected {header[1]} edges, found {len(edges)}")
     return Multigraph(header[0], tuple(edges))
 
 

@@ -25,7 +25,6 @@ from .errors import (
     NotClawFree,
     NotCubic,
     NotTwoEdgeConnected,
-    ParallelCollision,
     StructureViolation,
 )
 from .graphs import (
@@ -397,10 +396,10 @@ def classify(g: Multigraph) -> Decomposition:
         raise NotTwoEdgeConnected(f"graph has a bridge: edge {witness}", witness)
 
     diamonds, owner = _scan_diamonds(g)
+    strings, rings, connectors = _group_strings(g, diamonds, owner)
     if diamonds and 4 * len(diamonds) == g.n:
         if len(diamonds) < 2:
             raise StructureViolation("a ring of diamonds has at least 2 diamonds")
-        _, rings, _ = _group_strings(g, diamonds, owner)
         if len(rings) != 1:
             raise StructureViolation("all-diamond graph is not a single ring")
         d = Decomposition(KIND_RING, g, ring=rings[0])
@@ -408,7 +407,6 @@ def classify(g: Multigraph) -> Decomposition:
         return d
     if g.n == 4:
         return Decomposition(KIND_K4, g)
-    strings, rings, connectors = _group_strings(g, diamonds, owner)
     if rings:
         raise StructureViolation("closed diamond cycle in a graph with triangle vertices")
     return _contract(g, owner, strings, connectors)
@@ -425,9 +423,9 @@ def build(
     4-cycle, never parallel edges.  Each base edge of length L >= 1 is
     replaced by a string of L diamonds.
     """
-    if not is_cubic(h):
-        bad = next(v for v, d in enumerate(h.degrees()) if d != 3)
-        raise InvalidBase(f"base vertex {bad} has degree {h.degree(bad)}, expected 3")
+    for v, d in enumerate(h.degrees()):
+        if d != 3:
+            raise InvalidBase(f"base vertex {v} has degree {d}, expected 3")
     if any(u == v for u, v in h.edges):
         raise InvalidBase("base has a loop")
     if not is_two_edge_connected(h):
@@ -481,8 +479,8 @@ def build(
         replacements.append(EdgeReplacement((ca, cb), string, tuple(connectors)))
 
     g = Multigraph(next_vertex, tuple(g_edges))
-    if not g.is_simple():
-        raise ParallelCollision("expansion produced parallel edges or loops")
+    # checked here, not left to _covers, so its edge key set is freed before the cover tables exist
+    g.ensure_simple()
     d = Decomposition(
         KIND_EXPANDED,
         g,
@@ -554,15 +552,12 @@ def random_base(k: int, seed: int = 0) -> Multigraph:
         stubs = stubs_template[:]
         rng.shuffle(stubs)
         pairs = []
-        ok = True
         for i in range(0, len(stubs), 2):
             u, v = stubs[i], stubs[i + 1]
             if u == v:
-                ok = False
                 break
             pairs.append((u, v) if u < v else (v, u))
-        if not ok:
-            continue
-        g = Multigraph(k, tuple(sorted(pairs)))
-        if is_two_edge_connected(g):
-            return g
+        else:
+            g = Multigraph(k, tuple(sorted(pairs)))
+            if is_two_edge_connected(g):
+                return g

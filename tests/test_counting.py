@@ -251,6 +251,10 @@ def test_broken_invariants_raise_structure_violation(monkeypatch):
     monkeypatch.setattr(counting, "_iter_perfect_matchings", lambda h: iter([1 << 0]))
     with pytest.raises(StructureViolation):
         max_length_two_factor(TRIPLE_BOND, {0: 3, 1: 0, 2: 0})
+    # the bound rounds up: length 2 of a total 4 is below ceil(8 / 3) = 3, though not below 8 // 3
+    with pytest.raises(StructureViolation) as exc:
+        max_length_two_factor(TRIPLE_BOND, {0: 2, 1: 2, 2: 0})
+    assert str(exc.value) == "longest 2-factor has length 2, below 2/3 of the total 4"
 
 
 def assert_reference_order(g: Multigraph) -> None:

@@ -1,6 +1,7 @@
 import dataclasses
 import time
 from functools import cache
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from clawmatch import (
     KIND_EXPANDED,
+    BoundFailure,
     CapExceeded,
     Certificate,
     DegreeViolation,
@@ -268,6 +270,35 @@ def test_a_family_at_the_bound_is_rejected():
         "bound fails: 4^12 <= 2^24",
         "bound_ok flag does not match the exact arithmetic",
     ]
+
+
+def four_walk_values(monkeypatch):
+    """Cut every Gray walk certify takes to its first 4 values, so a branch emits 4 rows."""
+    walk = expansion.gray_walk
+    monkeypatch.setattr(
+        expansion, "gray_walk", lambda start, flips: islice(walk(start, flips), 4)
+    )
+
+
+def test_certify_refuses_a_family_at_the_bound(monkeypatch):
+    # 4^12 = 2^24: certify's own check, not certificate_problems, must refuse 4 rows on n = 24
+    four_walk_values(monkeypatch)
+    g, _ = build(random_base(8, 0), [0] * 12)
+    with pytest.raises(BoundFailure) as exc:
+        certify(g)
+    assert str(exc.value).split("\n")[0] == (
+        "certificate of 4 matchings misses the bound on n=24 (branch cycle-space)"
+    )
+    assert len(exc.value.dump.split("\n")) == 4
+
+
+def test_certify_accepts_a_family_one_step_above_the_bound(monkeypatch):
+    # 4^12 = 2^24 > 2^22, while 4^11 = 2^22 is not: the exponent is exactly 12
+    four_walk_values(monkeypatch)
+    g, _ = build(TRIPLE_BOND, [2, 1, 1])
+    assert g.n == 22
+    cert = certify(g)
+    assert (cert.branch, len(cert.matchings), cert.bound_ok) == ("long-2-factor", 4, True)
 
 
 @cache

@@ -92,9 +92,16 @@ def test_parse_errors_carry_line_numbers():
         parse_graph("p 2 1\ne 0 1\ne 1 0\n")  # extra edge
     assert exc.value.line == 3
     with pytest.raises(ParseError):
-        parse_graph("")
-    with pytest.raises(ParseError):
         parse_graph("p 2 1\ne one 0\n")
+    # errors found at the end of a document name its last line, or line 1 when it has none
+    for text, line, message in (
+        ("p 2 2\ne 0 1\n# trailing\n\n", 4, "expected 2 edges, found 1"),
+        ("", 1, "missing header 'p <n> <m>'"),
+        ("# only\n\n", 2, "missing header 'p <n> <m>'"),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse_graph(text)
+        assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

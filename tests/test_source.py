@@ -25,6 +25,11 @@
 - `classify` is the one diamond and string recognizer: no module defines
   `find_diamonds`, `find_strings` or `_require_cubic_claw_free`, and
   `clawmatch.__all__` lists neither finder.
+- Every error type is raised: each exception class `errors` defines,
+  `GraphError` (the base class) aside, is raised as `raise X(...)` by
+  some library module, and `ParallelCollision`, for a fault `build`
+  cannot produce (it reports one as `NotSimple`), is neither defined nor
+  named anywhere, nor listed in `clawmatch.__all__`.
 - A diamond string is walked in one place: only `structure._group_strings`
   (which records the connectors `classify` contracts) and
   `structure.string_passages` reference `_leaving`, and `EdgeReplacement`
@@ -264,3 +269,26 @@ def test_classify_is_the_one_diamond_recognizer():
     assert gone.isdisjoint(clawmatch.__all__)
     # the scan does find definitions: the brute-force helpers define all three
     assert gone <= set(_functions_defined(Path(__file__).with_name("bruteforce.py")))
+
+
+def test_every_error_type_is_raised():
+    classes = {n.name for n in parse(SRC / "errors.py").body if isinstance(n, ast.ClassDef)}
+    raised = {
+        node.exc.func.id
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and isinstance(node.exc.func, ast.Name)
+    }
+    assert {"GraphError", "ParseError", "NotSimple"} <= classes
+    assert sorted(classes - {"GraphError"} - raised) == []
+    defined = {
+        node.name
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.ClassDef)
+    }
+    assert "ParallelCollision" not in defined
+    assert _referencing(MODULES, "ParallelCollision") == set()
+    assert "ParallelCollision" not in clawmatch.__all__
