@@ -46,7 +46,7 @@ def _iter_perfect_matchings(g: Multigraph) -> Iterator[int]:
     bit = [1 << e for e in range(g.m)]
     arcs = []
     for v in range(n):
-        ends = ((e, *edges[e]) for e in g.incident(v))
+        ends = ((e, *edges[e]) for e in g._incidence[v])
         arcs.append(tuple((e, w if u == v else u) for e, u, w in ends if u != w))
     matched = [False] * (n + 1)
     chosen: list[int] = []

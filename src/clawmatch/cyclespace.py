@@ -50,7 +50,7 @@ def cycle_basis(h: Multigraph) -> CycleBasis:
         depth[root] = 0
         queue = [root]
         for v in queue:
-            for e in h.incident(v):
+            for e in h._incidence[v]:
                 o = other[e] ^ v  # a loop gives o == v, already reached
                 if depth[o] < 0:
                     depth[o] = depth[v] + 1

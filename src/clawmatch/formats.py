@@ -11,6 +11,8 @@ identical text out.
 
 from __future__ import annotations
 
+import io
+
 from .errors import ParseError
 from .expansion import Certificate
 from .graphs import Multigraph
@@ -28,7 +30,9 @@ def parse_graph(text: str) -> Multigraph:
     header: tuple[int, int] | None = None
     edges: list[tuple[int, int]] = []
     lineno = 1  # what an empty document reports
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    # lines end at "\n", "\r\n" or "\r" only, as open() reads them; str.splitlines
+    # would also end one at a form feed, U+2028 and other separators inside a comment
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), 1):
         parts = raw.split("#", 1)[0].split()
         if not parts:
             continue

@@ -67,10 +67,14 @@ class Multigraph:
 
     def incident(self, v: int) -> tuple[int, ...]:
         """Edge ids at v, ascending; a loop appears once."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
         return self._incidence[v]
 
     def neighbors(self, v: int) -> tuple[int, ...]:
         """Distinct neighbors of v, ascending, excluding v itself."""
+        if not 0 <= v < self.n:
+            raise ValueError(f"vertex {v} out of range")
         return self._neighbors[v]
 
     def degree(self, v: int) -> int:
@@ -327,7 +331,7 @@ def _connected_without(g: Multigraph, banned: tuple[int, ...]) -> bool:
     reached = 1
     while stack:
         v = stack.pop()
-        for e in g.incident(v):
+        for e in g._incidence[v]:
             if e in banned:
                 continue
             w = g.other_end(e, v)

@@ -5,9 +5,9 @@ Every such graph is K4, a ring of diamonds, or is built from a
 with a triangle and some base edges with strings of diamonds.  This
 module recognizes that structure (classify, the one recognizer),
 inverts it (build), and provides the corpus generators.  classify's
-diamond scan returns an owner table (each vertex's diamond index, or
--1) that its string walk and contraction read; each string is walked
-once, and the walk records the connectors the contraction reads.
+diamond scan looks once at each vertex's neighbors and returns an owner
+table and triangle bits that its string walk and contraction read; each
+string is walked once, recording the connectors the contraction reads.
 
 All decompositions store concrete vertex and edge ids of the host graph,
 not abstract isomorphism classes, so rebuilding is exact.
@@ -120,11 +120,11 @@ class Decomposition:
 
     def corner(self, h_edge: int, h_vertex: int) -> int:
         """Triangle corner of h_vertex carrying h_edge."""
-        a, b = self.base.edges[h_edge]
-        if h_vertex == a:
-            return self.replacements[h_edge].corners[0]
-        if h_vertex == b:
-            return self.replacements[h_edge].corners[1]
+        if not 0 <= h_edge < self.base.m:
+            raise ValueError(f"edge index {h_edge} out of range")
+        ends = self.base.edges[h_edge]
+        if h_vertex in ends:
+            return self.replacements[h_edge].corners[ends.index(h_vertex)]
         raise ValueError(f"vertex {h_vertex} is not an end of base edge {h_edge}")
 
 
@@ -159,31 +159,28 @@ def string_passages(g: Multigraph, s: DiamondString) -> list[tuple[int, int, int
     return passages
 
 
-def _scan_diamonds(g: Multigraph) -> tuple[list[Diamond], list[int]]:
-    """The diamonds by least vertex, and the owner table: each vertex's diamond index, or -1."""
-    # a diamond is discovered exactly once, via its internal edge: the two
-    # common neighbors of the internals are the (nonadjacent) ports.  g is
-    # cubic and simple here, so a's three neighbors are b and two others,
-    # and b is no neighbor of itself: common neighbors are those of a in b's tuple
+def _scan_diamonds(g: Multigraph) -> tuple[list[Diamond], list[int], bytearray]:
+    """The diamonds by least vertex, the owner table (each vertex's diamond index, or -1)
+    and the triangle bits: g is cubic and simple here, and a vertex with neighbors x < y < z
+    has bit 1 if x-y is an edge, 2 for x-z and 4 for y-z, one bit per triangle.  Two bits make
+    it a diamond internal, its partner in both pairs; the smaller internal takes the diamond."""
     nbrs = g._neighbors
+    bits = bytearray(g.n)
     diamonds: list[Diamond] = []
-    for a, b in g.edges:
-        x, y, z = nbrs[a]
-        nb = nbrs[b]
-        if x in nb:
-            if y in nb:
-                p, q = x, y
-            elif z in nb:
-                p, q = x, z
-            else:
-                continue
-        elif y in nb and z in nb:
-            p, q = y, z
+    for v, (x, y, z) in enumerate(nbrs):
+        nx = nbrs[x]
+        t = (y in nx) | (z in nx) << 1 | (z in nbrs[y]) << 2
+        bits[v] = t
+        if t == 3:
+            w, p, q = x, y, z
+        elif t == 5:
+            w, p, q = y, x, z
+        elif t == 6:
+            w, p, q = z, x, y
         else:
             continue
-        if q in nbrs[p]:
-            continue
-        diamonds.append(Diamond((a, b, p, q), (p, q), (a, b)))
+        if v < w:
+            diamonds.append(Diamond((v, w, p, q), (p, q), (v, w)))
     diamonds.sort(key=operator.attrgetter("vertices"))
     owner = [-1] * g.n
     for i, dia in enumerate(diamonds):
@@ -191,7 +188,7 @@ def _scan_diamonds(g: Multigraph) -> tuple[list[Diamond], list[int]]:
             if owner[v] >= 0:
                 raise StructureViolation("two distinct diamonds intersect")
             owner[v] = i
-    return diamonds, owner
+    return diamonds, owner, bits
 
 
 def _group_strings(
@@ -258,32 +255,30 @@ def _group_strings(
 
 
 def _contract(
-    g: Multigraph, owner: list[int], strings: list[DiamondString], connectors: list[tuple[int, ...]]
+    g: Multigraph,
+    owner: list[int],
+    bits: bytearray,
+    strings: list[DiamondString],
+    connectors: list[tuple[int, ...]],
 ) -> Decomposition:
     """Contract triangles to base vertices and strings to base edges.
 
-    Takes the owner table of _scan_diamonds and the strings and connectors
-    of _group_strings on a graph that classify would not call K4 or a ring
-    of diamonds; the result's base is cubic, loop-free and 2-edge-connected.
+    Takes the owner table and triangle bits of _scan_diamonds and the strings and
+    connectors of _group_strings on a graph that classify would not call K4 or a
+    ring of diamonds; the result's base is cubic, loop-free and 2-edge-connected.
     """
     nbrs = g._neighbors
-    # group the remaining vertices into their unique triangles
+    # group the remaining vertices into their unique triangles, named by one bit each
     tri_index = [-1] * g.n
     triangles: list[tuple[int, int, int]] = []
     for v in range(g.n):
         if owner[v] >= 0 or tri_index[v] >= 0:
             continue
-        nb = nbrs[v]
-        found = 0
-        for i in range(len(nb) - 1):
-            na = nbrs[nb[i]]
-            for j in range(i + 1, len(nb)):
-                if nb[j] in na:
-                    if not found:
-                        a, b = nb[i], nb[j]
-                    found += 1
-        if found != 1:
-            raise StructureViolation(f"vertex {v} lies in {found} triangles, expected 1")
+        t = bits[v]
+        if t not in (1, 2, 4):
+            raise StructureViolation(f"vertex {v} lies in {t.bit_count()} triangles, expected 1")
+        x, y, z = nbrs[v]
+        a, b = (x, y) if t == 1 else (x, z) if t == 2 else (y, z)
         if owner[a] >= 0 or owner[b] >= 0 or tri_index[a] >= 0 or tri_index[b] >= 0:
             raise StructureViolation(f"triangle at vertex {v} overlaps other structure")
         tri_index[v] = tri_index[a] = tri_index[b] = len(triangles)
@@ -395,7 +390,7 @@ def classify(g: Multigraph) -> Decomposition:
         witness = min(found)
         raise NotTwoEdgeConnected(f"graph has a bridge: edge {witness}", witness)
 
-    diamonds, owner = _scan_diamonds(g)
+    diamonds, owner, bits = _scan_diamonds(g)
     strings, rings, connectors = _group_strings(g, diamonds, owner)
     if diamonds and 4 * len(diamonds) == g.n:
         if len(diamonds) < 2:
@@ -409,7 +404,7 @@ def classify(g: Multigraph) -> Decomposition:
         return Decomposition(KIND_K4, g)
     if rings:
         raise StructureViolation("closed diamond cycle in a graph with triangle vertices")
-    return _contract(g, owner, strings, connectors)
+    return _contract(g, owner, bits, strings, connectors)
 
 
 def build(
@@ -447,7 +442,7 @@ def build(
     k = h.n
     corner = [0] * (2 * h.m)  # corner vertex of edge e at its side s, at 2 * e + s
     for v in range(k):
-        for rank, e in enumerate(h.incident(v)):
+        for rank, e in enumerate(h._incidence[v]):
             corner[2 * e + (v != h.edges[e][0])] = 3 * v + rank
 
     g_edges: list[tuple[int, int]] = []

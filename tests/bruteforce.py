@@ -603,7 +603,8 @@ def find_strings(g: Multigraph) -> tuple[list[DiamondString], list[tuple[Diamond
     """Partition all diamonds into maximal strings: (strings, rings), ordered as
     structure._group_strings says."""
     _require_cubic_claw_free(g)
-    strings, rings, _ = _group_strings(g, *_scan_diamonds(g))
+    diamonds, owner, _ = _scan_diamonds(g)
+    strings, rings, _ = _group_strings(g, diamonds, owner)
     return strings, rings
 
 

@@ -253,6 +253,21 @@ def counted(monkeypatch, name: str) -> list:
     return seen
 
 
+class CountedTable(tuple):
+    """A neighbor table that counts its reads: each item indexed or iterated is one."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+    def __iter__(self):
+        for row in super().__iter__():
+            self.reads += 1
+            yield row
+
+
 def test_criterion_15_one_cut_pass_and_one_claw_scan_per_graph(monkeypatch, tmp_path):
     built = large_expansion(80000, seed=15)
     g = Multigraph(built.n, built.edges)  # a fresh object, as parsed from a document
@@ -275,12 +290,16 @@ def test_criterion_15_one_cut_pass_and_one_claw_scan_per_graph(monkeypatch, tmp_
     )
     label = (
         "one cut pass and one claw scan per graph, no edge looked up by its ends, "
-        f"each diamond string walked once, n={g.n}"
+        f"each diamond string walked once, each vertex's neighbors read once, n={g.n}"
     )
     with criterion(15, label, 10.0):
         assert not bridges(g).members
         assert is_claw_free(g)
+        table = g.__dict__["_neighbors"] = CountedTable(g._neighbors)
         d = classify(g)
+        # the diamond scan reads each vertex's row and two of its neighbors' rows, and
+        # the contraction one row per triangle, to name the corners its bits point at
+        assert table.reads <= 3 * g.n + d.base.n, table.reads
         serialize_decomposition(d)
         rebuilt, _ = build(d.base, d.lengths())
         assert rebuilt == g

@@ -198,6 +198,15 @@ def test_verify_3ec_command(capsys, tmp_path):
     assert code == 2  # precondition: K4 is excluded
 
 
+def test_check_reads_a_comment_holding_a_line_separator(capsys, tmp_path):
+    # U+2028 ends no line for open(), so the comment's tail is no graph line
+    path = tmp_path / "k4.txt"
+    path.write_text(K4_DOC.replace("\n", " # a\u2028b\n", 1))
+    code, out, err = run(capsys, "check", str(path))
+    assert (code, err) == (0, "")
+    assert "claw_free=true" in out
+
+
 def test_parse_error_exit_code(capsys, tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("p 2 1\ne 0 9\n")

@@ -104,6 +104,26 @@ def test_parse_errors_carry_line_numbers():
         assert (exc.value.line, str(exc.value)) == (line, f"line {line}: {message}")
 
 
+@pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+def test_lines_end_only_where_open_ends_them(sep):
+    # str.splitlines also ends a line at these, so a comment's tail was read as a line
+    assert parse_graph(f"p 2 1\ne 0 1 # note{sep}more\n") == Multigraph(2, ((0, 1),))
+    assert parse_graph(f"p 2 1 # a{sep}b\ne 0 1\n") == Multigraph(2, ((0, 1),))
+    # outside a comment the separator is whitespace inside one line, which is refused
+    with pytest.raises(ParseError, match="^line 1: expected header 'p <n> <m>'$"):
+        parse_graph(f"p 2 1{sep}e 0 1\n")
+
+
+def test_lines_end_at_newline_carriage_return_or_both():
+    for end in ("\n", "\r\n", "\r"):
+        assert parse_graph(f"p 2 1{end}e 0 1{end}") == Multigraph(2, ((0, 1),))
+        assert parse_graph(f"p 2 1{end}e 0 1") == Multigraph(2, ((0, 1),))
+        with pytest.raises(ParseError, match="^line 3: expected 2 edges, found 1$"):
+            parse_graph(f"p 2 2{end}e 0 1{end}#{end}")
+        with pytest.raises(ParseError, match=r"^line 2: endpoint out of range: \(0, 5\) with n=2$"):
+            parse_graph(f"p 2 1{end}e 0 5{end}")
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(st.one_of(graph_documents(), st.text()))
 def test_parse_graph_raises_only_parse_error(text):

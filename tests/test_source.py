@@ -30,6 +30,9 @@
   some library module, and `ParallelCollision`, for a fault `build`
   cannot produce (it reports one as `NotSimple`), is neither defined nor
   named anywhere, nor listed in `clawmatch.__all__`.
+- No module calls `.splitlines`, which also ends a line at a form feed,
+  U+2028 and other separators, so documents are read in the lines
+  `open()` gives.
 - A diamond string is walked in one place: only `structure._group_strings`
   (which records the connectors `classify` contracts) and
   `structure.string_passages` reference `_leaving`, and `EdgeReplacement`
@@ -261,6 +264,12 @@ def test_diamond_strings_are_walked_in_one_place():
         "string",
         "connectors",
     ]
+
+
+def test_no_module_splits_lines_with_splitlines():
+    assert _referencing(MODULES, "splitlines") == set()
+    # the scan does find calls: the CLI tests split captured output with it
+    assert _referencing([Path(__file__).with_name("test_cli.py")], "splitlines") == {"test_cli"}
 
 
 def test_classify_is_the_one_diamond_recognizer():

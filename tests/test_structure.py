@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from clawmatch import (
     serialize_decomposition,
     string_passages,
 )
+from clawmatch import structure
 from clawmatch.structure import _scan_diamonds, _verify_cover
 from bruteforce import (
     brute_diamond_vertex_sets,
@@ -457,10 +459,72 @@ def test_find_strings_ordering_rules(g):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.one_of(shuffled_diamond_hosts(), st.sampled_from([K4, build(K4, [0] * 6)[0]])))
 def test_scan_diamonds_matches_its_reference(g):
-    diamonds, owner = _scan_diamonds(g)
+    diamonds, owner, _ = _scan_diamonds(g)
     assert diamonds == reference_scan_diamonds(g)
     holder = {v: i for i, dia in enumerate(diamonds) for v in dia.vertices}
     assert owner == [holder.get(v, -1) for v in range(g.n)]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.one_of(shuffled_diamond_hosts(), st.sampled_from([K4, build(K4, [0] * 6)[0]])))
+def test_scan_bits_name_the_triangles_at_each_vertex(g):
+    # with neighbors x < y < z, bit 1 is the pair x-y, bit 2 is x-z and bit 4 is y-z
+    bits = _scan_diamonds(g)[2]
+    for v in range(g.n):
+        pairs = list(itertools.combinations(g.neighbors(v), 2))
+        assert bits[v] == sum(1 << i for i, (a, b) in enumerate(pairs) if has_edge(g, a, b))
+
+
+def doctor_bits(monkeypatch, v: int, t: int) -> None:
+    """Make classify's diamond scan report bits t at vertex v."""
+    scan = structure._scan_diamonds
+
+    def doctored(g):
+        diamonds, owner, bits = scan(g)
+        bits[v] = t
+        return diamonds, owner, bits
+
+    monkeypatch.setattr(structure, "_scan_diamonds", doctored)
+
+
+@pytest.mark.parametrize(
+    "t, message",
+    [
+        (0, "vertex 0 lies in 0 triangles, expected 1"),
+        (3, "vertex 0 lies in 2 triangles, expected 1"),
+        (7, "vertex 0 lies in 3 triangles, expected 1"),
+        # vertex 0 has neighbors 1 < 2 < 12, and 12 is the port of a diamond
+        (2, "triangle at vertex 0 overlaps other structure"),
+        (4, "triangle at vertex 0 overlaps other structure"),
+    ],
+)
+def test_contraction_refuses_bits_that_name_no_lone_triangle(monkeypatch, t, message):
+    g, _ = build(random_base(4, 0), [1] * 6)
+    assert g.neighbors(0) == (1, 2, 12) and _scan_diamonds(g)[1][12] >= 0
+    classify(g)
+    doctor_bits(monkeypatch, 0, t)
+    with pytest.raises(StructureViolation, match=f"^{message}$"):
+        classify(g)
+
+
+def test_incident_neighbors_and_corner_reject_ids_out_of_range():
+    # plain indexing would answer for the last vertex and the last base edge
+    g, d = build(random_base(4, 0), [0] * 6)
+    for v in (-1, g.n):
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+            g.incident(v)
+        with pytest.raises(ValueError, match=f"^vertex {v} out of range$"):
+            g.neighbors(v)
+    for e in (-1, d.base.m):
+        with pytest.raises(ValueError, match=f"^edge index {e} out of range$"):
+            d.corner(e, d.base.edges[-1][0])
+    for e, (a, b) in enumerate(d.base.edges):
+        assert (d.corner(e, a), d.corner(e, b)) == d.replacements[e].corners
+        with pytest.raises(ValueError, match=f"^vertex -1 is not an end of base edge {e}$"):
+            d.corner(e, -1)
+    for v in range(g.n):
+        assert g.incident(v) == tuple(e for e, ends in enumerate(g.edges) if v in ends)
+        assert g.neighbors(v) == tuple(sorted(a ^ b ^ v for a, b in g.edges if v in (a, b)))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
