@@ -85,12 +85,10 @@ def _cmd_build(args) -> int:
     base = _load(args.base)
     fields = args.lengths.split(",")
     if not all(map(formats._is_decimal, fields)):
-        print("error: --lengths must be a comma-separated list of integers", file=sys.stderr)
-        return 2
+        raise ValueError("--lengths must be a comma-separated list of integers")
     lengths = [int(p) for p in fields]
     if len(lengths) != base.m:
-        print(f"error: expected {base.m} lengths, got {len(lengths)}", file=sys.stderr)
-        return 2
+        raise ValueError(f"expected {base.m} lengths, got {len(lengths)}")
     g, _ = structure.build(base, lengths)
     _emit(formats.serialize_graph(g))
     return 0

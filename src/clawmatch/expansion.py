@@ -8,9 +8,10 @@ two ways, and a diamond on an unused edge contributes its internal 4-cycle.
 A routing is an int: its bit i picks the way through the i-th diamond C
 crosses, counting base edges by id and each string from its head; bit 0
 crosses entry-s-t-exit, bit 1 entry-t-s-exit, with s < t the diamond's
-internals.  Complementing 2-factors of a cubic graph gives perfect
-matchings; collecting enough of them certifies the exponential lower
-bound with exact integer arithmetic.
+internals; string_passages reads that order and each entry port off the
+connectors the decomposition records.  Complementing 2-factors of a cubic
+graph gives perfect matchings; collecting enough of them certifies the
+exponential lower bound with exact integer arithmetic.
 
 Lifting is table driven and edge sets are int bitmasks over edge ids.
 The gadget tables of a decomposition are built once per certify or expand
@@ -123,6 +124,7 @@ class _Gadgets:
         if d.kind != KIND_EXPANDED:
             raise ValueError("expand needs an expanded decomposition")
         g, h = d.graph, d.base
+        self.base = h
         if not is_cubic(g):
             raise ValueError("complementing a 2-factor needs a cubic expanded graph")
         # (v, mask of the base edges at v, {member & that mask: triangle edges})
@@ -141,7 +143,7 @@ class _Gadgets:
         self.edges: list[tuple[int, int, int]] = []
         self.flips: list[list[int]] = []
         for e, rep in enumerate(d.replacements):
-            passages = string_passages(g, rep.string) if rep.string else ()
+            passages = string_passages(g, rep) if rep.string else ()
             walk, idle, flips = _string(g, _mask(rep.connectors), passages)
             self.edges.append((1 << e, walk, idle))
             self.flips.append(flips)
@@ -166,11 +168,11 @@ class _Gadgets:
         each string from its head.  Bit i of a routing takes the i-th."""
         return [flip for e in _unmask(member) for flip in self.flips[e]]
 
-    def lift_walk(self, base: Multigraph, cap: int) -> Iterator[int]:
+    def lift_walk(self) -> Iterator[int]:
         """lift(member) for every member of the base's cycle space, in enumerate_cycle_space
         order: from lift(0) along gray_walk over the basis masks, each lift found from the
-        one before by the basis cycle between them."""
-        cycles = _basis_masks(base, cap)
+        one before by the basis cycle between them; more than CAP members raise CapExceeded."""
+        cycles = _basis_masks(self.base, CAP)
         # per basis cycle, the XOR of walk ^ idle over its edges and the (inc, states)
         # of its vertices
         steps = {}
@@ -179,8 +181,8 @@ class _Gadgets:
             for e in _unmask(cycle):
                 _, walk, idle = self.edges[e]
                 flip ^= walk ^ idle
-                touched.update(base.edges[e])
-            steps[cycle] = (flip, [self.vertex[v][1:] for v in sorted(touched)])
+                touched.update(self.base.edges[e])
+            steps[cycle] = (flip, [self.vertex[v][1:] for v in touched])
         factor = self.lift(0)
         yield factor
         for prev, cur in pairwise(gray_walk(0, cycles)):
@@ -282,7 +284,7 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
         gadgets = _Gadgets(d)
         rows = []
         if branch != "long-2-factor":
-            rows += _rows(g, gadgets.lift_walk(d.base, CAP))
+            rows += _rows(g, gadgets.lift_walk())
         if branch != "cycle-space":
             lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
             member = max_length_two_factor(d.base, lengths).mask

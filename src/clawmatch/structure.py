@@ -7,7 +7,8 @@ module recognizes that structure (classify, the one recognizer),
 inverts it (build), and provides the corpus generators.  classify's
 diamond scan looks once at each vertex's neighbors and returns an owner
 table and triangle bits that its string walk and contraction read; each
-string is walked once, recording the connectors the contraction reads.
+string is walked once, recording the connectors that the contraction and
+string_passages read.
 
 All decompositions store concrete vertex and edge ids of the host graph,
 not abstract isomorphism classes, so rebuilding is exact.
@@ -140,22 +141,20 @@ def _leaving(g: Multigraph, p: int, dia: Diamond) -> list[tuple[int, int]]:
     return out
 
 
-def string_passages(g: Multigraph, s: DiamondString) -> list[tuple[int, int, int, int]]:
-    """Per diamond in order: (entry port, exit port, internal, internal)."""
+def string_passages(g: Multigraph, rep: EdgeReplacement) -> list[tuple[int, int, int, int]]:
+    """Per diamond of rep's string in order: (entry port, exit port, internal, internal), the
+    entry its port on the connector before it and the exit its port on the connector after."""
+    diamonds, connectors, edges = rep.string.diamonds, rep.connectors, g.edges
+    if len(connectors) != len(diamonds) + 1:
+        raise StructureViolation("a string needs one more connector than it has diamonds")
     passages = []
-    entry = s.head
-    for idx, dia in enumerate(s.diamonds):
-        # the head is a port of the first diamond, and each later entry one of its own diamond
-        exit_port = dia.ports[1] if dia.ports[0] == entry else dia.ports[0]
-        passages.append((entry, exit_port, dia.internals[0], dia.internals[1]))
-        if idx + 1 < len(s.diamonds):
-            far = {w for _, w in _leaving(g, exit_port, dia)}
-            cand = [p for p in s.diamonds[idx + 1].ports if p in far]
-            if len(cand) != 1:
-                raise StructureViolation("consecutive diamonds are not joined by one port edge")
-            entry = cand[0]
-        elif exit_port != s.tail:
-            raise StructureViolation("string tail does not match the walk")
+    for dia, before, after in zip(diamonds, connectors, connectors[1:]):
+        entry, exit_port = dia.ports
+        if exit_port in edges[before] and entry in edges[after]:
+            entry, exit_port = exit_port, entry
+        elif entry not in edges[before] or exit_port not in edges[after]:
+            raise StructureViolation("a diamond does not lie between its recorded connectors")
+        passages.append((entry, exit_port, *dia.internals))
     return passages
 
 
@@ -438,6 +437,8 @@ def build(
             raise ValueError(f"length of edge {e} is not an integer") from None
         if length_of[e] < 0:
             raise ValueError(f"length of edge {e} is negative")
+    if len(lengths) != h.m:
+        raise ValueError(f"expected {h.m} lengths, got {len(lengths)}")
 
     k = h.n
     corner = [0] * (2 * h.m)  # corner vertex of edge e at its side s, at 2 * e + s

@@ -47,7 +47,6 @@ from clawmatch import (
     is_cubic,
     is_three_edge_connected,
     is_two_edge_connected,
-    string_passages,
     subset_degrees,
 )
 from clawmatch.graphs import _mask, _unmask
@@ -245,7 +244,7 @@ def reference_lift(member, d, routing) -> frozenset:
         if e in member.members:
             picked.update(rep.connectors)
             if rep.string:
-                for entry, exit_port, s, t in string_passages(g, rep.string):
+                for entry, exit_port, s, t in reference_string_passages(g, rep.string):
                     if (routing >> slot) & 1 == 0:
                         walk = ((entry, s), (s, t), (t, exit_port))
                     else:
@@ -631,8 +630,10 @@ def reference_components(g: Multigraph) -> list[tuple[int, ...]]:
 
 
 def reference_string_passages(g: Multigraph, s: DiamondString) -> list[tuple[int, int, int, int]]:
-    """structure.string_passages as it was before it read the incidence of each exit port:
-    the next entry is the next diamond's one port adjacent to the exit port."""
+    """structure.string_passages as it was before it read the incidence of each exit port
+    and then the recorded connectors: a walk from the head by has_edge, the next entry the
+    next diamond's one port adjacent to the exit port.  So the references that orient a
+    string with it never read the library's own orientation."""
     passages = []
     entry = s.head
     for idx, dia in enumerate(s.diamonds):
@@ -653,8 +654,8 @@ def reference_string_passages(g: Multigraph, s: DiamondString) -> list[tuple[int
 
 def reference_contract_to_base(g: Multigraph, strings: list[DiamondString]) -> Decomposition:
     """structure.contract_to_base as it was before classify's string walk recorded the
-    connectors: it walks every string again through string_passages and asks each exit
-    port for its edge out.  Only the EdgeReplacement fields changed (ends is gone).
+    connectors: it walks every string again through reference_string_passages and asks
+    each exit port for its edge out.  Only the EdgeReplacement fields changed (ends is gone).
 
     Requires a graph that classify would not call K4 or a ring of
     diamonds; the result's base is cubic, loop-free and 2-edge-connected.
@@ -708,7 +709,7 @@ def reference_contract_to_base(g: Multigraph, strings: list[DiamondString]) -> D
         if tri_index[u] == tri_index[v]:
             raise StructureViolation("string closes on one triangle, base would have a loop")
         connectors = [head_edge]
-        passages = string_passages(g, s)
+        passages = reference_string_passages(g, s)
         for (_, exit_port, _, _), dia, (entry, _, _, _) in zip(passages, s.diamonds, passages[1:]):
             connectors += [e for e, w in _leaving(g, exit_port, dia) if w == entry]
         connectors.append(tail_edge)

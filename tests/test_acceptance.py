@@ -286,7 +286,7 @@ def test_criterion_15_one_cut_pass_and_one_claw_scan_per_graph(monkeypatch, tmp_
     walks = []
     passages = structure.string_passages
     monkeypatch.setattr(
-        structure, "string_passages", lambda h, s: walks.append(s) or passages(h, s)
+        structure, "string_passages", lambda h, rep: walks.append(rep) or passages(h, rep)
     )
     label = (
         "one cut pass and one claw scan per graph, no edge looked up by its ends, "

@@ -26,13 +26,14 @@ from clawmatch import (
     enumerate_perfect_matchings,
     expand,
     max_length_two_factor,
+    parse_graph,
     random_base,
     ring_of_diamonds,
     serialize_graph,
     verify_certificate,
     verify_3ec_remark,
 )
-from clawmatch import expansion
+from clawmatch import expansion, structure
 from clawmatch.cli import main
 from clawmatch.graphs import _mask, _unmask
 from bruteforce import (
@@ -519,7 +520,7 @@ def test_certify_agrees_with_reference_lift_and_oracle(data):
 def lifts_along_the_walk(d):
     """The cycle-space lifts of d's base from lift_walk and from lift, member by member."""
     gadgets = expansion._Gadgets(d)
-    walk = list(gadgets.lift_walk(d.base, 1 << 10))
+    walk = list(gadgets.lift_walk())
     members = [_mask(c.members) for c in enumerate_cycle_space(d.base, 1 << 10)]
     return walk, [gadgets.lift(c) for c in members]
 
@@ -553,6 +554,20 @@ def test_lift_walk_equals_lift_on_random_hosts(data):
     else:
         walk, lifted = lifts_along_the_walk(d)
         assert walk == lifted
+
+
+def test_certify_walks_each_string_once(monkeypatch):
+    # classify asks each port of the 9 diamonds for its edge out once; the lift tables
+    # read every string's order off the connectors classify recorded and ask none
+    built, _ = build(TRIPLE_BOND, [4, 3, 2])
+    g = parse_graph(serialize_graph(built))  # a fresh object, as parsed from a document
+    ports = []
+    leaving = structure._leaving
+    monkeypatch.setattr(
+        structure, "_leaving", lambda h, p, dia: ports.append(p) or leaving(h, p, dia)
+    )
+    assert certify(g).branch == "long-2-factor"
+    assert len(ports) == len(set(ports)) == 18
 
 
 def with_swapped_corners(d, e):
@@ -768,7 +783,7 @@ def test_missing_triangle_state_raises_what_lift_raises(monkeypatch):
         gadgets.lift(first)
     assert str(lifted.value).startswith("base vertex 0 has degree 2 in the member")
     with pytest.raises(DegreeViolation) as walked:
-        list(gadgets.lift_walk(d.base, 1 << 10))
+        list(gadgets.lift_walk())
     assert str(walked.value) == str(lifted.value)
     monkeypatch.setattr(expansion, "classify", lambda host: d)
     with pytest.raises(DegreeViolation) as certified:

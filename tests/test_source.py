@@ -34,9 +34,11 @@
   U+2028 and other separators, so documents are read in the lines
   `open()` gives.
 - A diamond string is walked in one place: only `structure._group_strings`
-  (which records the connectors `classify` contracts) and
-  `structure.string_passages` reference `_leaving`, and `EdgeReplacement`
-  keeps no copy of its base edge's ends.
+  (which records the connectors `classify` contracts) references
+  `_leaving`; `structure.string_passages` reads a string's order off those
+  connectors and references none of `_leaving`, `_neighbors`, `_incidence`
+  or `edge_between`; and `EdgeReplacement` keeps no copy of its base edge's
+  ends.
 """
 
 import ast
@@ -156,11 +158,13 @@ def test_all_lists_each_imported_name_once():
 
 
 def _top_level_readers(name: str) -> list[str]:
-    """module.definition for every top-level statement of the library that names name."""
+    """module.definition for every top-level statement of the library that names name,
+    bare or as an attribute."""
     found = []
     for path in MODULES:
         for top in parse(path).body:
             names = {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
             if name in names:
                 found.append(f"{path.stem}.{getattr(top, 'name', top.lineno)}")
     return sorted(found)
@@ -255,10 +259,11 @@ def test_edges_are_looked_up_by_their_ends_in_graphs_and_expansion_only():
 
 
 def test_diamond_strings_are_walked_in_one_place():
-    assert _top_level_readers("_leaving") == [
-        "structure._group_strings",
-        "structure.string_passages",
-    ]
+    assert _top_level_readers("_leaving") == ["structure._group_strings"]
+    for table in ("_leaving", "_neighbors", "_incidence", "edge_between"):
+        assert "structure.string_passages" not in _top_level_readers(table), table
+    # the scan does find attribute reads: the diamond scan reads _neighbors
+    assert "structure._scan_diamonds" in _top_level_readers("_neighbors")
     assert [f.name for f in dataclasses.fields(EdgeReplacement)] == [
         "corners",
         "string",

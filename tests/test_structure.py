@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from clawmatch import (
     Diamond,
     DiamondString,
+    EdgeReplacement,
     InvalidBase,
     KIND_EXPANDED,
     KIND_K4,
@@ -176,6 +177,8 @@ def test_bad_input_errors_keep_their_types_and_messages():
         (build, (TRIPLE_BOND, (0, False, 0)), ValueError, "length of edge 1 is not an integer"),
         (build, (TRIPLE_BOND, {0: 1}), ValueError, "length of edge 1 is missing"),
         (build, (TRIPLE_BOND, [0, 0]), ValueError, "length of edge 2 is missing"),
+        (build, (TRIPLE_BOND, [0, 0, 0, 5]), ValueError, "expected 3 lengths, got 4"),
+        (build, (TRIPLE_BOND, {0: 0, 1: 0, 2: 0, 7: 3}), ValueError, "expected 3 lengths, got 4"),
         (find_claw, (TRIPLE_BOND,), NotSimple, "graph has loops or parallel edges"),
         (find_claw, (LOOP1,), NotSimple, "graph has loops or parallel edges"),
     ]
@@ -441,7 +444,7 @@ def test_find_strings_ordering_rules(g):
         assert outside(s.diamonds[0], s.head) not in owner
         assert outside(s.diamonds[-1], s.tail) not in owner
         assert s.head < s.tail
-        assert len(string_passages(g, s)) == len(s)
+        assert len(reference_string_passages(g, s)) == len(s)
     assert [s.head for s in strings] == sorted(s.head for s in strings)
     for ring in rings:
         first = ring[0]
@@ -542,53 +545,80 @@ def test_classify_reports_every_diamond_of_the_brute_scan(g):
     assert sorted(dia.vertices for dia in diamonds) == sorted(brute_diamond_vertex_sets(g))
 
 
-def string_variants(g: Multigraph) -> list[DiamondString]:
-    """Every string and ring of g as a diamond sequence, reversed, and with one diamond
-    swapped for another of g, each from every head port to every tail port."""
-    strings, rings = find_strings(g)
-    seqs = [s.diamonds for s in strings] + list(rings)
-    every = [dia for seq in seqs for dia in seq]
-    variants = []
-    for seq in seqs:
-        variants += [seq, seq[::-1]]
-        for i, own in enumerate(seq):
-            variants += [seq[:i] + (other,) + seq[i + 1 :] for other in every if other != own]
-    return [
-        DiamondString(seq, head, tail)
-        for seq in variants
-        for head in seq[0].ports
-        for tail in seq[-1].ports
+def replacement_variants(g: Multigraph, rep: EdgeReplacement) -> list[EdgeReplacement]:
+    """rep with its string's diamonds reversed, or with one swapped for another diamond of g,
+    each from every head port to every tail port and with rep's own connectors; and rep with
+    one connector dropped or one added.  Only rep itself lists its diamonds in order."""
+    seq, every = rep.string.diamonds, find_diamonds(g)
+    seqs = [seq, seq[::-1]]
+    for i, own in enumerate(seq):
+        seqs += [seq[:i] + (other,) + seq[i + 1 :] for other in every if other != own]
+    variants = [
+        dataclasses.replace(rep, string=DiamondString(other, head, tail))
+        for other in seqs
+        for head in other[0].ports
+        for tail in other[-1].ports
     ]
+    conn = rep.connectors
+    return variants + [dataclasses.replace(rep, connectors=c) for c in (conn[1:], conn + conn[:1])]
 
 
-def passages_or_violation(passages, g: Multigraph, s: DiamondString):
+def passages_or_violation(g: Multigraph, rep: EdgeReplacement):
     try:
-        return passages(g, s)
+        return string_passages(g, rep)
     except StructureViolation as exc:
         return str(exc)
+
+
+BETWEEN = "a diamond does not lie between its recorded connectors"
+COUNT = "a string needs one more connector than it has diamonds"
+
+
+def strung(d):
+    return [rep for rep in d.replacements if rep.string]
+
+
+@st.composite
+def built_decompositions(draw):
+    """build's decomposition of a random base with k <= 8 and lengths 0..3."""
+    h = random_base(draw(st.sampled_from((2, 4, 6, 8))), seed=draw(st.integers(0, 1 << 16)))
+    return build(h, draw(st.lists(st.integers(0, 3), min_size=h.m, max_size=h.m)))[1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(shuffled_diamond_hosts().map(classify), built_decompositions()))
+def test_string_passages_match_the_reference_walk(d):
+    # classify and build record each string's connectors in the order the walk by
+    # has_edge from the head meets them, so reading them gives the same passages
+    for rep in strung(d):
+        assert string_passages(d.graph, rep) == reference_string_passages(d.graph, rep.string)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(shuffled_diamond_hosts())
 def test_string_passages_match_their_reference_on_broken_strings(g):
-    for s in string_variants(g):
-        expected = passages_or_violation(reference_string_passages, g, s)
-        assert passages_or_violation(string_passages, g, s) == expected
+    for rep in strung(classify(g)):
+        expected = reference_string_passages(g, rep.string)
+        for variant in replacement_variants(g, rep):
+            out = passages_or_violation(g, variant)
+            if variant.connectors != rep.connectors:
+                assert out == COUNT
+            elif variant.string.diamonds == rep.string.diamonds:
+                assert out == expected
+            else:
+                assert out == BETWEEN
 
 
 def test_broken_strings_reach_every_violation():
     # the variants above reach every outcome of string_passages: each passage, a
-    # broken join between consecutive diamonds and a tail the walk does not end on
-    g, _ = build(TRIPLE_BOND, [2, 1, 0])
+    # diamond off its connectors and a connector count that does not fit the string
+    g, d = build(TRIPLE_BOND, [2, 1, 0])
     outcomes = {
         out if isinstance(out, str) else "passages"
-        for out in (passages_or_violation(string_passages, g, s) for s in string_variants(g))
+        for rep in strung(d)
+        for out in (passages_or_violation(g, v) for v in replacement_variants(g, rep))
     }
-    assert outcomes == {
-        "passages",
-        "consecutive diamonds are not joined by one port edge",
-        "string tail does not match the walk",
-    }
+    assert outcomes == {"passages", BETWEEN, COUNT}
 
 
 def test_classify_refuses_a_multigraph_with_strings():
