@@ -1,8 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 success or property holds, 1 property fails, 2 usage or
-parse error, or an input too large for the memory available (such as the
-17-byte document "p 100000000000 0"), 3 internal invariant violation,
+parse error, a question too large to decide within the cap (such as
+verify-3ec on a host whose count 2^(n/6+1) exceeds it), or an input too
+large for the memory available (such as the 17-byte document
+"p 100000000000 0"), 3 internal invariant violation,
 141 (the status a shell reports for SIGPIPE) standard output closed
 before the command finished writing, as when the reader of `clawmatch
 certify FILE | head -3` exits early.  Every error is one "error: ..." or
@@ -106,11 +108,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    g = _load(args.file)
-    if args.two_factors:
-        _emit(f"{counting.count_two_factors(g)}\n")
-    else:
-        _emit(f"{counting.count_perfect_matchings(g)}\n")
+    _emit(f"{counting.count_perfect_matchings(_load(args.file))}\n")
     return 0
 
 
@@ -181,11 +179,8 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_gen)
 
-    p = sub.add_parser("count", help="exact brute-force counts")
+    p = sub.add_parser("count", help="exact brute-force perfect-matching count")
     p.add_argument("file")
-    p.add_argument(
-        "--two-factors", action="store_true", help="count 2-factors instead (cubic graphs only)"
-    )
     p.set_defaults(fn=_cmd_count)
 
     p = sub.add_parser("cycle-space", help="GF(2) cycle basis, optionally the full enumeration")

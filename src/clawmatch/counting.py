@@ -11,9 +11,9 @@ table of (edge id, far end) arcs built once per call and finding the
 next open vertex with one C-level list scan; an enumeration stops at
 the cap.  It yields edge bitmasks, the stored form of an EdgeSubset, so
 an enumeration wraps them as they are.  In a cubic graph the 2-factors
-are exactly the complements of the perfect matchings, so the 2-factor
-count, the 2-factor enumeration and the longest 2-factor read that one
-search, and refuse any host that is not cubic.
+are exactly the complements of the perfect matchings, so their count is
+the matching count, and the 2-factor enumeration and the longest
+2-factor read that one search and refuse any host that is not cubic.
 """
 
 from __future__ import annotations
@@ -96,12 +96,6 @@ def enumerate_perfect_matchings(g: Multigraph, cap: int) -> list[EdgeSubset]:
 def _require_cubic(g: Multigraph) -> None:
     if not is_cubic(g):
         raise ValueError("host must be cubic for the complement to be a 2-factor")
-
-
-def count_two_factors(g: Multigraph) -> int:
-    """Number of 2-factors of cubic g: one per perfect matching, its complement."""
-    _require_cubic(g)
-    return count_perfect_matchings(g)
 
 
 def enumerate_two_factors(g: Multigraph, cap: int) -> list[EdgeSubset]:

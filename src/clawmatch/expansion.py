@@ -15,7 +15,7 @@ exponential lower bound with exact integer arithmetic.
 
 Lifting is table driven and edge sets are int bitmasks over edge ids.
 The gadget tables of a decomposition are built once per certify or expand
-call; they and K4's three pairings are the only host lookups by ends:
+call; they are the only host lookups by ends:
 - per base vertex, the triangle edges taken for each pair of used base
   edges and for none;
 - per base edge, the host edges taken when the member traverses it
@@ -33,7 +33,8 @@ after its idle factor (every 4-cycle).  In the cycle-space branch
 consecutive members differ by one fundamental cycle b, so it updates the
 previous lift instead of lifting each member from zero: it XORs in the
 walk ^ idle of every edge of b and, at each base vertex on b, the old state
-^ the new state.  K4's factors are the complements of its 3 pairings.
+^ the new state.  K4's factors are the complements of its 3 pairings, its
+pairs of edges with disjoint ends, read off its edge list.
 Every row certify, expand and complement_matching make comes from _rows,
 which checks it exactly: in a cubic host a factor is a 2-factor iff its
 complement is a perfect matching, and a row of edge ids is one iff it has
@@ -267,9 +268,10 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
     """
     d = classify(g)
     if d.kind == KIND_K4:
-        pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
         full = (1 << g.m) - 1
-        rows = list(_rows(g, [full ^ _mask(g.edge_between(*p) for p in pair) for pair in pairings]))
+        pairs = combinations(enumerate(g.edges), 2)
+        pairings = [1 << e | 1 << f for (e, a), (f, b) in pairs if set(a).isdisjoint(b)]
+        rows = list(_rows(g, [full ^ pairing for pairing in pairings]))
         branch = "k4"
     elif d.kind == KIND_RING:
         rows = list(_rows(g, _ring_factors(g, d.ring)))
@@ -352,7 +354,9 @@ def verify_3ec_remark(g: Multigraph) -> bool:
     matchings, so the remark holds iff the oracle finds 2^(n/6+1)
     matchings and certify's cycle-space rows are exactly those; as the
     base's cycle space has 2^(n/6+1) members, the lift is then injective.
-    A count above CAP is False without enumerating.
+    A count 2^(n/6+1) above CAP raises CapExceeded without enumerating:
+    the remark is then undecided, not false.  Below it, an enumeration
+    that overflows CAP is False, since the count then really differs.
     """
     g.ensure_simple()
     if not is_cubic(g):
@@ -365,9 +369,11 @@ def verify_3ec_remark(g: Multigraph) -> bool:
     if g.n == 4:
         raise ValueError("K4 is excluded from the remark")
 
-    expected = 2 ** (g.n // 6 + 1)
-    if g.n % 6 or expected > CAP:
+    if g.n % 6:
         return False
+    expected = 2 ** (g.n // 6 + 1)
+    if expected > CAP:
+        raise CapExceeded(expected, CAP)
     try:
         matchings = enumerate_perfect_matchings(g, CAP)
     except CapExceeded:

@@ -247,20 +247,21 @@ def _cut_forest(
     order is the preorder and parent_edge[v] the tree edge v was reached
     by, -1 at each of the roots, one per component; the far end of edge f
     from v is other[f] ^ v, with other[f] = u ^ v.
-    The DFS keeps its stack as a flat list of (vertex, edge) ints.  Every
-    non-loop non-tree edge joins a vertex to one of its ancestors and
-    lowers the lowpoint of the deeper end to the preorder number of the
-    other; a sweep in reverse preorder then passes each lowpoint up to
-    the parent.  The tree edge into v is a bridge iff no edge leaves v's
-    subtree upward, i.e. low[v] == disc[v].
+    The DFS keeps its stack as a flat list of (vertex, edge) ints.  A
+    neighbor already discovered when v is, reached by an edge other than
+    the tree edge into v, is an ancestor of v, so the walk lowers v's
+    lowpoint to its preorder number there: every non-loop non-tree edge
+    is seen once, from its deeper end.  A sweep in reverse preorder then
+    passes each lowpoint up to the parent.  The tree edge into v is a
+    bridge iff no edge leaves v's subtree upward, i.e. low[v] == disc[v].
 
     A parallel pair contributes no bridge and a loop is never a bridge:
     the second copy of a parallel pair is a non-tree edge to the parent.
     """
-    edges = g.edges
     incidence = g._incidence
-    other = [u ^ v for u, v in edges]
+    other = [u ^ v for u, v in g.edges]
     disc = [-1] * g.n
+    low = [-1] * g.n
     parent_edge = [-1] * g.n
     order: list[int] = []
     roots = 0
@@ -275,24 +276,18 @@ def _cut_forest(
             v = stack.pop()
             if disc[v] >= 0:
                 continue
-            disc[v] = len(order)
+            lv = disc[v] = len(order)
             order.append(v)
             parent_edge[v] = e
             for f in incidence[v]:
-                w = other[f] ^ v  # a loop gives w == v, already discovered
-                if disc[w] < 0:
+                w = other[f] ^ v
+                dw = disc[w]
+                if dw < 0:
                     push(w)
                     push(f)
-    low = disc[:]
-    for f, (u, v) in enumerate(edges):
-        if u == v or parent_edge[u] == f or parent_edge[v] == f:
-            continue
-        du, dv = disc[u], disc[v]
-        if du < dv:
-            if du < low[v]:
-                low[v] = du
-        elif dv < low[u]:
-            low[u] = dv
+                elif dw < lv and f != e:  # a loop gives w == v, never below v's own number
+                    lv = dw
+            low[v] = lv
     found: list[int] = []
     for v in reversed(order):
         e = parent_edge[v]

@@ -5,7 +5,8 @@ Every such graph is K4, a ring of diamonds, or is built from a
 with a triangle and some base edges with strings of diamonds.  This
 module recognizes that structure (classify, the one recognizer),
 inverts it (build), and provides the corpus generators.  classify's
-diamond scan looks once at each vertex's neighbors and returns an owner
+diamond scan looks once at each vertex's neighbors: it refuses a claw, a
+vertex none of whose neighbor pairs is adjacent, and returns an owner
 table and triangle bits that its string walk and contraction read; each
 string is walked once, recording the connectors that the contraction and
 string_passages read.
@@ -28,12 +29,7 @@ from .errors import (
     NotTwoEdgeConnected,
     StructureViolation,
 )
-from .graphs import (
-    Multigraph,
-    find_claw,
-    is_cubic,
-    is_two_edge_connected,
-)
+from .graphs import Claw, Multigraph, is_cubic, is_two_edge_connected
 
 KIND_K4 = "k4"
 KIND_RING = "ring"
@@ -162,7 +158,9 @@ def _scan_diamonds(g: Multigraph) -> tuple[list[Diamond], list[int], bytearray]:
     """The diamonds by least vertex, the owner table (each vertex's diamond index, or -1)
     and the triangle bits: g is cubic and simple here, and a vertex with neighbors x < y < z
     has bit 1 if x-y is an edge, 2 for x-z and 4 for y-z, one bit per triangle.  Two bits make
-    it a diamond internal, its partner in both pairs; the smaller internal takes the diamond."""
+    it a diamond internal, its partner in both pairs; the smaller internal takes the diamond.
+    The first vertex with no bit is a claw center, so NotClawFree names the claw find_claw
+    finds on such a graph."""
     nbrs = g._neighbors
     bits = bytearray(g.n)
     diamonds: list[Diamond] = []
@@ -180,6 +178,9 @@ def _scan_diamonds(g: Multigraph) -> tuple[list[Diamond], list[int], bytearray]:
             continue
         if v < w:
             diamonds.append(Diamond((v, w, p, q), (p, q), (v, w)))
+    center = bits.find(0)
+    if center >= 0:
+        raise NotClawFree(Claw(center, nbrs[center]))
     diamonds.sort(key=operator.attrgetter("vertices"))
     owner = [-1] * g.n
     for i, dia in enumerate(diamonds):
@@ -371,15 +372,15 @@ def classify(g: Multigraph) -> Decomposition:
     """Decide K4 / ring of diamonds / expansion for a 2-edge-connected claw-free cubic graph.
 
     The returned decomposition stores concrete ids: rebuilding from it
-    reproduces g exactly, not just up to isomorphism.
+    reproduces g exactly, not just up to isomorphism.  A graph that is not
+    simple, not cubic, not claw-free (the diamond scan's refusal), empty,
+    disconnected or bridged is refused, in that order.
     """
     g.ensure_simple()
     for v, d in enumerate(g.degrees()):
         if d != 3:
             raise NotCubic(v, d)
-    claw = find_claw(g)
-    if claw is not None:
-        raise NotClawFree(claw)
+    diamonds, owner, bits = _scan_diamonds(g)  # refuses a claw
     if g.n == 0:
         raise NotTwoEdgeConnected("graph has no vertices")
     roots, found = g._cuts
@@ -389,7 +390,6 @@ def classify(g: Multigraph) -> Decomposition:
         witness = min(found)
         raise NotTwoEdgeConnected(f"graph has a bridge: edge {witness}", witness)
 
-    diamonds, owner, bits = _scan_diamonds(g)
     strings, rings, connectors = _group_strings(g, diamonds, owner)
     if diamonds and 4 * len(diamonds) == g.n:
         if len(diamonds) < 2:

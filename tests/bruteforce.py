@@ -543,6 +543,59 @@ def reference_bridges(g: Multigraph) -> EdgeSubset:
     return EdgeSubset.of(g, frozenset(found))
 
 
+def reference_cut_forest(g: Multigraph):
+    """graphs._cut_forest as it was before the DFS took the lowpoints as it walked: the
+    same DFS, then a pass over every edge for the lowpoints, then the reverse-preorder sweep."""
+    edges = g.edges
+    incidence = g._incidence
+    other = [u ^ v for u, v in edges]
+    disc = [-1] * g.n
+    parent_edge = [-1] * g.n
+    order: list[int] = []
+    roots = 0
+    for root in range(g.n):
+        if disc[root] >= 0:
+            continue
+        roots += 1
+        stack = [root, -1]
+        push = stack.append
+        while stack:
+            e = stack.pop()
+            v = stack.pop()
+            if disc[v] >= 0:
+                continue
+            disc[v] = len(order)
+            order.append(v)
+            parent_edge[v] = e
+            for f in incidence[v]:
+                w = other[f] ^ v  # a loop gives w == v, already discovered
+                if disc[w] < 0:
+                    push(w)
+                    push(f)
+    low = disc[:]
+    for f, (u, v) in enumerate(edges):
+        if u == v or parent_edge[u] == f or parent_edge[v] == f:
+            continue
+        du, dv = disc[u], disc[v]
+        if du < dv:
+            if du < low[v]:
+                low[v] = du
+        elif dv < low[u]:
+            low[u] = dv
+    found: list[int] = []
+    for v in reversed(order):
+        e = parent_edge[v]
+        if e < 0:
+            continue
+        lv = low[v]
+        if lv == disc[v]:
+            found.append(e)
+        p = other[e] ^ v
+        if lv < low[p]:
+            low[p] = lv
+    return order, parent_edge, other, (roots, tuple(found))
+
+
 def reference_find_claw(g: Multigraph) -> Claw | None:
     """graphs.find_claw as it was before it read the neighbor table directly."""
     g.ensure_simple()

@@ -137,6 +137,13 @@ def relabelled(g: Multigraph, vertex_order: list[int], edge_order: list[tuple[in
     )
 
 
+def circular_ladder(k: int) -> Multigraph:
+    """Two k-cycles joined by k rungs (the prism over a k-cycle): cubic and 3-edge-connected."""
+    outer = [(i, (i + 1) % k) for i in range(k)]
+    inner = [(k + i, k + (i + 1) % k) for i in range(k)]
+    return Multigraph(2 * k, tuple(outer + inner + [(i, k + i) for i in range(k)]))
+
+
 def three_edge_connected_host(k: int, seed: int = 0) -> Multigraph:
     """The diamond-free expansion of random_base(k, s) for the lowest s >= seed whose
     base is 3-edge-connected, so the host is too (n = 3k)."""

@@ -19,7 +19,6 @@ from clawmatch import (
     certify,
     classify,
     count_perfect_matchings,
-    count_two_factors,
     cycle_basis,
     enumerate_cycle_space,
     enumerate_perfect_matchings,
@@ -43,6 +42,7 @@ from corpus import (
     PRISM,
     base_corpus,
     certify_corpus,
+    circular_ladder,
     cubic_corpus_small,
     seeded_length_vector,
     three_edge_connected_host,
@@ -152,7 +152,6 @@ def test_criterion_8_complement_bijection():
             factors = set(recursive_iter_two_factors(g))
             matchings = {m.members for m in enumerate_perfect_matchings(g, 1 << 20)}
             assert {f.members for f in enumerate_two_factors(g, 1 << 20)} == factors, name
-            assert len(factors) == count_two_factors(g), name
             assert len(matchings) == count_perfect_matchings(g), name
             assert len(factors) == len(matchings), name
             all_edges = frozenset(range(g.m))
@@ -170,13 +169,6 @@ def test_criterion_9_long_two_factor_bound():
             total = sum(lengths)
             achieved = sum(lengths[e] for e in factor.members)
             assert achieved >= -(-2 * total // 3)
-
-
-def circular_ladder(k: int) -> Multigraph:
-    """Two k-cycles joined by k rungs (the prism over a k-cycle): cubic and 3-edge-connected."""
-    outer = [(i, (i + 1) % k) for i in range(k)]
-    inner = [(k + i, k + (i + 1) % k) for i in range(k)]
-    return Multigraph(2 * k, tuple(outer + inner + [(i, k + i) for i in range(k)]))
 
 
 def test_criterion_10_check_on_large_hosts(tmp_path):
@@ -322,6 +314,24 @@ def test_criterion_15_one_cut_pass_and_one_claw_scan_per_graph(monkeypatch, tmp_
         assert len(passes) == expected
 
 
+def test_classify_makes_no_claw_scan_of_its_own(monkeypatch, tmp_path):
+    # its diamond scan already decides claw-freeness, so classify, certify and
+    # `clawmatch decompose` never call _scan_claw on a graph nobody asked find_claw about
+    built = large_expansion(20000, seed=26)
+    scans = counted(monkeypatch, "_scan_claw")
+    classify(Multigraph(built.n, built.edges))
+    base = random_base(8, seed=26)
+    small, _ = build(base, [1] + [0] * (base.m - 1))
+    assert certify(Multigraph(small.n, small.edges)).branch == "cycle-space"
+    doc = tmp_path / "host.txt"
+    doc.write_text(serialize_graph(built))
+    with redirect_stdout(io.StringIO()):
+        assert main(["decompose", str(doc)]) == 0
+    assert scans == []
+    # the counter does see scans: find_claw still makes one per graph
+    assert is_claw_free(built) and scans == [built]
+
+
 def test_criterion_16_two_factor_oracle_on_large_hosts():
     base = random_base(16, seed=1)
     for name, g, expected in (
@@ -330,7 +340,7 @@ def test_criterion_16_two_factor_oracle_on_large_hosts():
     ):
         with criterion(16, f"2-factor and matching counts agree on a {name}", 10.0):
             factors = sum(1 for _ in recursive_iter_two_factors(g))
-            assert factors == count_perfect_matchings(g) == count_two_factors(g) == expected, name
+            assert factors == count_perfect_matchings(g) == expected, name
 
 
 # what a Multigraph may keep: its two fields and the per-vertex or per-graph caches,

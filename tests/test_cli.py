@@ -27,6 +27,7 @@ from corpus import (
     PRISM,
     TRIPLE_BOND,
     certify_corpus,
+    circular_ladder,
     graph_documents,
     three_edge_connected_host,
 )
@@ -114,20 +115,24 @@ def test_gen_ring_then_count(capsys, tmp_path):
     code, out, _ = run(capsys, "count", str(path))
     assert code == 0
     assert out.strip() == "5"
-    code, out, _ = run(capsys, "count", str(path), "--two-factors")
-    assert out.strip() == "5"
 
 
-def test_count_two_factors_refuses_a_host_that_is_not_cubic(capsys, tmp_path):
+def test_count_has_no_two_factors_flag(capsys, tmp_path):
+    # on the cubic hosts it accepted, the flag printed the matching count
     path = tmp_path / "triangle.txt"
     path.write_text("p 3 3\ne 0 1\ne 0 2\ne 1 2\n")
-    code, out, err = run(capsys, "count", str(path), "--two-factors")
-    assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1
+    with pytest.raises(SystemExit) as exc:
+        main(["count", str(path), "--two-factors"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ")
+    assert "unrecognized arguments: --two-factors" in err and "Traceback" not in err
     assert run(capsys, "count", str(path)) == (0, "0\n", "")
     with pytest.raises(SystemExit):
         main(["count", "--help"])
-    assert "cubic graphs only" in " ".join(capsys.readouterr().out.split())
+    assert "--two-factors" not in capsys.readouterr().out
+    assert not hasattr(counting, "count_two_factors")
+    assert "count_two_factors" not in clawmatch.__all__
 
 
 def test_gen_random_base_deterministic(capsys):
@@ -198,6 +203,16 @@ def test_verify_3ec_command(capsys, tmp_path):
     assert code == 2  # precondition: K4 is excluded
 
 
+def test_verify_3ec_exits_2_on_a_truncated_prism_too_large_to_decide(capsys, tmp_path):
+    # n = 132, 3-edge-connected and claw-free: 2^23 matchings, past the cap of 2^22
+    g, _ = build(circular_ladder(22), [0] * 66)
+    path = tmp_path / "prism-132.txt"
+    path.write_text(serialize_graph(g))
+    code, out, err = run(capsys, "verify-3ec", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: enumeration needs {2**23} items, cap is {2**22}\n"
+
+
 def test_check_reads_a_comment_holding_a_line_separator(capsys, tmp_path):
     # U+2028 ends no line for open(), so the comment's tail is no graph line
     path = tmp_path / "k4.txt"
@@ -247,7 +262,6 @@ FILE_COMMANDS = (
     ("check",),
     ("decompose",),
     ("count",),
-    ("count", "--two-factors"),
     ("cycle-space",),
     ("certify",),
     ("verify-3ec",),
@@ -387,7 +401,6 @@ def host_48_file(tmp_path):
 
 def test_count_on_a_deep_host_prints_9(capsys, fig1_500_file):
     assert run(capsys, "count", fig1_500_file) == (0, "9\n", "")
-    assert run(capsys, "count", fig1_500_file, "--two-factors") == (0, "9\n", "")
 
 
 def test_verify_3ec_command_on_a_48_vertex_host(capsys, host_48_file):

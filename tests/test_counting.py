@@ -13,7 +13,6 @@ from clawmatch import (
     StructureViolation,
     build,
     count_perfect_matchings,
-    count_two_factors,
     enumerate_perfect_matchings,
     enumerate_two_factors,
     is_cubic,
@@ -114,8 +113,8 @@ def test_enumerations_stop_at_the_cap():
 
 
 def test_two_factor_counts():
-    assert count_two_factors(K4) == 3 == len(brute_two_factors(K4))
-    assert count_two_factors(PRISM) == 4 == len(brute_two_factors(PRISM))
+    assert len(enumerate_two_factors(K4, 8)) == 3 == len(brute_two_factors(K4))
+    assert len(enumerate_two_factors(PRISM, 8)) == 4 == len(brute_two_factors(PRISM))
     # hosts that are not cubic: only the reference search counts their 2-factors
     assert list(recursive_iter_two_factors(TRIANGLE)) == [frozenset({0, 1, 2})]
     assert list(recursive_iter_two_factors(LOOP1)) == [frozenset({0})]  # a loop counts 2
@@ -135,14 +134,12 @@ def test_two_factors_match_the_reference_search_on_cubic_multigraphs(g):
     expected = _two_factor_masks(g)
     assert len(set(expected)) == len(expected)
     assert {f.mask for f in enumerate_two_factors(g, 1 << 20)} == set(expected)
-    assert count_two_factors(g) == len(expected)
+    assert count_perfect_matchings(g) == len(expected)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(multigraphs().filter(lambda g: not is_cubic(g)))
 def test_two_factors_refuse_a_host_that_is_not_cubic(g):
-    with pytest.raises(ValueError):
-        count_two_factors(g)
     with pytest.raises(ValueError):
         enumerate_two_factors(g, 1 << 20)
 
@@ -151,12 +148,13 @@ def test_two_factor_enumeration_validates():
     for name, g in cubic_corpus_small():
         fs = enumerate_two_factors(g, 1 << 20)
         assert all(is_two_factor(g, f.members) for f in fs), name
-        assert len(fs) == count_two_factors(g), name
+        assert len(fs) == count_perfect_matchings(g), name
 
 
 def test_cubic_two_factors_equal_matchings():
     for name, g in cubic_corpus_small():
-        assert count_two_factors(g) == len(_two_factor_masks(g)) == count_perfect_matchings(g), name
+        factors = len(enumerate_two_factors(g, 1 << 20))
+        assert factors == len(_two_factor_masks(g)) == count_perfect_matchings(g), name
 
 
 def test_complement_is_a_bijection_on_cubic_graphs():
@@ -177,7 +175,7 @@ def test_petersen_sanity():
 
 def test_prism_counts_agree():
     assert count_perfect_matchings(PRISM) == len(_two_factor_masks(PRISM)) == 4
-    assert count_two_factors(PRISM) == 4
+    assert len(enumerate_two_factors(PRISM, 8)) == 4
 
 
 def test_max_length_two_factor_triple_bond():

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 import time
 from functools import cache
 from itertools import islice
@@ -52,6 +53,7 @@ from corpus import (
     TRIPLE_BOND,
     certify_corpus,
     cubic_corpus_small,
+    relabelled,
     three_edge_connected_host,
 )
 
@@ -467,12 +469,26 @@ def test_verify_3ec_remark_above_the_cap_answers_before_enumerating(monkeypatch,
         expansion, "enumerate_perfect_matchings", lambda h, cap: pytest.fail("oracle ran")
     )
     start = time.perf_counter()
-    assert verify_3ec_remark(g) is False
+    # too large to decide is no failure of the remark
+    with pytest.raises(CapExceeded) as exc:
+        verify_3ec_remark(g)
     assert time.perf_counter() - start < 1
+    assert (exc.value.required, exc.value.cap) == (2**23, expansion.CAP)
     path = tmp_path / "3ec-132.txt"
     path.write_text(serialize_graph(g))
-    assert main(["verify-3ec", str(path)]) == 1
-    assert capsys.readouterr().out == "result=false\n"
+    assert main(["verify-3ec", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {exc.value}\n")
+
+
+def test_verify_3ec_remark_is_false_when_the_enumeration_overflows_below_the_cap(monkeypatch):
+    # 2^(n/6+1) <= CAP, so an enumeration past CAP means the count really differs
+    g, _ = build(K4, [0] * 6)
+
+    def overflow(h, cap):
+        raise CapExceeded(cap + 1, cap)
+
+    monkeypatch.setattr(expansion, "enumerate_perfect_matchings", overflow)
+    assert verify_3ec_remark(g) is False
 
 
 def test_expand_matches_reference_lift_on_corpus():
@@ -602,15 +618,27 @@ def test_corrupted_decomposition_raises_instead_of_emitting_rows(monkeypatch, ca
     assert out.err.startswith("internal error: expansion is not a 2-factor")
 
 
+def test_k4_rows_are_its_pairs_of_disjoint_edges_read_off_its_edge_list(monkeypatch):
+    monkeypatch.setattr(Multigraph, "edge_between", lambda *args: pytest.fail("edge lookup"))
+    rng = random.Random(14)
+    for _ in range(20):
+        order = rng.sample(range(6), 6)
+        g = relabelled(K4, rng.sample(range(4), 4), [(e, rng.randrange(2)) for e in order])
+        # the three vertex pairings, each edge found by its ends
+        by_ends = {frozenset(ends): e for e, ends in enumerate(g.edges)}
+        pairings = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
+        expected = sorted(tuple(sorted(by_ends[frozenset(p)] for p in pair)) for pair in pairings)
+        cert = certify(g)
+        assert (cert.branch, list(cert.matchings)) == ("k4", expected)
+
+
 @pytest.mark.parametrize(
     "g, pair, wrong, bad",
     [
         # diamond 0's s-t lookup answers its edge 0-1, so its bit-0 walk misses 1-2
         (ring_of_diamonds(3), (1, 2), 0, [1, 2]),
-        # the pairing edge 0-1 answers 2-3, so the pairing 01|23 collapses to one edge
-        (K4, (0, 1), 5, [0, 1]),
     ],
-    ids=["ring-3", "k4"],
+    ids=["ring-3"],
 )
 def test_wrong_edge_lookup_after_classify_raises_instead_of_emitting_rows(
     monkeypatch, capsys, tmp_path, g, pair, wrong, bad

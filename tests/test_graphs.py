@@ -30,6 +30,7 @@ from bruteforce import (
     has_edge,
     reference_bridges,
     reference_components,
+    reference_cut_forest,
     reference_degrees,
     reference_find_claw,
     reference_is_simple,
@@ -350,6 +351,23 @@ def test_flat_scans_match_their_references_on_random_multigraphs(g):
     assert bridges(g) == reference_bridges(g)
     assert g.degrees() == reference_degrees(g)
     assert g.is_simple() == reference_is_simple(g)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(multigraphs(), cubic_multigraphs(), several_components()))
+def test_cut_forest_matches_the_two_pass_reference(g):
+    # loops, parallel pairs and several components: the lowpoints taken during the walk
+    # leave every output as the separate pass over the edges did
+    assert graphs._cut_forest(g) == reference_cut_forest(g)
+
+
+def test_cut_forest_matches_the_two_pass_reference_on_a_deep_path():
+    n = 100_000
+    path = Multigraph(n, tuple((v, v + 1) for v in range(n - 1)))
+    answer = graphs._cut_forest(path)
+    assert answer == reference_cut_forest(path)
+    order, _, _, (roots, found) = answer
+    assert order == list(range(n)) and roots == 1 and found == tuple(range(n - 2, -1, -1))
 
 
 @st.composite

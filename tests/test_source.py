@@ -20,11 +20,16 @@
   `graphs` defines `_mask` and `_unmask`, `EdgeSubset`'s fields are `host`
   and `mask`, and no other module reads `.members`.
 - Host edges are looked up by their ends in few places: only `graphs`
-  (which defines it) and `expansion` (the gadget tables and K4's pairings)
-  reference `edge_between`, and no module defines or calls `has_edge`.
+  (which defines it) and `expansion` reference `edge_between`, and there
+  only `_string` and `_Gadgets`, the gadget tables (K4's pairings are read
+  off its edge list); no module defines or calls `has_edge`.
 - `classify` is the one diamond and string recognizer: no module defines
   `find_diamonds`, `find_strings` or `_require_cubic_claw_free`, and
   `clawmatch.__all__` lists neither finder.
+- `classify` takes its claw refusal from its diamond scan: no `structure`
+  function reads `find_claw`.
+- A cubic graph's 2-factor count is its matching count, so no module
+  defines `count_two_factors` and `clawmatch.__all__` does not list it.
 - Every error type is raised: each exception class `errors` defines,
   `GraphError` (the base class) aside, is raised as `raise X(...)` by
   some library module, and `ParallelCollision`, for a fault `build`
@@ -253,6 +258,8 @@ def _referencing(paths, name: str) -> set[str]:
 
 def test_edges_are_looked_up_by_their_ends_in_graphs_and_expansion_only():
     assert _referencing(MODULES, "edge_between") == {"graphs", "expansion"}
+    readers = [r for r in _top_level_readers("edge_between") if r.startswith("expansion.")]
+    assert readers == ["expansion._Gadgets", "expansion._string"]
     assert _referencing(MODULES, "has_edge") == set()
     # the scan does find both forms: the brute-force references define and call has_edge
     assert _referencing([Path(__file__).with_name("bruteforce.py")], "has_edge") == {"bruteforce"}
@@ -306,3 +313,16 @@ def test_every_error_type_is_raised():
     assert "ParallelCollision" not in defined
     assert _referencing(MODULES, "ParallelCollision") == set()
     assert "ParallelCollision" not in clawmatch.__all__
+
+
+def test_structure_reads_no_claw_scan():
+    assert not [r for r in _top_level_readers("find_claw") if r.startswith("structure.")]
+    # the scan does find readers: the 3EC remark checks its precondition with find_claw
+    assert "expansion.verify_3ec_remark" in _top_level_readers("find_claw")
+
+
+def test_two_factors_are_not_counted_apart_from_matchings():
+    assert _referencing(MODULES, "count_two_factors") == set()
+    assert "count_two_factors" not in clawmatch.__all__
+    # the scan does find definitions: counting defines the matching count
+    assert "count_perfect_matchings" in _functions_defined(SRC / "counting.py")

@@ -21,12 +21,14 @@ from clawmatch import (
     NotSimple,
     NotTwoEdgeConnected,
     StructureViolation,
+    bridges,
     build,
     classify,
     cycle_basis,
     figure1_graph,
     find_claw,
     is_claw_free,
+    is_connected,
     is_cubic,
     is_two_edge_connected,
     random_base,
@@ -53,6 +55,7 @@ from corpus import (
     K33,
     LOOP1,
     PATH3,
+    PETERSEN,
     TRIPLE_BOND,
     certify_corpus,
     relabelled,
@@ -188,6 +191,49 @@ def test_bad_input_errors_keep_their_types_and_messages():
         assert type(exc.value) is error and str(exc.value) == message, (fn.__name__, args)
 
 
+def disjoint_union(*parts: Multigraph) -> Multigraph:
+    """The parts side by side, each one's ids shifted past those of the parts before it."""
+    n, edges = 0, []
+    for part in parts:
+        edges += [(u + n, v + n) for u, v in part.edges]
+        n += part.n
+    return Multigraph(n, tuple(edges))
+
+
+def clawed_hosts() -> dict[str, Multigraph]:
+    """Simple cubic hosts with claws: 2-edge-connected, bridged and disconnected."""
+    # K3,3 with its edge 0-3 subdivided by vertex 6: 7 vertices, one of degree 2
+    subdivided = Multigraph(7, tuple(e for e in K33.edges if e != (0, 3)) + ((0, 6), (6, 3)))
+    pair = disjoint_union(subdivided, subdivided)
+    expanded, _ = build(TRIPLE_BOND, [1, 0, 2])
+    return {
+        "K3,3": K33,
+        "Petersen": PETERSEN,
+        "bridged": Multigraph(pair.n, pair.edges + ((6, 13),)),
+        "disconnected": disjoint_union(K33, K33),
+        "a claw-free expansion beside a K3,3": disjoint_union(expanded, K33),
+        "a ring of diamonds beside a Petersen graph": disjoint_union(ring_of_diamonds(3), PETERSEN),
+    }
+
+
+def test_classify_refuses_the_claw_find_claw_finds():
+    # the diamond scan decides claw-freeness before connectivity: the claw is reported
+    # first, whether the host is 2-edge-connected, bridged or disconnected
+    hosts = clawed_hosts()
+    assert bridges(hosts["bridged"]).sorted_tuple() == (hosts["bridged"].m - 1,)
+    assert not is_connected(hosts["disconnected"])
+    rng = random.Random(26)
+    for name, host in hosts.items():
+        for g in [host] + [shuffled(host, rng) for _ in range(20)]:
+            assert is_cubic(g) and g.is_simple(), name
+            claw = find_claw(g)
+            assert claw is not None, name
+            with pytest.raises(NotClawFree) as exc:
+                classify(g)
+            assert exc.value.claw == claw, name
+            assert str(exc.value) == str(NotClawFree(claw)), name
+
+
 def swapped(dia: Diamond) -> Diamond:
     """The same four vertices with ports and internals exchanged, so the ports are adjacent."""
     return Diamond(dia.vertices, dia.internals, dia.ports)
@@ -209,7 +255,24 @@ def test_verify_cover_refuses_broken_covers():
     middle[1] = swapped(middle[1])
     ring = classify(ring_of_diamonds(3))
     _verify_cover(ring)
+    # the prism's triangles 0 1 2 and 3 4 5 regrouped as 1 2 3 and 0 4 5, with connectors
+    # spread over exactly the new cross edges: only the side count tells these parts apart
+    prism, split = build(TRIPLE_BOND, [0, 0, 0])
+    regrouped = ((1, 2, 3), (0, 4, 5))
+    left = regrouped[0]
+    cross = [e for e, (u, v) in enumerate(prism.edges) if (u in left) != (v in left)]
+    assert cross == [0, 1, 3, 4, 6, 7, 8]
+    spread = (cross[0:3], cross[3:5], cross[5:])
+    regrouped_prism = dataclasses.replace(
+        split,
+        triangles=regrouped,
+        replacements=tuple(
+            dataclasses.replace(rep, connectors=tuple(ids))
+            for rep, ids in zip(split.replacements, spread)
+        ),
+    )
     broken = {
+        "triangles that are no triangles": regrouped_prism,
         "a connector swapped for a triangle side": with_replacement(d, 1, connectors=(side,)),
         "a dropped connector": with_replacement(
             d, 0, connectors=d.replacements[0].connectors[:-1]
