@@ -39,14 +39,17 @@ Every row certify, expand and complement_matching make comes from _rows,
 which checks it exactly: in a cubic host a factor is a 2-factor iff its
 complement is a perfect matching, and a row of edge ids is one iff it has
 n/2 edges whose end-vertex bitmasks sum to (1 << n) - 1 (see
-_is_perfect_row), the test certificate_problems runs too.  The degree scan
-runs only to name the offending vertices once a row has failed.
+_is_perfect_row).  certificate_problems runs the same sum for all rows at
+once, in a pass of C-level calls that also keys each row for the duplicate
+check; a certificate it does not accept goes through a per-row loop that
+words each problem with _is_perfect_row.  The degree scan runs only to name
+the offending vertices once a row has failed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, pairwise
+from itertools import chain, combinations, pairwise, repeat
 from typing import Iterable, Iterator
 
 from .counting import enumerate_perfect_matchings, max_length_two_factor
@@ -307,17 +310,48 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
 
 
 def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:
-    """Re-validate a certificate from scratch; empty list means valid."""
+    """Re-validate a certificate from scratch; empty list means valid.
+
+    A valid certificate is accepted by one pass of C-level calls over its
+    rows.  With s = m + n.bit_length() and code[e] = ends(e) << s | 1 << e,
+    a row of n // 2 ids in range(m) sums to high << s | low, where low, a
+    sum of n // 2 bits below bit m, stays under 1 << s.  So high is the
+    row's end-mask sum, (1 << n) - 1 exactly when the row is a perfect
+    matching (see _is_perfect_row; for odd n, n // 2 masks have too few
+    bits); then its ids are distinct, low is their bitmask, and two such
+    rows have equal sums exactly when they hold the same ids.
+    Anything else, an id that is not an int included, goes through the
+    per-row loop, which words every problem.
+    """
+    n, m, rows, end_bits = g.n, g.m, cert.matchings, _end_bits(g)
+    s, full = m + n.bit_length(), (1 << n) - 1
+    code = [ends << s | 1 << e for e, ends in enumerate(end_bits)]
+    try:
+        if (
+            cert.n == n
+            and set(map(len, rows)) == {n // 2}
+            and min(chain.from_iterable(rows), default=0) >= 0
+        ):
+            sums = set(map(sum, map(map, repeat(code.__getitem__), rows)))
+            bound_holds = len(rows) ** 12 > 2**n
+            if (
+                min(sums) >> s == max(sums) >> s == full
+                and len(sums) == len(rows)
+                and bound_holds
+                and cert.bound_ok == bound_holds
+            ):
+                return []
+    except (TypeError, IndexError):  # an id that is not an int, or one past range(m)
+        pass
     problems: list[str] = []
-    if cert.n != g.n:
-        problems.append(f"certificate n={cert.n} does not match the graph n={g.n}")
-    m, end_bits = g.m, _end_bits(g)
+    if cert.n != n:
+        problems.append(f"certificate n={cert.n} does not match the graph n={n}")
     seen: set[tuple[int, ...]] = set()
     for idx, row in enumerate(cert.matchings):
         if row and (min(row) < 0 or max(row) >= m):
             problems.append(f"matching {idx} has an out-of-range edge index")
             continue
-        if not _is_perfect_row(row, end_bits, g.n):
+        if not _is_perfect_row(row, end_bits, n):
             deg = subset_degrees(g, row)
             bad = next(v for v, dv in enumerate(deg) if dv != 1)
             problems.append(
@@ -328,9 +362,9 @@ def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:
             problems.append(f"matching {idx} duplicates an earlier row")
         seen.add(key)
     count = len(seen)
-    bound_holds = count**12 > 2**g.n
+    bound_holds = count**12 > 2**n
     if not bound_holds:
-        problems.append(f"bound fails: {count}^12 <= 2^{g.n}")
+        problems.append(f"bound fails: {count}^12 <= 2^{n}")
     if cert.bound_ok != bound_holds:
         problems.append("bound_ok flag does not match the exact arithmetic")
     return problems

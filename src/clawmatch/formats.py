@@ -48,9 +48,16 @@ def parse_graph(text: str) -> Multigraph:
             continue
         if parts[0] != "e" or len(parts) != 3:
             raise ParseError(lineno, "expected edge line 'e <u> <v>'")
-        if not (_is_decimal(parts[1]) and _is_decimal(parts[2])):
+        # _is_decimal inline: split() leaves no whitespace to strip
+        a, b = parts[1], parts[2]
+        if not (
+            a.isascii()
+            and b.isascii()
+            and a.removeprefix("-").isdigit()
+            and b.removeprefix("-").isdigit()
+        ):
             raise ParseError(lineno, "edge endpoints must be integers")
-        u, v = int(parts[1]), int(parts[2])
+        u, v = int(a), int(b)
         if not (0 <= u < header[0] and 0 <= v < header[0]):
             raise ParseError(lineno, f"endpoint out of range: ({u}, {v}) with n={header[0]}")
         if len(edges) == header[1]:

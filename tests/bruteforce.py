@@ -22,6 +22,7 @@ perfect matchings (in a cubic graph they are the complements), one nested
 generator per taken edge, so it shares no code with the matching search.
 """
 
+import io
 from itertools import combinations, islice, permutations
 from collections import Counter
 from typing import Iterator
@@ -39,6 +40,7 @@ from clawmatch import (
     NoTwoFactor,
     NotClawFree,
     NotCubic,
+    ParseError,
     StructureViolation,
     classify,
     count_perfect_matchings,
@@ -49,6 +51,7 @@ from clawmatch import (
     is_two_edge_connected,
     subset_degrees,
 )
+from clawmatch.formats import _is_decimal
 from clawmatch.graphs import _mask, _unmask
 from clawmatch.expansion import _Gadgets, _rows
 from clawmatch.structure import _group_strings, _leaving, _scan_diamonds, _verify_cover
@@ -287,6 +290,43 @@ def reference_certificate_problems(g: Multigraph, cert) -> list:
     if cert.bound_ok != bound_holds:
         problems.append("bound_ok flag does not match the exact arithmetic")
     return problems
+
+
+def reference_parse_graph(text: str) -> Multigraph:
+    """formats.parse_graph as it was before its edge lines checked their endpoint fields
+    inline: _is_decimal on every header and endpoint field."""
+    header = None
+    edges = []
+    lineno = 1
+    for lineno, raw in enumerate(io.StringIO(text, newline=None), 1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
+            continue
+        if header is None:
+            if parts[0] != "p" or len(parts) != 3:
+                raise ParseError(lineno, "expected header 'p <n> <m>'")
+            if not (_is_decimal(parts[1]) and _is_decimal(parts[2])):
+                raise ParseError(lineno, "header counts must be integers")
+            n, m = int(parts[1]), int(parts[2])
+            if n < 0 or m < 0:
+                raise ParseError(lineno, "header counts must be nonnegative")
+            header = (n, m)
+            continue
+        if parts[0] != "e" or len(parts) != 3:
+            raise ParseError(lineno, "expected edge line 'e <u> <v>'")
+        if not (_is_decimal(parts[1]) and _is_decimal(parts[2])):
+            raise ParseError(lineno, "edge endpoints must be integers")
+        u, v = int(parts[1]), int(parts[2])
+        if not (0 <= u < header[0] and 0 <= v < header[0]):
+            raise ParseError(lineno, f"endpoint out of range: ({u}, {v}) with n={header[0]}")
+        if len(edges) == header[1]:
+            raise ParseError(lineno, f"more than the declared {header[1]} edges")
+        edges.append((u, v))
+    if header is None:
+        raise ParseError(lineno, "missing header 'p <n> <m>'")
+    if len(edges) != header[1]:
+        raise ParseError(lineno, f"expected {header[1]} edges, found {len(edges)}")
+    return Multigraph(header[0], tuple(edges))
 
 
 def reference_iter_perfect_matchings(g: Multigraph) -> Iterator[frozenset[int]]:

@@ -337,6 +337,25 @@ def test_certify_output_unchanged_under_optimize_flag(tmp_path):
         assert runs[1].stdout == runs[0].stdout, name
 
 
+def test_corpus_certificates_verify_under_optimize_flag():
+    # python -O strips asserts; the accept pass of verify_certificate may not rely on one
+    env = subprocess_env()
+    env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)  # corpus
+    script = (
+        "from clawmatch import certify, verify_certificate\n"
+        "from corpus import certify_corpus\n"
+        "print(*(verify_certificate(g, certify(g)) for _, g in certify_corpus()))\n"
+    )
+    runs = [
+        subprocess.run(
+            [sys.executable, *flags, "-c", script], capture_output=True, text=True, env=env
+        )
+        for flags in ((), ("-O",))
+    ]
+    expected = " ".join(["True"] * len(certify_corpus())) + "\n"
+    assert [(r.returncode, r.stdout) for r in runs] == [(0, expected)] * 2, runs[1].stderr
+
+
 def test_closed_stdout_exits_141_without_an_error_line(tmp_path):
     base = random_base(24, seed=5)
     host, _ = build(base, [0] * base.m)  # an 8192-row certificate, about 0.9 MB of text

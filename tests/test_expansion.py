@@ -34,7 +34,7 @@ from clawmatch import (
     verify_certificate,
     verify_3ec_remark,
 )
-from clawmatch import expansion, structure
+from clawmatch import expansion, graphs, structure
 from clawmatch.cli import main
 from clawmatch.graphs import _mask, _unmask
 from bruteforce import (
@@ -319,7 +319,7 @@ def mutated_certificate(draw, g, cert):
 
     edits = st.sampled_from(
         ("drop", "add", "replace", "repeat", "negative", "too large", "unsorted",
-         "empty", "duplicate", "truncate", "n", "bound_ok")
+         "empty", "duplicate", "twin", "swap", "bool", "truncate", "n", "bound_ok")
     )
     for edit in draw(st.lists(edits, max_size=4), label="edits"):
         if edit == "n":
@@ -334,6 +334,9 @@ def mutated_certificate(draw, g, cert):
             continue
         elif edit == "duplicate":
             rows.insert(index(rows, 1), list(rows[index(rows)]))
+        elif edit == "twin":  # the same ids in another order
+            twin = draw(st.permutations(rows[index(rows)]), label="twin")
+            rows.insert(index(rows, 1), twin)
         else:
             row = rows[index(rows)]
             if edit == "add":
@@ -350,6 +353,11 @@ def mutated_certificate(draw, g, cert):
                 row[index(row)] = draw(st.integers(-g.m - 2, -1), label="id")
             elif edit == "too large":
                 row[index(row)] = draw(st.integers(g.m, 2 * g.m + 2), label="id")
+            elif edit == "swap":
+                i, j = index(row), index(row)
+                row[i], row[j] = row[j], row[i]
+            elif edit == "bool":  # True == 1 and False == 0, as ids and as keys
+                row[index(row)] = draw(st.booleans(), label="id")
             else:
                 row.reverse()
     return dataclasses.replace(cert, matchings=tuple(map(tuple, rows)), n=n, bound_ok=bound_ok)
@@ -377,6 +385,71 @@ def test_certificate_problems_agree_with_reference(data):
     else:
         g, cert = random_rows_certificate(data.draw)
     assert certificate_problems(g, cert) == reference_certificate_problems(g, cert)
+
+
+def test_a_reversed_repeat_of_the_first_row_is_a_duplicate():
+    g, cert = next((g, c) for g, c in corpus_certificates() if c.branch == "cycle-space")
+    twin = dataclasses.replace(cert, matchings=cert.matchings + (cert.matchings[0][::-1],))
+    problems = certificate_problems(g, twin)
+    assert problems == [f"matching {len(cert.matchings)} duplicates an earlier row"]
+    assert problems == reference_certificate_problems(g, twin)
+
+
+def counted_row_checks(monkeypatch):
+    """Record each call to the row test and to the degree scan that words a failed row."""
+    calls = []
+    is_perfect_row, subset_degrees = expansion._is_perfect_row, graphs.subset_degrees
+    monkeypatch.setattr(
+        expansion, "_is_perfect_row", lambda *args: calls.append("row") or is_perfect_row(*args)
+    )
+    for module in (graphs, expansion):
+        monkeypatch.setattr(
+            module, "subset_degrees", lambda *args: calls.append("degrees") or subset_degrees(*args)
+        )
+    return calls
+
+
+def one_edit_certificates(g, cert):
+    """cert made invalid by one edit, by name: every such edit leaves the accept pass."""
+    rows, first, m = cert.matchings, cert.matchings[0], g.m
+
+    def first_row(row):
+        return dataclasses.replace(cert, matchings=(row,) + rows[1:])
+
+    return {
+        "dropped id": first_row(first[1:]),
+        "repeated id": first_row(first[:1] + first[:-1]),
+        # list indexing would read id e - m as id e
+        "negative id": first_row((first[0] - m,) + first[1:]),
+        "too large id": first_row((m,) + first[1:]),
+        "exact duplicate": dataclasses.replace(cert, matchings=rows + (first,)),
+        "reordered duplicate": dataclasses.replace(cert, matchings=rows + (first[::-1],)),
+        "n": dataclasses.replace(cert, n=cert.n + 2),
+        "bound_ok": dataclasses.replace(cert, bound_ok=False),
+    }
+
+
+def test_valid_certificates_are_accepted_without_a_row_test(monkeypatch):
+    calls = counted_row_checks(monkeypatch)
+    for g, cert in corpus_certificates():
+        assert verify_certificate(g, cert), cert.branch
+        assert calls == [], cert.branch
+    for g, cert in corpus_certificates():
+        for edit, broken in one_edit_certificates(g, cert).items():
+            calls.clear()
+            problems = certificate_problems(g, broken)
+            assert problems and problems == reference_certificate_problems(g, broken), edit
+            assert "row" in calls, edit  # the per-row loop words the problem
+
+
+def test_a_longer_row_with_every_vertex_bit_is_not_a_matching():
+    # on K4, edges 0, 0 and 2 have end masks 3 + 3 + 9 = 15, every vertex bit, in 3 > n/2 ids
+    cert = certify(K4)
+    broken = dataclasses.replace(cert, matchings=((0, 0, 2),) + cert.matchings[1:])
+    assert sum(1 << u | 1 << v for u, v in (K4.edges[e] for e in broken.matchings[0])) == 15
+    problems = certificate_problems(K4, broken)
+    assert problems == ["matching 0 is not a perfect matching: vertex 0 has degree 3"]
+    assert problems == reference_certificate_problems(K4, broken)
 
 
 def test_expansion_bijection_when_diamond_free():

@@ -20,6 +20,7 @@ from clawmatch import (
     serialize_decomposition,
     serialize_graph,
 )
+from bruteforce import reference_parse_graph
 from corpus import (
     K4,
     TRIPLE_BOND,
@@ -132,6 +133,29 @@ def test_parse_graph_raises_only_parse_error(text):
     except ParseError:
         return
     assert parse_graph(serialize_graph(g)) == g
+
+
+# digits, signs, an underscore, a superscript two, an Arabic-Indic three and letters:
+# int() takes some of these forms, _is_decimal none but "-" and ASCII digits
+FIELDS = st.one_of(
+    st.integers(-1, 4).map(str), st.text("0123456789-+_\u00b2\u0663aeZ", min_size=1, max_size=4)
+)
+
+
+def parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return ("ParseError", exc.line, str(exc))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(FIELDS, FIELDS, st.lists(st.tuples(FIELDS, FIELDS), max_size=4), st.booleans())
+def test_parse_checks_fields_as_is_decimal_does(n, m, ends, valid_header):
+    if valid_header:
+        n, m = "5", str(len(ends))
+    text = "".join([f"p {n} {m}\n"] + [f"e {u} {v}\n" for u, v in ends])
+    assert parse_outcome(parse_graph, text) == parse_outcome(reference_parse_graph, text)
 
 
 def test_graph_roundtrip_is_identity_on_corpus():
