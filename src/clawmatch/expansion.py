@@ -36,14 +36,23 @@ walk ^ idle of every edge of b and, at each base vertex on b, the old state
 ^ the new state.  K4's factors are the complements of its 3 pairings, its
 pairs of edges with disjoint ends, read off its edge list.
 Every row certify, expand and complement_matching make comes from _rows,
-which checks it exactly: in a cubic host a factor is a 2-factor iff its
-complement is a perfect matching, and a row of edge ids is one iff it has
-n/2 edges whose end-vertex bitmasks sum to (1 << n) - 1 (see
-_is_perfect_row).  certificate_problems runs the same sum for all rows at
-once, in a pass of C-level calls that also keys each row for the duplicate
-check; a certificate it does not accept goes through a per-row loop that
-words each problem with _is_perfect_row.  The degree scan runs only to name
-the offending vertices once a row has failed.
+which takes a family's factor masks and returns the certificate's rows,
+sorted and distinct, each checked exactly: in a cubic host a factor is a
+2-factor iff its complement is a perfect matching, and a row of edge ids
+is one iff it has n/2 edges whose end-vertex bitmasks sum to (1 << n) - 1
+(see _is_perfect_row).  _rows works in passes of C-level calls: it
+deduplicates the complements as ints, sorts them by their bit strings
+read from edge 0 up, descending, which for rows of one length is
+ascending id-tuple order (graphs._bit_string), turns each into ids once
+and runs the sum for all rows at once.  A batch it does not accept goes
+through a per-factor loop, in the order the factors came, that raises
+DegreeViolation for the first bad one; a factor source that raises has
+the factors it gave checked first.  certificate_problems runs the same
+sum for all rows of a certificate at once, in a pass of C-level calls
+that also keys each row for the duplicate check; a certificate it does
+not accept goes through a per-row loop that words each problem with
+_is_perfect_row.  The degree scan runs only to name the offending
+vertices once a row has failed.
 """
 
 from __future__ import annotations
@@ -58,6 +67,7 @@ from .errors import BoundFailure, CapExceeded, DegreeViolation
 from .graphs import (
     EdgeSubset,
     Multigraph,
+    _bit_string,
     _mask,
     _unmask,
     find_claw,
@@ -94,17 +104,41 @@ def _is_perfect_row(row: tuple[int, ...], end_bits: list[int], n: int) -> bool:
     return 2 * len(row) == n and sum(map(end_bits.__getitem__, row)) == (1 << n) - 1
 
 
-def _rows(g: Multigraph, factors: Iterable[int]) -> Iterator[tuple[int, ...]]:
-    """Per factor mask of the cubic graph g, the edge ids of its complement, once that
-    is seen to be a perfect matching, which holds iff the factor is a 2-factor."""
-    full, end_bits = (1 << g.m) - 1, _end_bits(g)
-    for factor in factors:
-        row = _unmask(full ^ factor)
-        if not _is_perfect_row(row, end_bits, g.n):
-            deg = subset_degrees(g, _unmask(factor))
-            bad = [v for v, dv in enumerate(deg) if dv != 2]
-            raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
-        yield row
+def _rows(g: Multigraph, factors: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """The edge ids of the complements of the factor masks of the cubic graph g, sorted and
+    distinct, once each is seen to be a perfect matching, which holds iff its factor is a
+    2-factor.  Otherwise the first factor, in the order given, that is not one raises
+    DegreeViolation; a source that raises has the factors it gave checked first.
+
+    The complements are deduplicated as ints and sorted by _bit_string, descending, which
+    for rows of one length is ascending id-tuple order, so no row tuple is hashed or
+    compared.  The rows are accepted in one pass of C-level calls when each has n/2 ids
+    and end-mask sum (1 << n) - 1 (see _is_perfect_row); anything else sends the factors
+    through the per-factor loop, which names the first bad one.
+    """
+    n, full, end_bits = g.n, (1 << g.m) - 1, _end_bits(g)
+    given: list[int] = []
+
+    def check_each() -> None:
+        for factor in given:
+            if not _is_perfect_row(_unmask(full ^ factor), end_bits, n):
+                deg = subset_degrees(g, _unmask(factor))
+                bad = [v for v, dv in enumerate(deg) if dv != 2]
+                raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
+
+    try:
+        given.extend(factors)  # keeps what the source gave before it raised
+    except Exception:
+        check_each()
+        raise
+    masks = sorted(set(map(full.__xor__, given)), key=_bit_string, reverse=True)
+    rows = tuple(map(_unmask, masks))
+    if not (
+        set(map(len, rows)) == {n // 2}
+        and set(map(sum, map(map, repeat(end_bits.__getitem__), rows))) == {(1 << n) - 1}
+    ):
+        check_each()
+    return rows
 
 
 def _string(g: Multigraph, walk: int, passages: Iterable[tuple[int, int, int, int]]):
@@ -200,6 +234,17 @@ class _Gadgets:
                 raise
             yield factor
 
+    def long_walk(self, lengths: dict[int, int]) -> Iterator[int]:
+        """The lift of the base's longest 2-factor by lengths (max_length_two_factor) under
+        every routing, along gray_walk; more than CAP routings raise CapExceeded.  The
+        member is chosen at the first step, so chained after another walk, it is chosen
+        only once that walk is exhausted."""
+        member = max_length_two_factor(self.base, lengths).mask
+        flips = self.routes(member)
+        if 1 << len(flips) > CAP:
+            raise CapExceeded(1 << len(flips), CAP)
+        yield from gray_walk(self.lift(member), flips)
+
 
 def expand(member: EdgeSubset, d: Decomposition, routing: int = 0) -> EdgeSubset:
     """Lift an even subgraph of the base to a 2-factor of the expanded graph.
@@ -220,7 +265,7 @@ def expand(member: EdgeSubset, d: Decomposition, routing: int = 0) -> EdgeSubset
     for i, flip in enumerate(flips):
         if routing >> i & 1:
             factor ^= flip
-    next(_rows(d.graph, [factor]))
+    _rows(d.graph, [factor])
     return EdgeSubset(d.graph, factor)
 
 
@@ -230,7 +275,7 @@ def complement_matching(g: Multigraph, factor: EdgeSubset) -> EdgeSubset:
         raise ValueError("complementation needs a cubic host")
     if factor.host != g:
         raise DegreeViolation("argument is not a 2-factor of the host")
-    return EdgeSubset.of(g, next(_rows(g, [factor.mask])))
+    return EdgeSubset.of(g, _rows(g, [factor.mask])[0])
 
 
 @dataclass(frozen=True)
@@ -271,13 +316,12 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
     """
     d = classify(g)
     if d.kind == KIND_K4:
-        full = (1 << g.m) - 1
-        pairs = combinations(enumerate(g.edges), 2)
-        pairings = [1 << e | 1 << f for (e, a), (f, b) in pairs if set(a).isdisjoint(b)]
-        rows = list(_rows(g, [full ^ pairing for pairing in pairings]))
+        full, ends = (1 << g.m) - 1, _end_bits(g)
+        pairs = combinations(range(g.m), 2)
+        rows = _rows(g, [full ^ 1 << e ^ 1 << f for e, f in pairs if not ends[e] & ends[f]])
         branch = "k4"
     elif d.kind == KIND_RING:
-        rows = list(_rows(g, _ring_factors(g, d.ring)))
+        rows = _rows(g, _ring_factors(g, d.ring))
         branch = "ring"
     else:
         if both_branches:
@@ -287,26 +331,21 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
         else:
             branch = "long-2-factor"
         gadgets = _Gadgets(d)
-        rows = []
+        families = []
         if branch != "long-2-factor":
-            rows += _rows(g, gadgets.lift_walk())
+            families.append(gadgets.lift_walk())
         if branch != "cycle-space":
-            lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
-            member = max_length_two_factor(d.base, lengths).mask
-            flips = gadgets.routes(member)
-            if 1 << len(flips) > CAP:
-                raise CapExceeded(1 << len(flips), CAP)
-            rows += _rows(g, gray_walk(gadgets.lift(member), flips))
+            families.append(gadgets.long_walk(dict(enumerate(d.lengths()))))
+        rows = _rows(g, chain.from_iterable(families))
 
-    distinct = sorted(set(rows))
-    count = len(distinct)
+    count = len(rows)
     if not count**12 > 2**g.n:
-        dump = "\n".join(" ".join(map(str, row)) for row in distinct)
+        dump = "\n".join(" ".join(map(str, row)) for row in rows)
         raise BoundFailure(
             f"certificate of {count} matchings misses the bound on n={g.n} (branch {branch})",
             dump,
         )
-    return Certificate(g, tuple(distinct), g.n, branch, True)
+    return Certificate(g, rows, g.n, branch, True)
 
 
 def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:

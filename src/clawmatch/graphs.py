@@ -155,9 +155,20 @@ def _mask(ids: Iterable[int]) -> int:
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
+def _bit_string(mask: int) -> str:
+    """The bits of mask read from edge 0 up, the string _unmask walks; a nonzero mask's
+    ends in its top 1, so of two with the same popcount neither is a prefix of the other.
+
+    Of two masks with equal popcounts, the one whose string is greater holds the lowest
+    edge where they differ, so it has the smaller id tuple: descending string order is
+    ascending order of the _unmask tuples.
+    """
+    return bin(mask)[:1:-1]
+
+
 def _unmask(mask: int) -> tuple[int, ...]:
     """Ascending edge ids of a bitmask; the bit string is walked in C, not bit by bit."""
-    return tuple(compress(count(), bin(mask)[:1:-1].encode().translate(_BIT_VALUES)))
+    return tuple(compress(count(), _bit_string(mask).encode().translate(_BIT_VALUES)))
 
 
 @dataclass(frozen=True)

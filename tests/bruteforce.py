@@ -9,7 +9,8 @@ instead of through gadget tables, and certificate rows by a full
 per-vertex degree list each.
 
 The reference_* functions are earlier versions of library code, kept
-unchanged so that tests can hold the current versions to the same output.
+unchanged so that tests can hold the current versions to the same output
+(reference_rows, the row generator, to the same errors as well).
 has_edge (once a Multigraph method), is_perfect_matching, is_two_factor and
 is_even_subgraph are predicates the library once exported and no library
 code called.
@@ -32,6 +33,7 @@ from clawmatch import (
     Claw,
     CycleBasis,
     Decomposition,
+    DegreeViolation,
     Diamond,
     DiamondString,
     EdgeReplacement,
@@ -53,7 +55,7 @@ from clawmatch import (
 )
 from clawmatch.formats import _is_decimal
 from clawmatch.graphs import _mask, _unmask
-from clawmatch.expansion import _Gadgets, _rows
+from clawmatch.expansion import _Gadgets, _end_bits, _is_perfect_row
 from clawmatch.structure import _group_strings, _leaving, _scan_diamonds, _verify_cover
 
 
@@ -482,6 +484,20 @@ def reference_max_length_two_factor(h: Multigraph, lengths) -> EdgeSubset:
     return EdgeSubset.of(h, best)
 
 
+def reference_rows(g: Multigraph, factors) -> Iterator[tuple[int, ...]]:
+    """expansion._rows as it was before it returned the rows sorted and distinct: a
+    generator that checks each factor mask as the source gives it and yields the edge ids
+    of its complement, the first factor that is not a 2-factor raising DegreeViolation."""
+    full, end_bits = (1 << g.m) - 1, _end_bits(g)
+    for factor in factors:
+        row = _unmask(full ^ factor)
+        if not _is_perfect_row(row, end_bits, g.n):
+            deg = subset_degrees(g, _unmask(factor))
+            bad = [v for v, dv in enumerate(deg) if dv != 2]
+            raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
+        yield row
+
+
 def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
     """expansion.verify_3ec_remark as it was before it compared against matching
     complements: a separate count, then a search for every 2-factor.
@@ -514,7 +530,7 @@ def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
         return False
     gadgets = _Gadgets(d)
     members = [_mask(c.members) for c in enumerate_cycle_space(d.base, cap)]
-    complements = set(_rows(g, map(gadgets.lift, members)))
+    complements = set(reference_rows(g, map(gadgets.lift, members)))
     if len(complements) != len(members):
         return False
     factor_cap = max(cap, 2 * len(members))

@@ -222,14 +222,33 @@ def test_criterion_13_cycle_basis_on_a_large_base():
         assert cycle_basis(h).dimension == h.m - h.n + 1
 
 
-def test_criterion_14_certify_the_full_cycle_space_family():
+def criterion_14_host() -> Multigraph:
     base = random_base(28, seed=14)
     g, _ = build(base, [0] * base.m)
+    return g
+
+
+def test_criterion_14_certify_the_full_cycle_space_family():
+    g = criterion_14_host()
     with criterion(14, f"certify a seeded diamond-free host with n={g.n}", 5.0):
         cert = certify(g)
         assert cert.branch == "cycle-space"
         assert len(cert.matchings) == 2 ** (28 // 2 + 1) == 32768
         assert verify_certificate(g, cert)
+
+
+def test_criterion_14_certify_peak_memory():
+    # 32 768 rows of 42 ids take about 12 MiB as tuples; the mask set, the sort keys and
+    # the factor list kept for the in-order error check come on top
+    g = criterion_14_host()
+    tracemalloc.start()
+    try:
+        cert = certify(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cert.matchings) == 32768
+    assert peak <= 16 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def counted(monkeypatch, name: str) -> list:

@@ -2,7 +2,7 @@ import dataclasses
 import random
 import time
 from functools import cache
-from itertools import islice
+from itertools import islice, pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +17,7 @@ from clawmatch import (
     EdgeSubset,
     GraphError,
     Multigraph,
+    NoTwoFactor,
     build,
     certificate_problems,
     certify,
@@ -44,6 +45,7 @@ from bruteforce import (
     reference_3ec_remark,
     reference_certificate_problems,
     reference_lift,
+    reference_rows,
 )
 from corpus import (
     K4,
@@ -231,6 +233,8 @@ def test_certify_generated_equals_deduped_on_corpus():
             chosen = max_length_two_factor(d.base, lengths)
             expected = len(routings(chosen, d))
         assert len(cert.matchings) == expected, name
+        # strictly increasing rows: sorted and distinct
+        assert all(a < b for a, b in pairwise(cert.matchings)), name
 
 
 def test_certificate_members_are_real_matchings():
@@ -574,7 +578,7 @@ def test_expand_matches_reference_lift_on_corpus():
                 assert expand(c, d, r).members == reference_lift(c, d, r), name
 
 
-def reference_rows(g, d, both_branches=False):
+def reference_certificate_rows(g, d, both_branches=False):
     """The certificate rows certify should emit, lifted by the reference."""
     use_cycle = 6 * d.base.n >= g.n
     lifts = []
@@ -600,7 +604,7 @@ def test_certify_agrees_with_reference_lift_and_oracle(data):
     lengths = [picks.count(e) for e in range(h.m)]
     g, _ = build(h, lengths)
     cert = certify(g)
-    assert cert.matchings == reference_rows(g, classify(g))
+    assert cert.matchings == reference_certificate_rows(g, classify(g))
     oracle = {m.sorted_tuple() for m in enumerate_perfect_matchings(g, 1 << 20)}
     assert set(cert.matchings) <= oracle
     assert verify_certificate(g, cert)
@@ -621,7 +625,7 @@ def assert_walk_and_certify_agree_with_reference(g, name):
     both = d.total_length() > 0  # hosts with diamonds reach the walk through both branches
     cert = certify(g, both_branches=both)
     assert cert.branch == ("both" if both else "cycle-space"), name
-    assert cert.matchings == reference_rows(g, d, both_branches=both), name
+    assert cert.matchings == reference_certificate_rows(g, d, both_branches=both), name
 
 
 def test_lift_walk_equals_lift_on_corpus():
@@ -890,3 +894,122 @@ def test_missing_triangle_state_raises_what_lift_raises(monkeypatch):
     with pytest.raises(DegreeViolation) as certified:
         certify(g)
     assert str(certified.value) == str(lifted.value)
+
+
+@cache
+def corpus_factor_pools():
+    """Per certify_corpus() host, the 2-factors whose complements its certificate lists:
+    the factors its certify family lifts, each once."""
+    pools = []
+    for g, cert in corpus_certificates():
+        full = (1 << g.m) - 1
+        pools.append((g, tuple(full ^ _mask(row) for row in cert.matchings)))
+    return tuple(pools)
+
+
+def rows_or_error(rows):
+    """The rows rows() returns, as a list, or the type and message of the error it raises."""
+    try:
+        return list(rows())
+    except GraphError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_rows_return_and_raise_what_the_old_generator_did(data):
+    g, pool = data.draw(st.sampled_from(corpus_factor_pools()), label="host")
+    repeats = st.lists(st.sampled_from(pool), max_size=2 * len(pool))
+    factors = data.draw(repeats | st.permutations(pool), label="factors")
+    # one stray edge leaves the complement n/2 +- 1 ids; two can leave it n/2
+    strays = st.lists(st.integers(0, g.m - 1), max_size=2, unique=True)
+    for e in data.draw(strays, label="stray edges") if factors else ():
+        i = data.draw(st.integers(0, len(factors) - 1), label="factor")
+        factors[i] ^= 1 << e
+    stop = data.draw(st.none() | st.integers(0, len(factors)), label="source raises after")
+
+    def source():
+        yield from factors[:stop]
+        if stop is not None:
+            raise DegreeViolation(f"the source stopped after {stop} factors")
+
+    expected = rows_or_error(lambda: sorted(set(list(reference_rows(g, source())))))
+    assert rows_or_error(lambda: expansion._rows(g, source())) == expected
+
+
+def test_a_source_that_raises_has_the_factors_it_gave_checked_first():
+    g, pool = corpus_factor_pools()[0]
+    bad = pool[0] ^ 1  # edge 0 toggled: its two ends have odd degree
+
+    def source(*factors):
+        yield from factors
+        raise CapExceeded(expansion.CAP + 1, expansion.CAP)
+
+    with pytest.raises(DegreeViolation) as old:
+        list(reference_rows(g, [bad]))
+    with pytest.raises(DegreeViolation) as new:
+        expansion._rows(g, source(pool[1], bad))
+    assert str(new.value) == str(old.value) == "expansion is not a 2-factor at vertices [0, 1]"
+    with pytest.raises(CapExceeded):
+        expansion._rows(g, source(*pool))
+
+
+def test_a_longer_complement_with_every_vertex_bit_is_not_a_row():
+    # on the prism, edges 0, 2, 7 and 8 have end masks 3 + 6 + 18 + 36 = 63, every vertex
+    # bit, in 4 > n/2 ids: the factor they complement is no 2-factor
+    row = (0, 2, 7, 8)
+    assert sum(1 << u | 1 << v for u, v in (PRISM.edges[e] for e in row)) == 63
+    factor = ((1 << PRISM.m) - 1) ^ _mask(row)
+    expected = rows_or_error(lambda: list(reference_rows(PRISM, [factor])))
+    assert expected[0] is DegreeViolation
+    assert rows_or_error(lambda: expansion._rows(PRISM, [factor])) == expected
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+def test_rows_are_ordered_by_their_ids_not_by_their_masks(order):
+    # on K4, the pairing of edges 0 = {0, 1} and 5 = {2, 3} has the smaller ids and the
+    # larger mask: 33 against 18 for the pairing of edges 1 and 4
+    rows = ((0, 5), (1, 4))
+    masks = [_mask(row) for row in rows]
+    assert masks[0] > masks[1]
+    full = (1 << K4.m) - 1
+    assert expansion._rows(K4, [full ^ masks[i] for i in order]) == rows
+
+
+def test_both_branches_choose_the_long_member_after_the_cycle_space_family(monkeypatch):
+    g, d = build(TRIPLE_BOND, [2, 1, 0])  # the long branch's member leaves out base edge 2
+    calls = []
+    longest = expansion.max_length_two_factor
+    monkeypatch.setattr(
+        expansion, "max_length_two_factor", lambda *args: calls.append(args) or longest(*args)
+    )
+    assert certify(g, both_branches=True).branch == "both"
+    assert len(calls) == 1
+
+    def overflow(h, cap):
+        raise CapExceeded(cap + 1, cap)
+
+    calls.clear()
+    with monkeypatch.context() as patched:
+        patched.setattr(expansion, "_basis_masks", overflow)
+        with pytest.raises(CapExceeded):
+            certify(g, both_branches=True)
+    assert calls == []
+
+    # a bad cycle-space row surfaces before the long branch's own error
+    stray = g.edge_between(*d.triangles[0][:2])
+
+    def corrupt(tables):
+        bit, walk, idle = tables.edges[2]
+        tables.edges[2] = (bit, walk ^ 1 << stray, idle)
+
+    def no_factor(*args):
+        raise NoTwoFactor("the long branch raised")
+
+    with_corrupted_gadgets(monkeypatch, corrupt)
+    with pytest.raises(DegreeViolation) as old:
+        list(reference_rows(g, expansion._Gadgets(d).lift_walk()))
+    monkeypatch.setattr(expansion, "max_length_two_factor", no_factor)
+    with pytest.raises(DegreeViolation) as new:
+        certify(g, both_branches=True)
+    assert str(new.value) == str(old.value)

@@ -11,6 +11,10 @@
   nothing else.
 - Only `expansion._rows` and `expansion.certificate_problems` reference
   `_is_perfect_row`, so every row the library makes is checked on one path.
+- Rows are ordered and deduplicated in one place: `expansion.certify`
+  names neither `sorted` nor `set`, which `_rows` does.
+- A mask's bit string has one reader: only `graphs._bit_string` names
+  `bin`, and `_unmask` and `_rows`'s sort key both go through it.
 - `counting` imports only `errors` and `graphs` from the package, so the
   oracle stays independent of the machinery it checks.
 - The oracle has one search: `counting` defines exactly one `_iter_*`
@@ -180,6 +184,24 @@ def test_only_rows_and_certificate_problems_check_rows():
         "expansion._rows",
         "expansion.certificate_problems",
     ]
+
+
+def _names_in(path: Path, definition: str) -> set[str]:
+    """The bare names the top-level definition of path reads."""
+    (top,) = [node for node in parse(path).body if getattr(node, "name", None) == definition]
+    return {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
+
+
+def test_rows_are_ordered_and_deduplicated_in_rows_alone():
+    assert {"sorted", "set"}.isdisjoint(_names_in(SRC / "expansion.py", "certify"))
+    # the scan does find them: _rows sorts and deduplicates the complements
+    assert {"sorted", "set"} <= _names_in(SRC / "expansion.py", "_rows")
+
+
+def test_only_the_bit_string_reads_bin():
+    assert _top_level_readers("bin") == ["graphs._bit_string"]
+    assert "graphs._unmask" in _top_level_readers("_bit_string")
+    assert "expansion._rows" in _top_level_readers("_bit_string")
 
 
 def _package_imports(path: Path) -> set[str]:
