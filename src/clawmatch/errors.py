@@ -58,10 +58,16 @@ class StructureViolation(GraphError):
 
 class CapExceeded(GraphError):
     """Enumeration would exceed the caller's cap; carries the required count,
-    or cap + 1 where only an enumeration could tell it."""
+    or cap + 1 where only an enumeration could tell it.  The message words a
+    count too long for a decimal string (ValueError past Python's digit limit)
+    by its bit length."""
 
     def __init__(self, required: int, cap: int):
-        super().__init__(f"enumeration needs {required} items, cap is {cap}")
+        try:
+            count = str(required)
+        except ValueError:
+            count = f"at least 2^{required.bit_length() - 1}"
+        super().__init__(f"enumeration needs {count} items, cap is {cap}")
         self.required = required
         self.cap = cap
 

@@ -15,7 +15,9 @@ exponential lower bound with exact integer arithmetic.
 
 Lifting is table driven and edge sets are int bitmasks over edge ids.
 The gadget tables of a decomposition are built once per certify or expand
-call; they are the only host lookups by ends:
+call, every host edge read off incidence masks: in a simple graph the AND
+of the incidence masks of u and v is the edge u-v, or 0 if there is none.
+The tables hold:
 - per base vertex, the triangle edges taken for each pair of used base
   edges and for none;
 - per base edge, the host edges taken when the member traverses it
@@ -28,13 +30,14 @@ The entries of different base vertices and base edges share no host edge,
 so a lift is the XOR of its disjoint pieces and a routing an XOR of flips.
 Every routing enumeration steps cyclespace.gray_walk: the long-2-factor
 branch walks the flips of its one member, and a ring of diamonds, a string
-closed on itself, walks its connectors and bit-0 walks over its 4-cycles
-after its idle factor (every 4-cycle).  In the cycle-space branch
-consecutive members differ by one fundamental cycle b, so it updates the
-previous lift instead of lifting each member from zero: it XORs in the
-walk ^ idle of every edge of b and, at each base vertex on b, the old state
-^ the new state.  K4's factors are the complements of its 3 pairings, its
-pairs of edges with disjoint ends, read off its edge list.
+closed on itself, walks its joins and bit-0 walks over its 4-cycles after
+its idle factor (every 4-cycle); its joins are the edges at its ports in
+no 4-cycle.  In the cycle-space branch consecutive members differ by one
+fundamental cycle b, so it updates the previous lift instead of lifting
+each member from zero: it XORs in the walk ^ idle of every edge of b and,
+at each base vertex on b, the old state ^ the new state.  K4's factors
+are the complements of its 3 pairings, its pairs of edges with disjoint
+ends, read off its edge list.
 Every row certify, expand and complement_matching make comes from _rows,
 which takes a family's factor masks and returns the certificate's rows,
 sorted and distinct, each checked exactly: in a cubic host a factor is a
@@ -143,14 +146,12 @@ def _rows(g: Multigraph, factors: Iterable[int]) -> tuple[tuple[int, ...], ...]:
 
 def _string(g: Multigraph, walk: int, passages: Iterable[tuple[int, int, int, int]]):
     """Connector mask walk plus every bit-0 walk entry-s-t-exit of a diamond string's
-    passages (see string_passages), the OR of their 4-cycles, and the 4-cycles in order."""
-    edge = g.edge_between
+    passages (see string_passages), the OR of their 4-cycles, and the 4-cycles in order,
+    read off the incidence masks a, b, c, d of entry, exit, s and t."""
     idle, cycles = 0, []
-    for entry, exit_port, s, t in passages:
-        es, et = 1 << edge(entry, s), 1 << edge(entry, t)
-        sx, tx = 1 << edge(s, exit_port), 1 << edge(t, exit_port)
-        walk |= es | 1 << edge(s, t) | tx
-        cycles.append(es | et | sx | tx)
+    for a, b, c, d in (map(_mask, map(g.incident, passage)) for passage in passages):
+        walk |= a & c | c & d | d & b
+        cycles.append((a | b) & (c | d))
         idle |= cycles[-1]
     return walk, idle, cycles
 
@@ -169,12 +170,11 @@ class _Gadgets:
         self.vertex: list[tuple[int, int, dict[int, int]]] = []
         for v, corners in enumerate(d.triangles):
             inc = _mask(h.incident(v))
-            sides = [(pair, 1 << g.edge_between(*pair)) for pair in combinations(corners, 2)]
-            states = {0: sum(side for _, side in sides)}
+            a, b, c = map(_mask, map(g.incident, corners))
+            states = {0: a & b | a & c | b & c}
             for e in h.incident(v):
                 # the member uses the other two edges at v: route through e's corner
-                x = d.corner(e, v)
-                states[inc ^ 1 << e] = sum(side for pair, side in sides if x in pair)
+                states[inc ^ 1 << e] = states[0] & _mask(g.incident(d.corner(e, v)))
             self.vertex.append((v, inc, states))
         # (bit of base edge e, host edges when traversed, host edges when idle), and
         # flips[e][i], the XOR from bit 0 to bit 1 of the i-th diamond from e's head
@@ -206,11 +206,10 @@ class _Gadgets:
         each string from its head.  Bit i of a routing takes the i-th."""
         return [flip for e in _unmask(member) for flip in self.flips[e]]
 
-    def lift_walk(self) -> Iterator[int]:
+    def lift_walk(self, cycles: list[int]) -> Iterator[int]:
         """lift(member) for every member of the base's cycle space, in enumerate_cycle_space
-        order: from lift(0) along gray_walk over the basis masks, each lift found from the
-        one before by the basis cycle between them; more than CAP members raise CapExceeded."""
-        cycles = _basis_masks(self.base, CAP)
+        order: from lift(0) along gray_walk over the basis masks cycles (see _basis_masks),
+        each lift found from the one before by the basis cycle between them."""
         # per basis cycle, the XOR of walk ^ idle over its edges and the (inc, states)
         # of its vertices
         steps = {}
@@ -299,10 +298,10 @@ def _ring_factors(g: Multigraph, ring) -> Iterator[int]:
     size = (1 << len(ring)) + 1
     if size > CAP:
         raise CapExceeded(size, CAP)
-    owner = {v: i for i, dia in enumerate(ring) for v in dia.vertices}
-    connectors = _mask(e for e, (u, v) in enumerate(g.edges) if owner[u] != owner[v])
-    walk, idle, cycles = _string(g, connectors, [(*dia.ports, *dia.internals) for dia in ring])
-    return chain([idle], gray_walk(walk, cycles))
+    walk, idle, cycles = _string(g, 0, [(*dia.ports, *dia.internals) for dia in ring])
+    # the joins between consecutive diamonds: the edges at the ports in no 4-cycle
+    joins = _mask(e for dia in ring for p in dia.ports for e in g.incident(p)) & ~idle
+    return chain([idle], gray_walk(walk | joins, cycles))
 
 
 def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
@@ -330,10 +329,12 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
             branch = "cycle-space"
         else:
             branch = "long-2-factor"
+        # the cap refuses before the tables, which cost O(n·m) bits, are built
+        cycles = _basis_masks(d.base, CAP) if branch != "long-2-factor" else None
         gadgets = _Gadgets(d)
         families = []
-        if branch != "long-2-factor":
-            families.append(gadgets.lift_walk())
+        if cycles is not None:
+            families.append(gadgets.lift_walk(cycles))
         if branch != "cycle-space":
             families.append(gadgets.long_walk(dict(enumerate(d.lengths()))))
         rows = _rows(g, chain.from_iterable(families))

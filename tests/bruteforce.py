@@ -55,7 +55,7 @@ from clawmatch import (
 )
 from clawmatch.formats import _is_decimal
 from clawmatch.graphs import _mask, _unmask
-from clawmatch.expansion import _Gadgets, _end_bits, _is_perfect_row
+from clawmatch.expansion import _end_bits, _is_perfect_row
 from clawmatch.structure import _group_strings, _leaving, _scan_diamonds, _verify_cover
 
 
@@ -500,7 +500,8 @@ def reference_rows(g: Multigraph, factors) -> Iterator[tuple[int, ...]]:
 
 def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
     """expansion.verify_3ec_remark as it was before it compared against matching
-    complements: a separate count, then a search for every 2-factor.
+    complements: a separate count, then a search for every 2-factor.  It lifts with
+    reference_lift, not the library's gadget tables.
 
     Check the exact count 2^(n/6+1) and its mechanism on a 3-edge-connected host.
 
@@ -528,9 +529,8 @@ def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:
     d = classify(g)
     if d.kind != KIND_EXPANDED or d.total_length() != 0:
         return False
-    gadgets = _Gadgets(d)
-    members = [_mask(c.members) for c in enumerate_cycle_space(d.base, cap)]
-    complements = set(reference_rows(g, map(gadgets.lift, members)))
+    members = enumerate_cycle_space(d.base, cap)
+    complements = set(reference_rows(g, (_mask(reference_lift(c, d, 0)) for c in members)))
     if len(complements) != len(members):
         return False
     factor_cap = max(cap, 2 * len(members))

@@ -11,8 +11,11 @@ import time
 import tracemalloc
 from contextlib import contextmanager, redirect_stdout
 
+import pytest
+
 from clawmatch import graphs, structure
 from clawmatch import (
+    CapExceeded,
     Multigraph,
     bridges,
     build,
@@ -386,3 +389,19 @@ def test_criterion_17_structure_pass_memory_per_vertex():
         assert peak <= 1100 * n, f"traced peak {peak} bytes, {peak / n:.0f} per vertex"
         for h in (g, d.base, rebuilt):
             assert set(vars(h)) <= GRAPH_ATTRIBUTES, sorted(vars(h))
+
+
+def test_certify_refuses_the_cap_before_building_the_lift_tables():
+    # a diamond-free host with n = 30 000: its cycle space has 2^5001 members, so the
+    # cap refuses it before the O(n·m)-bit lift tables are built
+    built, _ = build(random_base(10000, seed=5), [0] * 15000)
+    g = Multigraph(built.n, built.edges)  # a fresh object, as parsed from a document
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded) as exc:
+            certify(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.required == 2**5001
+    assert peak <= 1100 * g.n, f"traced peak {peak} bytes, {peak / g.n:.0f} per vertex"

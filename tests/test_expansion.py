@@ -37,6 +37,7 @@ from clawmatch import (
 )
 from clawmatch import expansion, graphs, structure
 from clawmatch.cli import main
+from clawmatch.cyclespace import _basis_masks
 from clawmatch.graphs import _mask, _unmask
 from bruteforce import (
     is_perfect_matching,
@@ -188,6 +189,21 @@ def test_certify_ring_branch_respects_the_cap(monkeypatch, capsys, tmp_path):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: enumeration needs {2**22 + 1} items, cap is {expansion.CAP}\n"
+
+
+def test_a_cap_past_the_decimal_digit_limit_is_worded_by_its_bit_length(capsys, tmp_path):
+    # 2^15000 + 1 rows has 4516 decimal digits, past Python's default limit of 4300
+    g = ring_of_diamonds(15000)
+    message = f"enumeration needs at least 2^15000 items, cap is {expansion.CAP}"
+    with pytest.raises(CapExceeded) as exc:
+        certify(g)
+    assert (exc.value.required, exc.value.cap) == (2**15000 + 1, expansion.CAP)
+    assert str(exc.value) == message
+    path = tmp_path / "ring15000.txt"
+    path.write_text(serialize_graph(g))
+    assert main(["certify", str(path)]) == 2
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"error: {message}\n")
 
 
 def test_certify_cycle_space_branch_size():
@@ -613,7 +629,7 @@ def test_certify_agrees_with_reference_lift_and_oracle(data):
 def lifts_along_the_walk(d):
     """The cycle-space lifts of d's base from lift_walk and from lift, member by member."""
     gadgets = expansion._Gadgets(d)
-    walk = list(gadgets.lift_walk())
+    walk = list(gadgets.lift_walk(_basis_masks(d.base, expansion.CAP)))
     members = [_mask(c.members) for c in enumerate_cycle_space(d.base, 1 << 10)]
     return walk, [gadgets.lift(c) for c in members]
 
@@ -710,26 +726,24 @@ def test_k4_rows_are_its_pairs_of_disjoint_edges_read_off_its_edge_list(monkeypa
 
 
 @pytest.mark.parametrize(
-    "g, pair, wrong, bad",
+    "g, vertex_sets, bad",
     [
-        # diamond 0's s-t lookup answers its edge 0-1, so its bit-0 walk misses 1-2
-        (ring_of_diamonds(3), (1, 2), 0, [1, 2]),
+        # diamond 0 recorded with ports 0 and 1, internals 2 and 3: the edges between
+        # them, 0-2, 1-2 and 1-3, are taken for its 4-cycle, so the idle factor, the
+        # first the ring lifts, leaves vertices 0 and 3 with degree 1
+        (ring_of_diamonds(3), ((0, 1), (2, 3)), [0, 3]),
     ],
     ids=["ring-3"],
 )
-def test_wrong_edge_lookup_after_classify_raises_instead_of_emitting_rows(
-    monkeypatch, capsys, tmp_path, g, pair, wrong, bad
+def test_wrong_ports_after_classify_raise_instead_of_emitting_rows(
+    monkeypatch, capsys, tmp_path, g, vertex_sets, bad
 ):
     d = classify(g)
     path = tmp_path / "host.txt"
     path.write_text(serialize_graph(g))
-    right = Multigraph.edge_between
-
-    def edge_between(self, u, v):
-        return wrong if {u, v} == set(pair) else right(self, u, v)
-
-    monkeypatch.setattr(expansion, "classify", lambda host: d)
-    monkeypatch.setattr(Multigraph, "edge_between", edge_between)
+    first = dataclasses.replace(d.ring[0], ports=vertex_sets[0], internals=vertex_sets[1])
+    doctored = dataclasses.replace(d, ring=(first, *d.ring[1:]))
+    monkeypatch.setattr(expansion, "classify", lambda host: doctored)
     message = f"expansion is not a 2-factor at vertices {bad}"
     with pytest.raises(DegreeViolation) as exc:
         certify(g)
@@ -737,6 +751,39 @@ def test_wrong_edge_lookup_after_classify_raises_instead_of_emitting_rows(
     assert main(["certify", str(path)]) == 3
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", f"internal error: {message}\n")
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_certify_on_relabelled_rings_emits_every_matching(data):
+    # a ring's joins are read off its ports' incidence, so vertex and edge order must not
+    # matter: every relabelling keeps the family of all 2^d + 1 matchings
+    ring = ring_of_diamonds(data.draw(st.integers(2, 6), label="diamonds"))
+    vertex_order = data.draw(st.permutations(range(ring.n)), label="vertex order")
+    edge_order = data.draw(st.permutations(range(ring.m)), label="edge order")
+    ends = st.lists(st.integers(0, 1), min_size=ring.m, max_size=ring.m)
+    swaps = data.draw(ends, label="ends swapped")
+    g = relabelled(ring, vertex_order, list(zip(edge_order, swaps)))
+    cert = certify(g)
+    assert cert.branch == "ring"
+    oracle = sorted(m.sorted_tuple() for m in enumerate_perfect_matchings(g, 1 << 10))
+    assert list(cert.matchings) == oracle
+
+
+def test_certify_looks_no_edge_up_by_its_ends(monkeypatch):
+    lookups = []
+    edge_between = Multigraph.edge_between
+    monkeypatch.setattr(
+        Multigraph, "edge_between", lambda h, u, v: lookups.append((u, v)) or edge_between(h, u, v)
+    )
+    for name, g in certify_corpus():
+        for both in (False, True):
+            assert verify_certificate(g, certify(g, both_branches=both)), name
+    assert lookups == []
+    # the wrapper does count: the tests' reference lift finds every edge by its ends
+    g, d = build(TRIPLE_BOND, [1, 0, 0])
+    reference_lift(EdgeSubset.of(d.base, frozenset()), d, 0)
+    assert lookups
 
 
 def old_degree_scan(g, factor):
@@ -888,7 +935,7 @@ def test_missing_triangle_state_raises_what_lift_raises(monkeypatch):
         gadgets.lift(first)
     assert str(lifted.value).startswith("base vertex 0 has degree 2 in the member")
     with pytest.raises(DegreeViolation) as walked:
-        list(gadgets.lift_walk())
+        list(gadgets.lift_walk(_basis_masks(d.base, expansion.CAP)))
     assert str(walked.value) == str(lifted.value)
     monkeypatch.setattr(expansion, "classify", lambda host: d)
     with pytest.raises(DegreeViolation) as certified:
@@ -1007,8 +1054,9 @@ def test_both_branches_choose_the_long_member_after_the_cycle_space_family(monke
         raise NoTwoFactor("the long branch raised")
 
     with_corrupted_gadgets(monkeypatch, corrupt)
+    walk = expansion._Gadgets(d).lift_walk(_basis_masks(d.base, expansion.CAP))
     with pytest.raises(DegreeViolation) as old:
-        list(reference_rows(g, expansion._Gadgets(d).lift_walk()))
+        list(reference_rows(g, walk))
     monkeypatch.setattr(expansion, "max_length_two_factor", no_factor)
     with pytest.raises(DegreeViolation) as new:
         certify(g, both_branches=True)

@@ -23,10 +23,17 @@
 - An edge set has one stored form, the int mask of `EdgeSubset`: only
   `graphs` defines `_mask` and `_unmask`, `EdgeSubset`'s fields are `host`
   and `mask`, and no other module reads `.members`.
-- Host edges are looked up by their ends in few places: only `graphs`
-  (which defines it) and `expansion` reference `edge_between`, and there
-  only `_string` and `_Gadgets`, the gadget tables (K4's pairings are read
-  off its edge list); no module defines or calls `has_edge`.
+- No host edge is looked up by its ends outside `graphs`: only `graphs`
+  (which defines it) references `edge_between`, and no module defines or
+  calls `has_edge`.  The lift tables read every host edge off incidence
+  masks: `expansion._Gadgets`, `_string` and `_ring_factors` name neither
+  `edge_between` nor `combinations` (K4's pairings, in `certify`, are read
+  off its edge list), and `_ring_factors` reads no `.edges`, so it finds a
+  ring's joins at its ports, not by a scan of every edge.
+- The brute-force references import few private library names: the row
+  test and its end masks, the mask helpers, the digit check, and the scans
+  of `structure` that their wrappers name, but not the lift tables, so
+  `tests/bruteforce.reference_3ec_remark` lifts without them.
 - `classify` is the one diamond and string recognizer: no module defines
   `find_diamonds`, `find_strings` or `_require_cubic_claw_free`, and
   `clawmatch.__all__` lists neither finder.
@@ -278,13 +285,44 @@ def _referencing(paths, name: str) -> set[str]:
     }
 
 
-def test_edges_are_looked_up_by_their_ends_in_graphs_and_expansion_only():
-    assert _referencing(MODULES, "edge_between") == {"graphs", "expansion"}
-    readers = [r for r in _top_level_readers("edge_between") if r.startswith("expansion.")]
-    assert readers == ["expansion._Gadgets", "expansion._string"]
+def test_edges_are_looked_up_by_their_ends_in_graphs_only():
+    assert _referencing(MODULES, "edge_between") == {"graphs"}
+    tables = {"expansion._Gadgets", "expansion._string", "expansion._ring_factors"}
+    for name in ("edge_between", "combinations"):
+        assert tables.isdisjoint(_top_level_readers(name)), name
+    assert "expansion._ring_factors" not in _top_level_readers("edges")
+    # the scan does find both: certify pairs K4's edges, and the row test reads every edge
+    assert "expansion.certify" in _top_level_readers("combinations")
+    assert "expansion._end_bits" in _top_level_readers("edges")
     assert _referencing(MODULES, "has_edge") == set()
     # the scan does find both forms: the brute-force references define and call has_edge
     assert _referencing([Path(__file__).with_name("bruteforce.py")], "has_edge") == {"bruteforce"}
+
+
+BRUTEFORCE_PRIVATE_IMPORTS = {
+    "_end_bits",
+    "_group_strings",
+    "_is_decimal",
+    "_is_perfect_row",
+    "_leaving",
+    "_mask",
+    "_scan_diamonds",
+    "_unmask",
+    "_verify_cover",
+}
+
+
+def test_the_brute_force_references_import_only_the_listed_private_names():
+    imported = {
+        alias.name
+        for node in ast.walk(parse(Path(__file__).with_name("bruteforce.py")))
+        if isinstance(node, ast.ImportFrom) and node.module.startswith("clawmatch")
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert imported <= BRUTEFORCE_PRIVATE_IMPORTS, sorted(imported - BRUTEFORCE_PRIVATE_IMPORTS)
+    # the scan does find private imports: the row references import the row test
+    assert "_is_perfect_row" in imported
 
 
 def test_diamond_strings_are_walked_in_one_place():
