@@ -26,6 +26,7 @@ from .errors import (
     GraphError,
     NoTwoFactor,
     StructureViolation,
+    _count_text,
 )
 
 INTERNAL_ERRORS = (BoundFailure, StructureViolation, DegreeViolation, NoTwoFactor)
@@ -118,7 +119,7 @@ def _cmd_cycle_space(args) -> int:
     # enumerated before the first line, so a refusal leaves stdout empty
     members = cyclespace.enumerate_cycle_space(g, args.cap) if args.enumerate else []
     _emit(f"dimension={cb.dimension}\n")
-    _emit(f"members={1 << cb.dimension}\n")
+    _emit(f"members={_count_text(1 << cb.dimension)}\n")
     for i, b in enumerate(cb.basis):
         _emit(f"basis_{i}={','.join(map(str, b))}\n")
     for i, member in enumerate(members):
@@ -134,7 +135,8 @@ def _cmd_certify(args) -> int:
         oracle = {
             m.sorted_tuple() for m in counting.enumerate_perfect_matchings(g, expansion.CAP)
         }
-        # certificate rows are distinct, so none missing means none extra
+        # each row must be one of the oracle's matchings; a valid certificate may
+        # hold fewer rows than there are matchings, so none is required to appear
         if any(row not in oracle for row in cert.matchings):
             raise StructureViolation("certificate disagrees with the oracle enumeration")
         _emit("oracle_check=ok\n")

@@ -43,12 +43,13 @@ def _iter_perfect_matchings(g: Multigraph) -> Iterator[int]:
     if n == 0:
         yield 0
         return
+    # n slots at once before the incidence rows, so an impossible n fails in one allocation
+    matched = [False] * (n + 1)
     bit = [1 << e for e in range(g.m)]
     arcs = []
     for v in range(n):
         ends = ((e, *edges[e]) for e in g._incidence[v])
         arcs.append(tuple((e, w if u == v else u) for e, u, w in ends if u != w))
-    matched = [False] * (n + 1)
     chosen: list[int] = []
     # a frame is a vertex being matched and its arcs not yet tried; the top frame is
     # (v, options), the ones below it are on the stack as (v, o, options), where o is

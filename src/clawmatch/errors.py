@@ -56,18 +56,28 @@ class StructureViolation(GraphError):
     """Internal decomposition invariant failed on input that passed validation."""
 
 
+def _count_text(count: int) -> str:
+    """count in decimal below 2^64; from 2^64 on, 2^k for a power of two, else at least 2^k.
+
+    k is bit_length - 1, so no wording of a count converts a large int to
+    decimal and none depends on Python's int-to-str digit limit.
+    """
+    if count < 1 << 64:
+        return str(count)
+    k = count.bit_length() - 1
+    return f"2^{k}" if count == 1 << k else f"at least 2^{k}"
+
+
 class CapExceeded(GraphError):
     """Enumeration would exceed the caller's cap; carries the required count,
-    or cap + 1 where only an enumeration could tell it.  The message words a
-    count too long for a decimal string (ValueError past Python's digit limit)
-    by its bit length."""
+    or cap + 1 where only an enumeration could tell it.  The message words
+    both counts by _count_text, so a count from 2^64 on reads by its bit
+    length while .required stays exact."""
 
     def __init__(self, required: int, cap: int):
-        try:
-            count = str(required)
-        except ValueError:
-            count = f"at least 2^{required.bit_length() - 1}"
-        super().__init__(f"enumeration needs {count} items, cap is {cap}")
+        super().__init__(
+            f"enumeration needs {_count_text(required)} items, cap is {_count_text(cap)}"
+        )
         self.required = required
         self.cap = cap
 

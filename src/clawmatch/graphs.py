@@ -269,11 +269,12 @@ def _cut_forest(
     A parallel pair contributes no bridge and a loop is never a bridge:
     the second copy of a parallel pair is a non-tree edge to the parent.
     """
-    incidence = g._incidence
-    other = [u ^ v for u, v in g.edges]
+    # n slots at once before the incidence rows, so an impossible n fails in one allocation
     disc = [-1] * g.n
     low = [-1] * g.n
     parent_edge = [-1] * g.n
+    incidence = g._incidence
+    other = [u ^ v for u, v in g.edges]
     order: list[int] = []
     roots = 0
     for root in range(g.n):

@@ -18,6 +18,7 @@ from clawmatch import (
     figure1_graph,
     parse_graph,
     random_base,
+    ring_of_diamonds,
     serialize_certificate,
     serialize_graph,
 )
@@ -282,30 +283,44 @@ def test_commands_on_arbitrary_documents_exit_0_1_or_2(doc):
             assert code in (0, 1, 2), (argv, err.getvalue())
 
 
-def _cap_address_space() -> None:
-    # 512 MiB of address space: room for the interpreter, none for 10^11 vertices
-    import resource
+# Runs argv[2:] under a 512 MiB address-space cap, reaps it with wait4 and
+# writes its peak RSS in bytes to argv[1], exiting with its exit code.  The
+# command is a grandchild of the test because a child forked from the test
+# process starts with the test process's resident pages, which ru_maxrss counts.
+CAPPED_RUN = """
+import os, resource, subprocess, sys
 
+def cap():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+proc = subprocess.Popen(sys.argv[2:], preexec_fn=cap)
+_, status, usage = os.wait4(proc.pid, 0)
+with open(sys.argv[1], "w") as out:
+    out.write(str(usage.ru_maxrss * (1 if sys.platform == "darwin" else 1024)))
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
 
 
 def test_input_too_large_for_memory_exits_2_without_traceback(tmp_path):
     pytest.importorskip("resource")
     doc = tmp_path / "huge.txt"
     doc.write_text("p 100000000000 0\n")  # 17 bytes, 10^11 vertices
+    peak = tmp_path / "peak.txt"
     for argv in FILE_COMMANDS:
         proc = subprocess.run(
-            [sys.executable, "-m", "clawmatch.cli", *argv, str(doc)],
+            [sys.executable, "-c", CAPPED_RUN, str(peak)]
+            + [sys.executable, "-m", "clawmatch.cli", *argv, str(doc)],
             capture_output=True,
             text=True,
             env=subprocess_env(),
-            preexec_fn=_cap_address_space,
             timeout=120,
         )
         assert proc.returncode == 2, (argv, proc.stderr)
         assert "Traceback" not in proc.stderr, argv
         assert proc.stderr == "error: out of memory: the input is too large\n", argv
         assert proc.stdout == "", argv
+        # the first allocation of n slots refuses; no per-vertex table grows to the cap
+        assert int(peak.read_text()) <= 64 << 20, (argv, peak.read_text())
 
 
 def subprocess_env() -> dict:
@@ -314,6 +329,33 @@ def subprocess_env() -> dict:
     src = str(Path(clawmatch.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     return env
+
+
+def test_large_counts_print_the_same_under_any_int_digit_limit(tmp_path):
+    # 640 digits is Python's lowest limit and 0 lifts it; neither may change a byte
+    ring = tmp_path / "ring15000.txt"
+    ring.write_text(serialize_graph(ring_of_diamonds(15000)))
+    base = tmp_path / "base4300.txt"
+    base.write_text(serialize_graph(random_base(4300, seed=1)))  # dimension 2151, 648 digits
+    refusal = f"error: enumeration needs at least 2^15000 items, cap is {2**22}\n"
+    for argv, code, head, err in (
+        (("certify", str(ring)), 2, "", refusal),
+        (("cycle-space", str(base)), 0, "dimension=2151\nmembers=2^2151\nbasis_0=", ""),
+    ):
+        runs = [
+            subprocess.run(
+                [sys.executable, "-m", "clawmatch.cli", *argv],
+                capture_output=True,
+                text=True,
+                env={**subprocess_env(), "PYTHONINTMAXSTRDIGITS": limit},
+            )
+            for limit in ("640", "0")
+        ]
+        outputs = [(run.returncode, run.stdout, run.stderr) for run in runs]
+        assert outputs[0] == outputs[1], argv
+        returncode, out, error = outputs[0]
+        assert (returncode, error) == (code, err) and out.startswith(head), argv
+    assert out.count("\nbasis_") == 2151
 
 
 def test_certify_output_unchanged_under_optimize_flag(tmp_path):

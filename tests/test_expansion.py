@@ -38,6 +38,7 @@ from clawmatch import (
 from clawmatch import expansion, graphs, structure
 from clawmatch.cli import main
 from clawmatch.cyclespace import _basis_masks
+from clawmatch.errors import _count_text
 from clawmatch.graphs import _mask, _unmask
 from bruteforce import (
     is_perfect_matching,
@@ -204,6 +205,26 @@ def test_a_cap_past_the_decimal_digit_limit_is_worded_by_its_bit_length(capsys, 
     assert main(["certify", str(path)]) == 2
     out = capsys.readouterr()
     assert (out.out, out.err) == ("", f"error: {message}\n")
+
+
+# (case id, count, text); pytest would name a case by str(count), past the digit limit
+COUNT_TEXTS = (
+    ("0", 0, "0"),
+    ("2^22+1", 2**22 + 1, "4194305"),
+    ("2^64-1", 2**64 - 1, "18446744073709551615"),
+    ("2^64", 2**64, "2^64"),
+    ("2^64+1", 2**64 + 1, "at least 2^64"),
+    ("2^15000+1", 2**15000 + 1, "at least 2^15000"),
+    ("2^15001", 2**15001, "2^15001"),
+)
+
+
+@pytest.mark.parametrize(
+    "count, text", [case[1:] for case in COUNT_TEXTS], ids=[case[0] for case in COUNT_TEXTS]
+)
+def test_counts_from_2_to_the_64_are_worded_by_their_bit_length(count, text):
+    assert _count_text(count) == text
+    assert str(CapExceeded(count, count)) == f"enumeration needs {text} items, cap is {text}"
 
 
 def test_certify_cycle_space_branch_size():
