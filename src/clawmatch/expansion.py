@@ -43,17 +43,19 @@ which takes a family's factor masks and returns the certificate's rows,
 sorted and distinct, each checked exactly: in a cubic host a factor is a
 2-factor iff its complement is a perfect matching, and a row of edge ids
 is one iff it has n/2 edges whose end-vertex bitmasks sum to (1 << n) - 1
-(see _is_perfect_row).  _rows works in passes of C-level calls: it
-deduplicates the complements as ints, sorts them by their bit strings
-read from edge 0 up, descending, which for rows of one length is
-ascending id-tuple order (graphs._bit_string), turns each into ids once
-and runs the sum for all rows at once.  A batch it does not accept goes
-through a per-factor loop, in the order the factors came, that raises
-DegreeViolation for the first bad one; a factor source that raises has
-the factors it gave checked first.  certificate_problems runs the same
-sum for all rows of a certificate at once, in a pass of C-level calls
-that also keys each row for the duplicate check; a certificate it does
-not accept goes through a per-row loop that words each problem with
+(see _is_perfect_row).  _rows works in passes of C-level calls, with no
+Python call per row: it deduplicates the complements as ints, checks
+that each has n/2 bits, and sorts their m-character bit strings read
+from edge 0 up (graphs._bit_strings) as they are: at one width and
+popcount, descending string order is ascending id-tuple order.  A slice of strings at a time becomes
+ids through one compress over cycle(range(m)), grouped n/2 at a time
+by zip, and the sum runs for all rows at once.  A batch it does not
+accept goes through a per-factor loop, in the order the factors came,
+that raises DegreeViolation for the first bad one; a factor source that
+raises has the factors it gave checked first.  certificate_problems runs
+the same sum for all rows of a certificate at once, in a pass of C-level
+calls that also keys each row for the duplicate check; a certificate it
+does not accept goes through a per-row loop that words each problem with
 _is_perfect_row.  The degree scan runs only to name the offending
 vertices once a row has failed.
 """
@@ -61,7 +63,7 @@ vertices once a row has failed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, pairwise, repeat
+from itertools import chain, combinations, compress, cycle, pairwise, repeat
 from typing import Iterable, Iterator
 
 from .counting import enumerate_perfect_matchings, max_length_two_factor
@@ -70,7 +72,8 @@ from .errors import BoundFailure, CapExceeded, DegreeViolation
 from .graphs import (
     EdgeSubset,
     Multigraph,
-    _bit_string,
+    _BIT_VALUES,
+    _bit_strings,
     _mask,
     _unmask,
     find_claw,
@@ -107,19 +110,29 @@ def _is_perfect_row(row: tuple[int, ...], end_bits: list[int], n: int) -> bool:
     return 2 * len(row) == n and sum(map(end_bits.__getitem__, row)) == (1 << n) - 1
 
 
+_SLICE = 1024  # rows _rows turns into ids per joined string, which bounds that string
+
+
 def _rows(g: Multigraph, factors: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """The edge ids of the complements of the factor masks of the cubic graph g, sorted and
     distinct, once each is seen to be a perfect matching, which holds iff its factor is a
     2-factor.  Otherwise the first factor, in the order given, that is not one raises
     DegreeViolation; a source that raises has the factors it gave checked first.
 
-    The complements are deduplicated as ints and sorted by _bit_string, descending, which
-    for rows of one length is ascending id-tuple order, so no row tuple is hashed or
-    compared.  The rows are accepted in one pass of C-level calls when each has n/2 ids
-    and end-mask sum (1 << n) - 1 (see _is_perfect_row); anything else sends the factors
-    through the per-factor loop, which names the first bad one.
+    Every step is a pass of C-level calls, with no Python call per row.  The complements
+    are deduplicated as ints, and each must have n/2 bits.  Their m-character bit strings
+    (graphs._bit_strings) are sorted as they are, with no key: at one width and popcount,
+    descending string order is ascending id-tuple order, so no row tuple is hashed or
+    compared.  Slices of _SLICE strings are taken off the end of the sorted list, the
+    first rows first, joined in reverse, encoded and translated to 0/1 bytes; one
+    compress over cycle(range(m)) reads off their ids and zip groups those n/2 at a time.
+    Each slice leaves the list once read, so the strings shrink as the rows grow and no
+    joined string spans the family.  The rows are accepted when each has end-mask sum
+    (1 << n) - 1 (see _is_perfect_row); a wrong popcount or sum sends the factors through
+    the per-factor loop, which names the first bad one.
     """
-    n, full, end_bits = g.n, (1 << g.m) - 1, _end_bits(g)
+    n, m, full, end_bits = g.n, g.m, (1 << g.m) - 1, _end_bits(g)
+    half = n // 2
     given: list[int] = []
 
     def check_each() -> None:
@@ -134,14 +147,20 @@ def _rows(g: Multigraph, factors: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     except Exception:
         check_each()
         raise
-    masks = sorted(set(map(full.__xor__, given)), key=_bit_string, reverse=True)
-    rows = tuple(map(_unmask, masks))
-    if not (
-        set(map(len, rows)) == {n // 2}
-        and set(map(sum, map(map, repeat(end_bits.__getitem__), rows))) == {(1 << n) - 1}
-    ):
+    masks = set(map(full.__xor__, given))
+    if set(map(int.bit_count, masks)) != {half}:
+        check_each()  # raises, unless no factor came
+    strings = sorted(_bit_strings(masks, m))  # ascending: the first rows are at the end
+    del masks  # left alive, the set would sit under the finished rows at the traced peak
+    rows: list[tuple[int, ...]] = []
+    while strings:
+        bits = "".join(reversed(strings[-_SLICE:])).encode().translate(_BIT_VALUES)
+        del strings[-_SLICE:]
+        # with no ids per row (n < 2, so the one complement is 0), zip would yield nothing
+        rows += zip(*[compress(cycle(range(m)), bits)] * half) if half else [()]
+    if set(map(sum, map(map, repeat(end_bits.__getitem__), rows))) != {(1 << n) - 1}:
         check_each()
-    return rows
+    return tuple(rows)
 
 
 def _string(g: Multigraph, walk: int, passages: Iterable[tuple[int, int, int, int]]):
@@ -361,7 +380,9 @@ def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:
     bits); then its ids are distinct, low is their bitmask, and two such
     rows have equal sums exactly when they hold the same ids.
     Anything else, an id that is not an int included, goes through the
-    per-row loop, which words every problem.
+    per-row loop, which words every problem; a row with a float, str or
+    other non-int id is worded as such and skipped, and bool ids count as
+    0 and 1.
     """
     n, m, rows, end_bits = g.n, g.m, cert.matchings, _end_bits(g)
     s, full = m + n.bit_length(), (1 << n) - 1
@@ -388,6 +409,9 @@ def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:
         problems.append(f"certificate n={cert.n} does not match the graph n={n}")
     seen: set[tuple[int, ...]] = set()
     for idx, row in enumerate(cert.matchings):
+        if not all(map(isinstance, row, repeat(int))):  # bool ids pass, as 0 and 1
+            problems.append(f"matching {idx} has a non-integer edge index")
+            continue
         if row and (min(row) < 0 or max(row) >= m):
             problems.append(f"matching {idx} has an out-of-range edge index")
             continue

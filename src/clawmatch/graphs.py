@@ -13,6 +13,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .errors import NotSimple
@@ -155,20 +156,26 @@ def _mask(ids: Iterable[int]) -> int:
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _bit_string(mask: int) -> str:
-    """The bits of mask read from edge 0 up, the string _unmask walks; a nonzero mask's
-    ends in its top 1, so of two with the same popcount neither is a prefix of the other.
+_FROM_EDGE_0 = itemgetter(slice(None, 2, -1))  # a bin text reversed, less its top 1 and 0b
 
-    Of two masks with equal popcounts, the one whose string is greater holds the lowest
-    edge where they differ, so it has the smaller id tuple: descending string order is
-    ascending order of the _unmask tuples.
+
+def _bit_strings(masks: Iterable[int], width: int) -> Iterator[str]:
+    """The bits of each mask, all below 1 << width, read from edge 0 up: width characters
+    '0' or '1' each, bin(mask | 1 << width) reversed without that sentinel 1 and its '0b',
+    in passes of C-level calls.  This is the one rule that reads a mask's bits; _unmask
+    reads one mask at its own bit length.
+
+    At one width, of two masks with equal popcounts, the one whose string is greater
+    holds the lowest edge where they differ, so it has the smaller id tuple: descending
+    string order is ascending order of the _unmask tuples.
     """
-    return bin(mask)[:1:-1]
+    return map(_FROM_EDGE_0, map(bin, map((1 << width).__or__, masks)))
 
 
 def _unmask(mask: int) -> tuple[int, ...]:
-    """Ascending edge ids of a bitmask; the bit string is walked in C, not bit by bit."""
-    return tuple(compress(count(), _bit_string(mask).encode().translate(_BIT_VALUES)))
+    """Ascending edge ids of a bitmask; its bit string is walked in C, not bit by bit."""
+    (bits,) = _bit_strings((mask,), mask.bit_length())
+    return tuple(compress(count(), bits.encode().translate(_BIT_VALUES)))
 
 
 @dataclass(frozen=True)

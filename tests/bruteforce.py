@@ -266,12 +266,16 @@ def reference_lift(member, d, routing) -> frozenset:
 
 def reference_certificate_problems(g: Multigraph, cert) -> list:
     """certificate_problems as it was before rows were checked with end-vertex bitmasks:
-    a range test per id and a subset_degrees scan per row."""
+    a range test per id and a subset_degrees scan per row.  One rule came later, as in
+    the library: a row with an id that is not an int is worded and skipped."""
     problems: list[str] = []
     if cert.n != g.n:
         problems.append(f"certificate n={cert.n} does not match the graph n={g.n}")
     seen: set[tuple[int, ...]] = set()
     for idx, row in enumerate(cert.matchings):
+        if any(not isinstance(e, int) for e in row):
+            problems.append(f"matching {idx} has a non-integer edge index")
+            continue
         if any(e < 0 or e >= g.m for e in row):
             problems.append(f"matching {idx} has an out-of-range edge index")
             continue

@@ -241,8 +241,9 @@ def test_criterion_14_certify_the_full_cycle_space_family():
 
 
 def test_criterion_14_certify_peak_memory():
-    # 32 768 rows of 42 ids take about 12 MiB as tuples; the mask set, the sort keys and
-    # the factor list kept for the in-order error check come on top
+    # 32 768 rows of 42 ids take about 12 MiB as tuples; the factor list kept for the
+    # in-order error check and one slice of joined bit strings come on top, as the sorted
+    # bit strings are dropped a slice at a time while the rows grow
     g = criterion_14_host()
     tracemalloc.start()
     try:

@@ -360,7 +360,8 @@ def mutated_certificate(draw, g, cert):
 
     edits = st.sampled_from(
         ("drop", "add", "replace", "repeat", "negative", "too large", "unsorted",
-         "empty", "duplicate", "twin", "swap", "bool", "truncate", "n", "bound_ok")
+         "empty", "duplicate", "twin", "swap", "bool", "float", "str", "truncate", "n",
+         "bound_ok")
     )
     for edit in draw(st.lists(edits, max_size=4), label="edits"):
         if edit == "n":
@@ -399,6 +400,12 @@ def mutated_certificate(draw, g, cert):
                 row[i], row[j] = row[j], row[i]
             elif edit == "bool":  # True == 1 and False == 0, as ids and as keys
                 row[index(row)] = draw(st.booleans(), label="id")
+            elif edit == "float":  # equal to its int and hashed alike, but no index
+                i = index(row)
+                row[i] = float(row[i])
+            elif edit == "str":
+                i = index(row)
+                row[i] = str(row[i])
             else:
                 row.reverse()
     return dataclasses.replace(cert, matchings=tuple(map(tuple, rows)), n=n, bound_ok=bound_ok)
@@ -426,6 +433,17 @@ def test_certificate_problems_agree_with_reference(data):
     else:
         g, cert = random_rows_certificate(data.draw)
     assert certificate_problems(g, cert) == reference_certificate_problems(g, cert)
+
+
+@pytest.mark.parametrize("stray", [0.0, "0", None])
+def test_a_non_integer_id_is_worded_not_raised(stray):
+    g, cert = corpus_certificates()[0]
+    first = (stray, *cert.matchings[0][1:])
+    doctored = dataclasses.replace(cert, matchings=(first, *cert.matchings[1:]))
+    problems = certificate_problems(g, doctored)
+    assert problems[0] == "matching 0 has a non-integer edge index"
+    assert problems == reference_certificate_problems(g, doctored)
+    assert not verify_certificate(g, doctored)
 
 
 def test_a_reversed_repeat_of_the_first_row_is_a_duplicate():
@@ -1042,6 +1060,42 @@ def test_rows_are_ordered_by_their_ids_not_by_their_masks(order):
     assert masks[0] > masks[1]
     full = (1 << K4.m) - 1
     assert expansion._rows(K4, [full ^ masks[i] for i in order]) == rows
+
+
+def test_rows_of_a_graph_with_no_vertices_are_one_empty_row():
+    # n/2 = 0 ids per row: zip over zero copies of the id stream would yield no row
+    assert expansion._rows(Multigraph(0, ()), [0]) == ((),)
+    assert expansion._rows(Multigraph(0, ()), []) == ()
+
+
+def test_rows_holding_edge_0_or_the_top_edge_are_read_at_the_full_width():
+    # every bit string has m characters, whether or not its row holds edge m - 1
+    checked = 0
+    for g, pool in corpus_factor_pools():
+        rows = expansion._rows(g, pool)
+        assert rows == tuple(sorted(set(reference_rows(g, pool))))
+        tops = {g.m - 1 in row for row in rows}
+        checked += {0 in row for row in rows} == tops == {True, False}
+    assert checked
+
+
+def test_rows_of_a_family_spanning_slices_are_the_old_rows():
+    base = random_base(28, seed=14)
+    g, d = build(base, [0] * base.m)
+    walk = expansion._Gadgets(d).lift_walk(_basis_masks(d.base, expansion.CAP))
+    factors = list(islice(walk, 3 * expansion._SLICE + 7))
+    random.Random(14).shuffle(factors)
+    assert len(factors) % expansion._SLICE
+    assert expansion._rows(g, factors) == tuple(sorted(set(reference_rows(g, factors))))
+
+
+def test_a_complement_of_another_popcount_raises_what_the_old_generator_did():
+    g, pool = corpus_factor_pools()[0]
+    for e in (0, g.m - 1):
+        factors = [*pool, pool[-1] ^ 1 << e, *pool]  # the complement has n/2 +- 1 ids
+        expected = rows_or_error(lambda: list(reference_rows(g, factors)))
+        assert expected[0] is DegreeViolation
+        assert rows_or_error(lambda: expansion._rows(g, factors)) == expected
 
 
 def test_both_branches_choose_the_long_member_after_the_cycle_space_family(monkeypatch):

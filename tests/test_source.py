@@ -13,8 +13,10 @@
   `_is_perfect_row`, so every row the library makes is checked on one path.
 - Rows are ordered and deduplicated in one place: `expansion.certify`
   names neither `sorted` nor `set`, which `_rows` does.
-- A mask's bit string has one reader: only `graphs._bit_string` names
-  `bin`, and `_unmask` and `_rows`'s sort key both go through it.
+- A mask's bit string has one reader: only `graphs._bit_strings` names
+  `bin`, and `_unmask` and `_rows` both go through it.  `_rows` sorts the
+  strings with no `key=`, and names `_unmask` only in `check_each`, the
+  per-factor loop that words a bad factor, so no row is unmasked one by one.
 - `counting` imports only `errors` and `graphs` from the package, so the
   oracle stays independent of the machinery it checks.
 - The oracle has one search: `counting` defines exactly one `_iter_*`
@@ -193,9 +195,15 @@ def test_only_rows_and_certificate_problems_check_rows():
     ]
 
 
+def _definition(path: Path, name: str) -> ast.AST:
+    """The top-level definition of name in path."""
+    (top,) = [node for node in parse(path).body if getattr(node, "name", None) == name]
+    return top
+
+
 def _names_in(path: Path, definition: str) -> set[str]:
     """The bare names the top-level definition of path reads."""
-    (top,) = [node for node in parse(path).body if getattr(node, "name", None) == definition]
+    top = _definition(path, definition)
     return {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
 
 
@@ -206,9 +214,25 @@ def test_rows_are_ordered_and_deduplicated_in_rows_alone():
 
 
 def test_only_the_bit_string_reads_bin():
-    assert _top_level_readers("bin") == ["graphs._bit_string"]
-    assert "graphs._unmask" in _top_level_readers("_bit_string")
-    assert "expansion._rows" in _top_level_readers("_bit_string")
+    assert _top_level_readers("bin") == ["graphs._bit_strings"]
+    assert "graphs._unmask" in _top_level_readers("_bit_strings")
+    assert "expansion._rows" in _top_level_readers("_bit_strings")
+
+
+def test_rows_sort_with_no_key_and_unmask_only_to_word_an_error():
+    rows = list(ast.walk(_definition(SRC / "expansion.py", "_rows")))
+    calls = [node for node in rows if isinstance(node, ast.Call)]
+    # a Name callee has an id (sorted), an Attribute callee an attr (.sort)
+    sorts = [
+        c for c in calls if getattr(c.func, "id", getattr(c.func, "attr", "")) in ("sorted", "sort")
+    ]
+    assert sorts, "the scan finds the sort of _rows"
+    assert all(keyword.arg != "key" for call in sorts for keyword in call.keywords)
+    (check_each,) = [n for n in rows if isinstance(n, ast.FunctionDef) and n.name == "check_each"]
+    inside = set(map(id, ast.walk(check_each)))
+    unmasks = [n for n in rows if isinstance(n, ast.Name) and n.id == "_unmask"]
+    assert unmasks, "the scan finds _unmask in the error path"
+    assert all(id(node) in inside for node in unmasks)
 
 
 def _package_imports(path: Path) -> set[str]:
