@@ -41,22 +41,26 @@ ends, read off its edge list.
 Every row certify, expand and complement_matching make comes from _rows,
 which takes a family's factor masks and returns the certificate's rows,
 sorted and distinct, each checked exactly: in a cubic host a factor is a
-2-factor iff its complement is a perfect matching, and a row of edge ids
-is one iff it has n/2 edges whose end-vertex bitmasks sum to (1 << n) - 1
-(see _is_perfect_row).  _rows works in passes of C-level calls, with no
-Python call per row: it deduplicates the complements as ints, checks
-that each has n/2 bits, and sorts their m-character bit strings read
-from edge 0 up (graphs._bit_strings) as they are: at one width and
-popcount, descending string order is ascending id-tuple order.  A slice of strings at a time becomes
-ids through one compress over cycle(range(m)), grouped n/2 at a time
-by zip, and the sum runs for all rows at once.  A batch it does not
-accept goes through a per-factor loop, in the order the factors came,
-that raises DegreeViolation for the first bad one; a factor source that
-raises has the factors it gave checked first.  certificate_problems runs
-the same sum for all rows of a certificate at once, in a pass of C-level
-calls that also keys each row for the duplicate check; a certificate it
-does not accept goes through a per-row loop that words each problem with
-_is_perfect_row.  The degree scan runs only to name the offending
+2-factor iff its complement is a perfect matching, and a row of n/2 edge
+ids is one iff it covers every vertex once.  _rows works in passes of
+C-level calls, with no Python call per row: it deduplicates the
+complements as ints, checks that each has n/2 bits, and sorts their
+m-character bit strings read from edge 0 up (graphs._bit_strings) as
+they are: at one width and popcount, descending string order is
+ascending id-tuple order.  A slice of strings at a time becomes 0/1
+bytes, checked by columns: per vertex, one sum of the slice's edge
+columns read as base-256 ints, whose digits count each row's edges at
+the vertex (_covers_once).  The same bytes become ids through one
+compress over cycle(range(m)), grouped n/2 at a time by zip.  A batch
+it does not accept goes through a per-factor loop, in the order the
+factors came, that raises DegreeViolation for the first bad one; a
+factor source that raises has the factors it gave checked first.
+certificate_problems checks rows parsed from text, which need not be
+well formed, by _is_perfect_row: n/2 edges whose end-vertex bitmasks sum
+to (1 << n) - 1.  It runs that sum for all rows at once, in a pass of
+C-level calls that also keys each row for the duplicate check; a
+certificate it does not accept goes through a per-row loop that words
+each problem with _is_perfect_row.  The degree scan runs only to name the offending
 vertices once a row has failed.
 """
 
@@ -113,6 +117,19 @@ def _is_perfect_row(row: tuple[int, ...], end_bits: list[int], n: int) -> bool:
 _SLICE = 1024  # rows _rows turns into ids per joined string, which bounds that string
 
 
+def _covers_once(bits: bytes, r: int, m: int, at: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether each of the r rows of bits, m 0/1 bytes a row, has a one in exactly one
+    column of each tuple of at, in passes of C-level calls: column e of bits, read as
+    one base-256 int, has digit r - 1 - i equal to row i's byte e, and each tuple's
+    columns must sum to the int whose r digits are all 1.  Exact while every tuple has
+    fewer than 256 columns, so that no digit of a sum carries (see _rows).
+    """
+    columns = map(bits.__getitem__, map(slice, range(m), repeat(None), repeat(m)))
+    cols = list(map(int.from_bytes, columns, repeat("big")))
+    ones = int.from_bytes(b"\1" * r, "big")
+    return all(map(ones.__eq__, map(sum, map(map, repeat(cols.__getitem__), at))))
+
+
 def _rows(g: Multigraph, factors: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     """The edge ids of the complements of the factor masks of the cubic graph g, sorted and
     distinct, once each is seen to be a perfect matching, which holds iff its factor is a
@@ -127,15 +144,25 @@ def _rows(g: Multigraph, factors: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     first rows first, joined in reverse, encoded and translated to 0/1 bytes; one
     compress over cycle(range(m)) reads off their ids and zip groups those n/2 at a time.
     Each slice leaves the list once read, so the strings shrink as the rows grow and no
-    joined string spans the family.  The rows are accepted when each has end-mask sum
-    (1 << n) - 1 (see _is_perfect_row); a wrong popcount or sum sends the factors through
-    the per-factor loop, which names the first bad one.
+    joined string spans the family.
+
+    Each slice of R rows is checked by columns on those 0/1 bytes (_covers_once): column
+    e, read as one base-256 int, has digit R - 1 - i equal to 1 iff row i holds e, and
+    the columns of the edges at a vertex v (g._incidence, where a loop appears once) sum
+    to an int whose digit for row i counts row i's edges at v.  That count is at most
+    deg(v), below 256 in a cubic host, so no digit carries, and the sum is the int of R
+    digits 1 exactly when every row covers v once.  With n/2 edges a row, covering every
+    vertex once is a perfect matching: n/2 edges of which L are loops cover at most
+    n - L vertices, so a loop leaves some vertex uncovered.  A wrong popcount or a slice
+    that fails the check sends the factors through the per-factor loop, which names the
+    first bad one.
     """
-    n, m, full, end_bits = g.n, g.m, (1 << g.m) - 1, _end_bits(g)
+    n, m, full, at = g.n, g.m, (1 << g.m) - 1, g._incidence
     half = n // 2
     given: list[int] = []
 
     def check_each() -> None:
+        end_bits = _end_bits(g)
         for factor in given:
             if not _is_perfect_row(_unmask(full ^ factor), end_bits, n):
                 deg = subset_degrees(g, _unmask(factor))
@@ -154,12 +181,13 @@ def _rows(g: Multigraph, factors: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     del masks  # left alive, the set would sit under the finished rows at the traced peak
     rows: list[tuple[int, ...]] = []
     while strings:
-        bits = "".join(reversed(strings[-_SLICE:])).encode().translate(_BIT_VALUES)
-        del strings[-_SLICE:]
+        r = min(len(strings), _SLICE)
+        bits = "".join(reversed(strings[-r:])).encode().translate(_BIT_VALUES)
+        del strings[-r:]
+        if not _covers_once(bits, r, m, at):
+            check_each()
         # with no ids per row (n < 2, so the one complement is 0), zip would yield nothing
         rows += zip(*[compress(cycle(range(m)), bits)] * half) if half else [()]
-    if set(map(sum, map(map, repeat(end_bits.__getitem__), rows))) != {(1 << n) - 1}:
-        check_each()
     return tuple(rows)
 
 

@@ -12,6 +12,7 @@ identical text out.
 from __future__ import annotations
 
 import io
+from itertools import repeat
 
 from .errors import ParseError
 from .expansion import Certificate
@@ -111,8 +112,8 @@ def serialize_certificate(c: Certificate) -> str:
     ]
     # every edge id's decimal string, made once instead of once per row it is in
     names = {e: str(e) for e in range(c.host.m)}
-    try:
-        lines += [" ".join(map(names.__getitem__, row)) for row in c.matchings]
+    try:  # the row lines are made in full first, so a KeyError leaves lines at the header
+        lines += list(map(" ".join, map(map, repeat(names.__getitem__), c.matchings)))
     except KeyError:  # an id outside range(m): print every row as it is
         lines += [" ".join(map(str, row)) for row in c.matchings]
     return "\n".join(lines) + "\n"

@@ -1,8 +1,9 @@
 import dataclasses
 import random
 import time
+from bisect import bisect_left
 from functools import cache
-from itertools import islice, pairwise
+from itertools import combinations, islice, pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -1096,6 +1097,97 @@ def test_a_complement_of_another_popcount_raises_what_the_old_generator_did():
         expected = rows_or_error(lambda: list(reference_rows(g, factors)))
         assert expected[0] is DegreeViolation
         assert rows_or_error(lambda: expansion._rows(g, factors)) == expected
+
+
+LOOPED = Multigraph(2, ((0, 0), (0, 1), (1, 1)))  # cubic: a loop counts twice at its end
+THETA = Multigraph(2, ((0, 1),) * 3)
+
+
+@pytest.mark.parametrize(
+    "row", [(0,), (2,), (0, 2), (1,)], ids=["loop at 0", "loop at 1", "both loops", "edge 1"]
+)
+def test_rows_of_a_looped_cubic_multigraph_are_what_the_old_generator_gave(row):
+    # a loop appears once among its end's edges: the row of one loop covers one of the two
+    # vertices, and the row of both loops covers each once in n/2 + 1 ids
+    factor = ((1 << LOOPED.m) - 1) ^ _mask(row)
+    expected = rows_or_error(lambda: list(reference_rows(LOOPED, [factor])))
+    assert (expected == [(1,)]) == (row == (1,))
+    assert rows_or_error(lambda: expansion._rows(LOOPED, [factor])) == expected
+
+
+def test_rows_of_the_theta_graph_are_its_three_edges():
+    factors = [((1 << THETA.m) - 1) ^ 1 << e for e in (2, 0, 1)]
+    assert expansion._rows(THETA, factors) == ((0,), (1,), (2,))
+
+
+def column_check_cases(g: Multigraph):
+    """Rows over g's edges as 0/1 lists: each perfect matching of g with no edge, one edge
+    or two edges toggled, the matchings themselves first."""
+    pairs = combinations(range(g.m), g.n // 2)
+    matchings = [_mask(p) for p in pairs if is_perfect_matching(g, p)]
+    toggles = [0, *(1 << e for e in range(g.m)), *(_mask(p) for p in combinations(range(g.m), 2))]
+    masks = dict.fromkeys(mask ^ t for t in toggles for mask in matchings)
+    return [[mask >> e & 1 for e in range(g.m)] for mask in masks], len(matchings)
+
+
+@pytest.mark.parametrize(
+    "g", [PRISM, K4, K33, LOOPED, THETA], ids=["prism", "K4", "K33", "looped", "theta"]
+)
+def test_the_column_check_accepts_exactly_the_rows_covering_each_vertex_once(g):
+    # with no popcount check in front: a row holding a vertex twice must fail as well
+    def covers(rows):
+        return expansion._covers_once(bytes(sum(rows, [])), len(rows), g.m, g._incidence)
+
+    rows, good = column_check_cases(g)
+    once = [all(sum(row[e] for e in g.incident(v)) == 1 for v in range(g.n)) for row in rows]
+    assert once[:good] == [True] * good and not all(once)
+    assert [covers([row]) for row in rows] == once
+    for row in (row for row, ok in zip(rows, once) if not ok):
+        for at in range(good + 1):
+            assert not covers(rows[:at] + [row] + rows[at:good])
+    assert covers(rows[:good])
+
+
+@cache
+def spanning_family() -> tuple[Multigraph, tuple[int, ...]]:
+    """Criterion 14's host and 2.5 slices' worth of its cycle-space factors, shuffled."""
+    base = random_base(28, seed=14)
+    g, d = build(base, [0] * base.m)
+    walk = expansion._Gadgets(d).lift_walk(_basis_masks(d.base, expansion.CAP))
+    factors = list(islice(walk, 2 * expansion._SLICE + expansion._SLICE // 2))
+    random.Random(14).shuffle(factors)
+    return g, tuple(factors)
+
+
+@pytest.mark.parametrize("place", [0, 1, 2], ids=["first", "middle", "last"])
+def test_a_non_matching_complement_in_any_slice_raises_what_the_old_generator_did(place):
+    # the bad row sits a quarter of the way into slice place, the first rows' slice being 0
+    g, factors = spanning_family()
+    rows = sorted(set(reference_rows(g, factors)))
+    assert len(rows) // expansion._SLICE == 2
+    row = rows[place * expansion._SLICE + expansion._SLICE // 4]
+    # trading its last edge for the nearest other leaves n/2 ids that meet at a vertex
+    last = row[-1]
+    swap = min((e for e in range(g.m) if e not in row), key=lambda e: abs(e - last))
+    bad = tuple(sorted((*row[:-1], swap)))
+    assert place == bisect_left(rows, bad) // expansion._SLICE
+    family = list(factors)
+    family.insert(len(family) // 3, ((1 << g.m) - 1) ^ _mask(bad))
+    expected = rows_or_error(lambda: list(reference_rows(g, family)))
+    assert expected[0] is DegreeViolation
+    assert rows_or_error(lambda: expansion._rows(g, family)) == expected
+
+
+def test_rows_that_pass_the_column_check_skip_the_per_factor_loop(monkeypatch):
+    g, factors = spanning_family()
+    expected = tuple(sorted(set(reference_rows(g, factors))))
+    assert len(expected) > 2 * expansion._SLICE
+
+    def no_end_bits(h):
+        raise AssertionError("the per-factor loop ran on rows that pass")
+
+    monkeypatch.setattr(expansion, "_end_bits", no_end_bits)
+    assert expansion._rows(g, factors) == expected
 
 
 def test_both_branches_choose_the_long_member_after_the_cycle_space_family(monkeypatch):

@@ -15,8 +15,12 @@
   names neither `sorted` nor `set`, which `_rows` does.
 - A mask's bit string has one reader: only `graphs._bit_strings` names
   `bin`, and `_unmask` and `_rows` both go through it.  `_rows` sorts the
-  strings with no `key=`, and names `_unmask` only in `check_each`, the
-  per-factor loop that words a bad factor, so no row is unmasked one by one.
+  strings with no `key=`, and names `_unmask`, `_end_bits`, `_is_perfect_row`
+  and `subset_degrees` only in `check_each`, the per-factor loop that words a
+  bad factor, so no row is unmasked or summed one by one: rows pass by the
+  column check.
+- Every `int.from_bytes` call passes its byte order, which has no default
+  before Python 3.11 (`pyproject.toml` declares 3.10).
 - `counting` imports only `errors` and `graphs` from the package, so the
   oracle stays independent of the machinery it checks.
 - The oracle has one search: `counting` defines exactly one `_iter_*`
@@ -219,6 +223,16 @@ def test_only_the_bit_string_reads_bin():
     assert "expansion._rows" in _top_level_readers("_bit_strings")
 
 
+def _rows_names(name: str) -> tuple[int, int]:
+    """How many times expansion._rows names name bare, and how many of those lie in its
+    check_each, the per-factor loop that words a bad factor."""
+    rows = list(ast.walk(_definition(SRC / "expansion.py", "_rows")))
+    (check_each,) = [n for n in rows if isinstance(n, ast.FunctionDef) and n.name == "check_each"]
+    inside = set(map(id, ast.walk(check_each)))
+    found = [id(n) for n in rows if isinstance(n, ast.Name) and n.id == name]
+    return len(found), len(inside.intersection(found))
+
+
 def test_rows_sort_with_no_key_and_unmask_only_to_word_an_error():
     rows = list(ast.walk(_definition(SRC / "expansion.py", "_rows")))
     calls = [node for node in rows if isinstance(node, ast.Call)]
@@ -228,11 +242,33 @@ def test_rows_sort_with_no_key_and_unmask_only_to_word_an_error():
     ]
     assert sorts, "the scan finds the sort of _rows"
     assert all(keyword.arg != "key" for call in sorts for keyword in call.keywords)
-    (check_each,) = [n for n in rows if isinstance(n, ast.FunctionDef) and n.name == "check_each"]
-    inside = set(map(id, ast.walk(check_each)))
-    unmasks = [n for n in rows if isinstance(n, ast.Name) and n.id == "_unmask"]
-    assert unmasks, "the scan finds _unmask in the error path"
-    assert all(id(node) in inside for node in unmasks)
+    found, inside = _rows_names("_unmask")
+    assert found, "the scan finds _unmask in the error path"
+    assert inside == found
+
+
+@pytest.mark.parametrize("name", ["_end_bits", "_is_perfect_row", "subset_degrees"])
+def test_rows_check_by_columns_and_read_end_masks_only_to_word_an_error(name):
+    found, inside = _rows_names(name)
+    assert found, f"the scan finds {name} in the error path"
+    assert inside == found
+
+
+def test_every_int_from_bytes_passes_its_byte_order():
+    # the byte order has a default only from Python 3.11; a call mapped over bytes objects
+    # must map it over a second iterable
+    checked = 0
+    for path in MODULES:
+        for call in (n for n in ast.walk(parse(path)) if isinstance(n, ast.Call)):
+            if getattr(call.func, "attr", None) == "from_bytes":
+                checked += 1
+                byteorder = any(keyword.arg == "byteorder" for keyword in call.keywords)
+                assert len(call.args) >= 2 or byteorder, f"{path.stem}: line {call.lineno}"
+            elif getattr(call.func, "id", None) == "map" and call.args:
+                if getattr(call.args[0], "attr", None) == "from_bytes":
+                    checked += 1
+                    assert len(call.args) >= 3, f"{path.stem}: line {call.lineno}"
+    assert checked, "the scan finds the int.from_bytes calls of _rows"
 
 
 def _package_imports(path: Path) -> set[str]:
