@@ -54,14 +54,15 @@ the vertex (_covers_once).  The same bytes become ids through one
 compress over cycle(range(m)), grouped n/2 at a time by zip.  A batch
 it does not accept goes through a per-factor loop, in the order the
 factors came, that raises DegreeViolation for the first bad one; a
-factor source that raises has the factors it gave checked first.
+factor source that raises has the factors it gave checked first: a
+factor is a 2-factor iff every vertex has degree 2 in it (subset_degrees).
 certificate_problems checks rows parsed from text, which need not be
-well formed, by _is_perfect_row: n/2 edges whose end-vertex bitmasks sum
-to (1 << n) - 1.  It runs that sum for all rows at once, in a pass of
-C-level calls that also keys each row for the duplicate check; a
-certificate it does not accept goes through a per-row loop that words
-each problem with _is_perfect_row.  The degree scan runs only to name the offending
-vertices once a row has failed.
+well formed.  It accepts a valid certificate in one pass of C-level
+calls that sums a code per id, whose high field is the row's end-vertex
+bitmask sum and whose low field keys the row for the duplicate check
+(see its docstring); any other certificate goes through a per-row loop
+that words each problem, a row that is no perfect matching by the first
+vertex whose degree in it is not 1.
 """
 
 from __future__ import annotations
@@ -95,23 +96,6 @@ from .structure import (
 )
 
 CAP = 1 << 22  # most rows certify emits, and most matchings verify_3ec_remark enumerates
-
-
-def _end_bits(g: Multigraph) -> list[int]:
-    """Per edge id, the bitmask (1 << u) | (1 << v) of its ends; a loop sets one bit."""
-    return [1 << u | 1 << v for u, v in g.edges]
-
-
-def _is_perfect_row(row: tuple[int, ...], end_bits: list[int], n: int) -> bool:
-    """Whether the edge ids of row form a perfect matching of an n-vertex graph.
-
-    Exact: the n/2 end masks carry at most n one-bits between them, and a
-    sum has fewer one-bits than its terms whenever two terms share a bit
-    (the addition carries).  So the sum is (1 << n) - 1 only when no two
-    edges share a vertex and none is a loop (a loop's mask has one bit).
-    Every id must be a valid index of end_bits.
-    """
-    return 2 * len(row) == n and sum(map(end_bits.__getitem__, row)) == (1 << n) - 1
 
 
 _SLICE = 1024  # rows _rows turns into ids per joined string, which bounds that string
@@ -155,18 +139,18 @@ def _rows(g: Multigraph, factors: Iterable[int]) -> tuple[tuple[int, ...], ...]:
     vertex once is a perfect matching: n/2 edges of which L are loops cover at most
     n - L vertices, so a loop leaves some vertex uncovered.  A wrong popcount or a slice
     that fails the check sends the factors through the per-factor loop, which names the
-    first bad one.
+    first bad one by its degree count: in a cubic host a factor has degree 2 at every
+    vertex exactly when its complement has degree 1 at every vertex.
     """
     n, m, full, at = g.n, g.m, (1 << g.m) - 1, g._incidence
     half = n // 2
     given: list[int] = []
 
     def check_each() -> None:
-        end_bits = _end_bits(g)
         for factor in given:
-            if not _is_perfect_row(_unmask(full ^ factor), end_bits, n):
-                deg = subset_degrees(g, _unmask(factor))
-                bad = [v for v, dv in enumerate(deg) if dv != 2]
+            deg = subset_degrees(g, _unmask(factor))
+            bad = [v for v, dv in enumerate(deg) if dv != 2]
+            if bad:
                 raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
 
     try:
@@ -362,9 +346,8 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
     """
     d = classify(g)
     if d.kind == KIND_K4:
-        full, ends = (1 << g.m) - 1, _end_bits(g)
-        pairs = combinations(range(g.m), 2)
-        rows = _rows(g, [full ^ 1 << e ^ 1 << f for e, f in pairs if not ends[e] & ends[f]])
+        full, pairs = (1 << g.m) - 1, combinations(enumerate(g.edges), 2)
+        rows = _rows(g, [full ^ 1 << e ^ 1 << f for (e, a), (f, b) in pairs if {*a}.isdisjoint(b)])
         branch = "k4"
     elif d.kind == KIND_RING:
         rows = _rows(g, _ring_factors(g, d.ring))
@@ -400,21 +383,26 @@ def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:
     """Re-validate a certificate from scratch; empty list means valid.
 
     A valid certificate is accepted by one pass of C-level calls over its
-    rows.  With s = m + n.bit_length() and code[e] = ends(e) << s | 1 << e,
-    a row of n // 2 ids in range(m) sums to high << s | low, where low, a
-    sum of n // 2 bits below bit m, stays under 1 << s.  So high is the
-    row's end-mask sum, (1 << n) - 1 exactly when the row is a perfect
-    matching (see _is_perfect_row; for odd n, n // 2 masks have too few
-    bits); then its ids are distinct, low is their bitmask, and two such
-    rows have equal sums exactly when they hold the same ids.
+    rows.  With s = m + n.bit_length() and code[e] = (1 << u | 1 << v) << s
+    | 1 << e for edge e = (u, v), a row of n // 2 ids in range(m) sums to
+    high << s | low, where low, a sum of n // 2 bits below bit m, stays
+    under 1 << s.  So high is the sum of the row's end masks, a loop's
+    having one bit.  That sum is (1 << n) - 1 exactly when the row is a
+    perfect matching: the n // 2 masks carry at most n one-bits between
+    them, and a sum has fewer one-bits than its terms whenever two terms
+    share a bit (the addition carries), so it is full only when no two
+    edges share a vertex and none is a loop (for odd n, n // 2 masks have
+    too few bits).  Then the row's ids are distinct, low is their bitmask,
+    and two such rows have equal sums exactly when they hold the same ids.
     Anything else, an id that is not an int included, goes through the
     per-row loop, which words every problem; a row with a float, str or
-    other non-int id is worded as such and skipped, and bool ids count as
-    0 and 1.
+    other non-int id is worded as such and skipped, bool ids count as 0
+    and 1, and a row that is no perfect matching is worded by the first
+    vertex whose degree in it is not 1.
     """
-    n, m, rows, end_bits = g.n, g.m, cert.matchings, _end_bits(g)
+    n, m, rows = g.n, g.m, cert.matchings
     s, full = m + n.bit_length(), (1 << n) - 1
-    code = [ends << s | 1 << e for e, ends in enumerate(end_bits)]
+    code = [(1 << u | 1 << v) << s | 1 << e for e, (u, v) in enumerate(g.edges)]
     try:
         if (
             cert.n == n
@@ -443,9 +431,9 @@ def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:
         if row and (min(row) < 0 or max(row) >= m):
             problems.append(f"matching {idx} has an out-of-range edge index")
             continue
-        if not _is_perfect_row(row, end_bits, n):
-            deg = subset_degrees(g, row)
-            bad = next(v for v, dv in enumerate(deg) if dv != 1)
+        deg = subset_degrees(g, row)
+        bad = next((v for v, dv in enumerate(deg) if dv != 1), None)
+        if bad is not None:
             problems.append(
                 f"matching {idx} is not a perfect matching: vertex {bad} has degree {deg[bad]}"
             )

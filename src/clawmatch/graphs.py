@@ -38,9 +38,13 @@ class Multigraph:
 
     def __post_init__(self):
         object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        if not isinstance(self.n, int):
+            raise ValueError(f"vertex count is not an int: {self.n!r}")
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
         for i, (u, v) in enumerate(self.edges):
+            if not (isinstance(u, int) and isinstance(v, int)):
+                raise ValueError(f"edge {i} endpoint is not an int: ({u!r}, {v!r})")
             if not (0 <= u < self.n and 0 <= v < self.n):
                 raise ValueError(f"edge {i} endpoint out of range: ({u}, {v})")
 

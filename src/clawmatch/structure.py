@@ -316,7 +316,8 @@ def _contract(
 
 
 def _verify_cover(d: Decomposition) -> None:
-    """Every host edge must play exactly one structural role.
+    """Every host edge of a ring or expanded decomposition must play exactly one
+    structural role; StructureViolation otherwise.
 
     Each vertex is labelled with the one triangle or diamond (a part)
     holding it; a vertex in two parts or in none is a violation.  One pass
@@ -329,11 +330,7 @@ def _verify_cover(d: Decomposition) -> None:
     and the connectors are exactly the cross edges; a ring has no
     connector list, its cross edges are the port-to-port joins.
     """
-    if d.kind in (KIND_RING, KIND_EXPANDED) and not _covers(d):
-        raise StructureViolation("decomposition does not cover the host edge set exactly")
-
-
-def _covers(d: Decomposition) -> bool:
+    broken = "decomposition does not cover the host edge set exactly"
     g = d.graph
     g.ensure_simple()
     if d.kind == KIND_RING:
@@ -347,7 +344,7 @@ def _covers(d: Decomposition) -> bool:
             part[v] = i
     # n labels with none left at -1 means no vertex was labelled twice
     if sum(map(len, parts)) != g.n or -1 in part:
-        return False
+        raise StructureViolation(broken)
     is_port = [False] * g.n
     for dia in diamonds:
         for p in dia.ports:
@@ -359,13 +356,14 @@ def _covers(d: Decomposition) -> bool:
         if i != part[v]:
             cross.append(e)
         elif is_port[u] and is_port[v]:
-            return False
+            raise StructureViolation(broken)
         else:
             sides[i] += 1
-    if sides != [3] * len(d.triangles) + [5] * len(diamonds):
-        return False
     connectors = sorted(e for rep in d.replacements for e in rep.connectors)
-    return d.kind == KIND_RING or connectors == cross
+    if sides != [3] * len(d.triangles) + [5] * len(diamonds) or (
+        d.kind != KIND_RING and connectors != cross
+    ):
+        raise StructureViolation(broken)
 
 
 def classify(g: Multigraph) -> Decomposition:
@@ -475,7 +473,8 @@ def build(
         replacements.append(EdgeReplacement((ca, cb), string, tuple(connectors)))
 
     g = Multigraph(next_vertex, tuple(g_edges))
-    # checked here, not left to _covers, so its edge key set is freed before the cover tables exist
+    # checked here, not left to _verify_cover, so its edge key set is freed before the cover
+    # tables exist
     g.ensure_simple()
     d = Decomposition(
         KIND_EXPANDED,

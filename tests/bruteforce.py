@@ -55,7 +55,6 @@ from clawmatch import (
 )
 from clawmatch.formats import _is_decimal
 from clawmatch.graphs import _mask, _unmask
-from clawmatch.expansion import _end_bits, _is_perfect_row
 from clawmatch.structure import _group_strings, _leaving, _scan_diamonds, _verify_cover
 
 
@@ -491,15 +490,18 @@ def reference_max_length_two_factor(h: Multigraph, lengths) -> EdgeSubset:
 def reference_rows(g: Multigraph, factors) -> Iterator[tuple[int, ...]]:
     """expansion._rows as it was before it returned the rows sorted and distinct: a
     generator that checks each factor mask as the source gives it and yields the edge ids
-    of its complement, the first factor that is not a 2-factor raising DegreeViolation."""
-    full, end_bits = (1 << g.m) - 1, _end_bits(g)
+    of its complement, the first factor that is not a 2-factor raising DegreeViolation.
+    Each factor is decided by its own degree count over g.edges, a loop counting twice."""
     for factor in factors:
-        row = _unmask(full ^ factor)
-        if not _is_perfect_row(row, end_bits, g.n):
-            deg = subset_degrees(g, _unmask(factor))
-            bad = [v for v, dv in enumerate(deg) if dv != 2]
+        deg = [0] * g.n
+        for e, (u, v) in enumerate(g.edges):
+            if factor >> e & 1:
+                deg[u] += 1
+                deg[v] += 1
+        bad = [v for v, dv in enumerate(deg) if dv != 2]
+        if bad:
             raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
-        yield row
+        yield tuple(e for e in range(g.m) if not factor >> e & 1)
 
 
 def reference_3ec_remark(g: Multigraph, *, cap: int = 1 << 22) -> bool:

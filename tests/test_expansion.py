@@ -456,12 +456,9 @@ def test_a_reversed_repeat_of_the_first_row_is_a_duplicate():
 
 
 def counted_row_checks(monkeypatch):
-    """Record each call to the row test and to the degree scan that words a failed row."""
+    """Record each call to the degree scan that decides and words a failed row."""
     calls = []
-    is_perfect_row, subset_degrees = expansion._is_perfect_row, graphs.subset_degrees
-    monkeypatch.setattr(
-        expansion, "_is_perfect_row", lambda *args: calls.append("row") or is_perfect_row(*args)
-    )
+    subset_degrees = graphs.subset_degrees
     for module in (graphs, expansion):
         monkeypatch.setattr(
             module, "subset_degrees", lambda *args: calls.append("degrees") or subset_degrees(*args)
@@ -499,7 +496,7 @@ def test_valid_certificates_are_accepted_without_a_row_test(monkeypatch):
             calls.clear()
             problems = certificate_problems(g, broken)
             assert problems and problems == reference_certificate_problems(g, broken), edit
-            assert "row" in calls, edit  # the per-row loop words the problem
+            assert "degrees" in calls, edit  # the per-row loop words the problem
 
 
 def test_a_longer_row_with_every_vertex_bit_is_not_a_matching():
@@ -1183,10 +1180,10 @@ def test_rows_that_pass_the_column_check_skip_the_per_factor_loop(monkeypatch):
     expected = tuple(sorted(set(reference_rows(g, factors))))
     assert len(expected) > 2 * expansion._SLICE
 
-    def no_end_bits(h):
+    def no_degrees(h, members):
         raise AssertionError("the per-factor loop ran on rows that pass")
 
-    monkeypatch.setattr(expansion, "_end_bits", no_end_bits)
+    monkeypatch.setattr(expansion, "subset_degrees", no_degrees)
     assert expansion._rows(g, factors) == expected
 
 

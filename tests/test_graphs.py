@@ -76,6 +76,15 @@ def test_multigraph_rejects_bad_endpoints():
     for bad in (((0,),), ((0, 1, 2),), ((0, 1), [1])):
         with pytest.raises(ValueError):
             Multigraph(3, bad)
+    # a vertex that is not an int is refused here, not by a later TypeError
+    for n, edges, message in (
+        (2, ((0, 1.0),), "edge 0 endpoint is not an int: (0, 1.0)"),
+        (3, ((0, 1), ("1", 2)), "edge 1 endpoint is not an int: ('1', 2)"),
+        (2, ((None, 1),), "edge 0 endpoint is not an int: (None, 1)"),
+        (2.0, ((0, 1),), "vertex count is not an int: 2.0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Multigraph(n, edges)
 
 
 def test_has_edge_is_false_outside_the_vertex_range():

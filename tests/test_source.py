@@ -9,16 +9,16 @@
   is exempt).
 - `clawmatch.__all__` lists every name `__init__` imports, each once, and
   nothing else.
-- Only `expansion._rows` and `expansion.certificate_problems` reference
-  `_is_perfect_row`, so every row the library makes is checked on one path.
+- A row is decided by the degree count that words it: no module defines or
+  names `_end_bits` or `_is_perfect_row`, and in `expansion` only `_rows`
+  and `certificate_problems` name `subset_degrees`, each in its error path.
 - Rows are ordered and deduplicated in one place: `expansion.certify`
   names neither `sorted` nor `set`, which `_rows` does.
 - A mask's bit string has one reader: only `graphs._bit_strings` names
   `bin`, and `_unmask` and `_rows` both go through it.  `_rows` sorts the
-  strings with no `key=`, and names `_unmask`, `_end_bits`, `_is_perfect_row`
-  and `subset_degrees` only in `check_each`, the per-factor loop that words a
-  bad factor, so no row is unmasked or summed one by one: rows pass by the
-  column check.
+  strings with no `key=`, and names `_unmask` and `subset_degrees` only in
+  `check_each`, the per-factor loop that words a bad factor, so no row is
+  unmasked or counted one by one: rows pass by the column check.
 - Every `int.from_bytes` call passes its byte order, which has no default
   before Python 3.11 (`pyproject.toml` declares 3.10).
 - `counting` imports only `errors` and `graphs` from the package, so the
@@ -36,8 +36,8 @@
   `edge_between` nor `combinations` (K4's pairings, in `certify`, are read
   off its edge list), and `_ring_factors` reads no `.edges`, so it finds a
   ring's joins at its ports, not by a scan of every edge.
-- The brute-force references import few private library names: the row
-  test and its end masks, the mask helpers, the digit check, and the scans
+- The brute-force references import few private library names: the mask
+  helpers, the digit check, and the scans
   of `structure` that their wrappers name, but not the lift tables, so
   `tests/bruteforce.reference_3ec_remark` lifts without them.
 - `classify` is the one diamond and string recognizer: no module defines
@@ -193,10 +193,8 @@ def _top_level_readers(name: str) -> list[str]:
 
 
 def test_only_rows_and_certificate_problems_check_rows():
-    assert _top_level_readers("_is_perfect_row") == [
-        "expansion._rows",
-        "expansion.certificate_problems",
-    ]
+    readers = [r for r in _top_level_readers("subset_degrees") if r.startswith("expansion.")]
+    assert readers == ["expansion._rows", "expansion.certificate_problems"]
 
 
 def _definition(path: Path, name: str) -> ast.AST:
@@ -247,7 +245,7 @@ def test_rows_sort_with_no_key_and_unmask_only_to_word_an_error():
     assert inside == found
 
 
-@pytest.mark.parametrize("name", ["_end_bits", "_is_perfect_row", "subset_degrees"])
+@pytest.mark.parametrize("name", ["subset_degrees"])
 def test_rows_check_by_columns_and_read_end_masks_only_to_word_an_error(name):
     found, inside = _rows_names(name)
     assert found, f"the scan finds {name} in the error path"
@@ -345,25 +343,30 @@ def _referencing(paths, name: str) -> set[str]:
     }
 
 
+@pytest.mark.parametrize("name", ["_end_bits", "_is_perfect_row"])
+def test_no_module_names_the_end_mask_row_test(name):
+    # a failed row is decided by the degree count that words it
+    assert _referencing(MODULES, name) == set()
+
+
 def test_edges_are_looked_up_by_their_ends_in_graphs_only():
     assert _referencing(MODULES, "edge_between") == {"graphs"}
     tables = {"expansion._Gadgets", "expansion._string", "expansion._ring_factors"}
     for name in ("edge_between", "combinations"):
         assert tables.isdisjoint(_top_level_readers(name)), name
     assert "expansion._ring_factors" not in _top_level_readers("edges")
-    # the scan does find both: certify pairs K4's edges, and the row test reads every edge
+    # the scan does find both: certify pairs K4's edges, and the certificate check codes
+    # every edge
     assert "expansion.certify" in _top_level_readers("combinations")
-    assert "expansion._end_bits" in _top_level_readers("edges")
+    assert "expansion.certificate_problems" in _top_level_readers("edges")
     assert _referencing(MODULES, "has_edge") == set()
     # the scan does find both forms: the brute-force references define and call has_edge
     assert _referencing([Path(__file__).with_name("bruteforce.py")], "has_edge") == {"bruteforce"}
 
 
 BRUTEFORCE_PRIVATE_IMPORTS = {
-    "_end_bits",
     "_group_strings",
     "_is_decimal",
-    "_is_perfect_row",
     "_leaving",
     "_mask",
     "_scan_diamonds",
@@ -381,8 +384,8 @@ def test_the_brute_force_references_import_only_the_listed_private_names():
         if alias.name.startswith("_")
     }
     assert imported <= BRUTEFORCE_PRIVATE_IMPORTS, sorted(imported - BRUTEFORCE_PRIVATE_IMPORTS)
-    # the scan does find private imports: the row references import the row test
-    assert "_is_perfect_row" in imported
+    # the scan does find private imports: the 3EC reference masks its lifts with _mask
+    assert "_mask" in imported
 
 
 def test_diamond_strings_are_walked_in_one_place():
