@@ -28,47 +28,53 @@ The tables hold:
   routing-bit order).
 The entries of different base vertices and base edges share no host edge,
 so a lift is the XOR of its disjoint pieces and a routing an XOR of flips.
-Every routing enumeration steps cyclespace.gray_walk: the long-2-factor
-branch walks the flips of its one member, and a ring of diamonds, a string
-closed on itself, walks its joins and bit-0 walks over its 4-cycles after
-its idle factor (every 4-cycle); its joins are the edges at its ports in
-no 4-cycle.  In the cycle-space branch consecutive members differ by one
-fundamental cycle b, so it updates the previous lift instead of lifting
-each member from zero: it XORs in the walk ^ idle of every edge of b and,
-at each base vertex on b, the old state ^ the new state.  K4's factors
-are the complements of its 3 pairings, its pairs of edges with disjoint
-ends, read off its edge list.
+Every family certify emits is built bit-sliced, as columns: one int per
+host edge whose bit j says whether the edge is in factor j, with no
+Python step per member.  Factor j is step j of cyclespace.gray_walk, and
+the walk's steps that have flip i in are the bits of one int
+(_gray_columns), so a family that XORs flips into a start is the start's
+columns with each flip's edges toggled by its int (_walk_family): the
+long-2-factor branch walks the flips of its one member, and a ring of
+diamonds, a string closed on itself, walks its joins and bit-0 walks over
+its 4-cycles after its idle factor (every 4-cycle); its joins are the
+edges at its ports in no 4-cycle.  In the cycle-space branch, whether
+member j holds base edge e is bit j of the XOR of the ints of the basis
+cycles through e, so each table entry is a Boolean function of those
+bits: a base edge XORs its walk into the columns where the member holds
+it and its idle where not, and a base vertex XORs each state's triangle
+edges where the member's edges at it are that state's.  A member with no
+state at some vertex ends the family before it and raises what lift
+raises.  K4's factors are the complements of its 3 pairings, its pairs
+of edges with disjoint ends, read off its edge list; K4, expand and
+complement_matching give their factor masks to _rows through _columns.
 Every row certify, expand and complement_matching make comes from _rows,
-which takes a family's factor masks and returns the certificate's rows,
-sorted and distinct, each checked exactly: in a cubic host a factor is a
-2-factor iff its complement is a perfect matching, and a row of n/2 edge
-ids is one iff it covers every vertex once.  _rows works in passes of
-C-level calls, with no Python call per row: it deduplicates the
-complements as ints, checks that each has n/2 bits, and sorts their
-m-character bit strings read from edge 0 up (graphs._bit_strings) as
-they are: at one width and popcount, descending string order is
-ascending id-tuple order.  A slice of strings at a time becomes 0/1
-bytes, checked by columns: per vertex, one sum of the slice's edge
-columns read as base-256 ints, whose digits count each row's edges at
-the vertex (_covers_once).  The same bytes become ids through one
-compress over cycle(range(m)), grouped n/2 at a time by zip.  A batch
-it does not accept goes through a per-factor loop, in the order the
-factors came, that raises DegreeViolation for the first bad one; a
-factor source that raises has the factors it gave checked first: a
-factor is a 2-factor iff every vertex has degree 2 in it (subset_degrees).
+which takes families and returns the certificate's rows, sorted and
+distinct, each checked exactly: in a cubic host a factor is a 2-factor
+iff its complement is a perfect matching, and a row is one iff it holds
+exactly one edge at every vertex and no loop.  _rows checks that on the
+complement columns whole, with big-int operations (_not_once), and words
+the first bad factor by its degree count (subset_degrees), its ids read
+off its column bit; a source of families that raises has the families it
+gave checked first.  It then turns each family's complement columns into
+m-byte rows: the columns' bit strings (graphs._bit_strings) end to end,
+read every size-th byte.  The rows are deduplicated and sorted as bytes,
+with no key: at one width and popcount, descending byte order is
+ascending id-tuple order.  A slice of rows at a time becomes ids through
+one compress over cycle(range(m)), grouped n/2 at a time by zip.
 certificate_problems checks rows parsed from text, which need not be
 well formed.  It accepts a valid certificate in one pass of C-level
 calls that sums a code per id, whose high field is the row's end-vertex
 bitmask sum and whose low field keys the row for the duplicate check
 (see its docstring); any other certificate goes through a per-row loop
 that words each problem, a row that is no perfect matching by the first
-vertex whose degree in it is not 1.
+vertex whose degree in it is not 1, counted only for a row whose coded
+sum shows it is not one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, cycle, pairwise, repeat
+from itertools import chain, combinations, compress, cycle, islice, repeat
 from typing import Iterable, Iterator
 
 from .counting import enumerate_perfect_matchings, max_length_two_factor
@@ -100,77 +106,127 @@ CAP = 1 << 22  # most rows certify emits, and most matchings verify_3ec_remark e
 
 _SLICE = 1024  # rows _rows turns into ids per joined string, which bounds that string
 
+_Family = tuple[list[int], int]  # (columns, size): bit j of columns[e]: factor j holds e
 
-def _covers_once(bits: bytes, r: int, m: int, at: tuple[tuple[int, ...], ...]) -> bool:
-    """Whether each of the r rows of bits, m 0/1 bytes a row, has a one in exactly one
-    column of each tuple of at, in passes of C-level calls: column e of bits, read as
-    one base-256 int, has digit r - 1 - i equal to row i's byte e, and each tuple's
-    columns must sum to the int whose r digits are all 1.  Exact while every tuple has
-    fewer than 256 columns, so that no digit of a sum carries (see _rows).
+
+def _gray_columns(d: int) -> _Family:
+    """gray_walk over d flips as a family over the flips: bit j of the i-th column is set
+    when step j has flip i in, that is bit i of j ^ j >> 1 (runs of 2^i clear, 2^(i+1) set
+    and 2^i clear), and the walk has 2^d steps."""
+    size, columns = 1 << d, []
+    for i in range(d):
+        run = 1 << i
+        column, period = ((1 << 2 * run) - 1) << run, 4 * run
+        while period < size:
+            column |= column << period
+            period *= 2
+        columns.append(column & (1 << size) - 1)
+    return columns, size
+
+
+def _toggle(columns: list[int], mask: int, column: int) -> None:
+    """XOR column into the columns of the edges of mask."""
+    for e in _unmask(mask):
+        columns[e] ^= column
+
+
+def _columns(m: int, factors: Iterable[int]) -> _Family:
+    """A few factor masks, each below 1 << m, as one family: factor j sets bit j in the
+    columns of its edges."""
+    columns, factors = [0] * m, list(factors)
+    for j, factor in enumerate(factors):
+        _toggle(columns, factor, 1 << j)
+    return columns, len(factors)
+
+
+def _walk_family(m: int, start: int, flips: list[int]) -> _Family:
+    """gray_walk(start, flips) over m edges as a family: every step holds start's edges,
+    and flip i toggles its edges in the steps that have it in."""
+    gray, size = _gray_columns(len(flips))
+    columns = [0] * m
+    _toggle(columns, start, (1 << size) - 1)
+    for column, flip in zip(gray, flips):
+        _toggle(columns, flip, column)
+    return columns, size
+
+
+def _not_once(columns: list[int], full: int, at: Iterable[tuple[int, ...]]) -> int:
+    """The rows, as bits of full, that do not hold exactly one edge of some tuple of at,
+    bit j of columns[e] saying whether row j holds edge e: per tuple, once gathers the
+    rows that hold one of its edges and twice those that hold two or more."""
+    wrong = 0
+    for edges in at:
+        once = twice = 0
+        for column in map(columns.__getitem__, edges):
+            twice |= once & column
+            once |= column
+        wrong |= twice | once ^ full
+    return wrong
+
+
+def _rows(g: Multigraph, families: Iterable[_Family]) -> tuple[tuple[int, ...], ...]:
+    """The edge ids of the complements of the factors of the families, sorted and
+    distinct, once each is seen to be a perfect matching of the cubic graph g, which holds
+    iff its factor is a 2-factor.  Otherwise the first factor, family by family, that is
+    not one raises DegreeViolation; a source that raises has the families it gave checked
+    first.
+
+    Each step is a pass of big-int or C-level calls, with no Python step per row.  The
+    complement columns are checked whole (_not_once): a row must hold exactly one edge at
+    each vertex (g._incidence, where a loop appears once) and no loop, which is what a
+    perfect matching is, and in a cubic host what a factor of degree 2 at every vertex
+    leaves.  check_each words the first bad factor by that degree count, its edge ids read
+    off bit j of its family's columns.
+
+    A family's complement columns are then written as bit strings (graphs._bit_strings)
+    end to end, so row j, the m 0/1 characters of factor j's complement from edge 0 up, is
+    every size-th byte from byte j.  The rows are deduplicated as bytes and sorted as they
+    are, with no key: at one width and popcount, descending byte order is ascending
+    id-tuple order, so no row tuple is hashed or compared.  Slices of _SLICE rows are
+    taken off the end of the sorted list, the first rows first, joined in reverse and
+    translated to 0/1 bytes; one compress over cycle(range(m)) reads off their ids and zip
+    groups those n/2 at a time.  Each slice leaves the list once read, so the byte rows
+    shrink as the id rows grow and no joined string spans the family.
     """
-    columns = map(bits.__getitem__, map(slice, range(m), repeat(None), repeat(m)))
-    cols = list(map(int.from_bytes, columns, repeat("big")))
-    ones = int.from_bytes(b"\1" * r, "big")
-    return all(map(ones.__eq__, map(sum, map(map, repeat(cols.__getitem__), at))))
-
-
-def _rows(g: Multigraph, factors: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """The edge ids of the complements of the factor masks of the cubic graph g, sorted and
-    distinct, once each is seen to be a perfect matching, which holds iff its factor is a
-    2-factor.  Otherwise the first factor, in the order given, that is not one raises
-    DegreeViolation; a source that raises has the factors it gave checked first.
-
-    Every step is a pass of C-level calls, with no Python call per row.  The complements
-    are deduplicated as ints, and each must have n/2 bits.  Their m-character bit strings
-    (graphs._bit_strings) are sorted as they are, with no key: at one width and popcount,
-    descending string order is ascending id-tuple order, so no row tuple is hashed or
-    compared.  Slices of _SLICE strings are taken off the end of the sorted list, the
-    first rows first, joined in reverse, encoded and translated to 0/1 bytes; one
-    compress over cycle(range(m)) reads off their ids and zip groups those n/2 at a time.
-    Each slice leaves the list once read, so the strings shrink as the rows grow and no
-    joined string spans the family.
-
-    Each slice of R rows is checked by columns on those 0/1 bytes (_covers_once): column
-    e, read as one base-256 int, has digit R - 1 - i equal to 1 iff row i holds e, and
-    the columns of the edges at a vertex v (g._incidence, where a loop appears once) sum
-    to an int whose digit for row i counts row i's edges at v.  That count is at most
-    deg(v), below 256 in a cubic host, so no digit carries, and the sum is the int of R
-    digits 1 exactly when every row covers v once.  With n/2 edges a row, covering every
-    vertex once is a perfect matching: n/2 edges of which L are loops cover at most
-    n - L vertices, so a loop leaves some vertex uncovered.  A wrong popcount or a slice
-    that fails the check sends the factors through the per-factor loop, which names the
-    first bad one by its degree count: in a cubic host a factor has degree 2 at every
-    vertex exactly when its complement has degree 1 at every vertex.
-    """
-    n, m, full, at = g.n, g.m, (1 << g.m) - 1, g._incidence
-    half = n // 2
-    given: list[int] = []
+    m, half, at = g.m, g.n // 2, g._incidence
+    loops = [e for e, (u, v) in enumerate(g.edges) if u == v]
+    given: list[_Family] = []
 
     def check_each() -> None:
-        for factor in given:
-            deg = subset_degrees(g, _unmask(factor))
-            bad = [v for v, dv in enumerate(deg) if dv != 2]
-            if bad:
+        for columns, size in given:
+            full = (1 << size) - 1
+            complements = list(map(full.__xor__, columns))
+            wrong = _not_once(complements, full, at)
+            for e in loops:
+                wrong |= complements[e]
+            if wrong:
+                j = (wrong & -wrong).bit_length() - 1  # the first bad factor
+                deg = subset_degrees(g, compress(range(m), map((1 << j).__and__, columns)))
+                bad = [v for v, dv in enumerate(deg) if dv != 2]
                 raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
 
     try:
-        given.extend(factors)  # keeps what the source gave before it raised
+        given.extend(families)  # keeps what the source gave before it raised
     except Exception:
         check_each()
         raise
-    masks = set(map(full.__xor__, given))
-    if set(map(int.bit_count, masks)) != {half}:
-        check_each()  # raises, unless no factor came
-    strings = sorted(_bit_strings(masks, m))  # ascending: the first rows are at the end
-    del masks  # left alive, the set would sit under the finished rows at the traced peak
+    check_each()
+    keys: set[bytes] = set()
+    while given:
+        columns, size = given.pop()
+        full = (1 << size) - 1
+        # the complement columns' bit strings end to end: row j is every size-th byte from j
+        text = "".join(_bit_strings(map(full.__xor__, columns), size)).encode()
+        keys.update(map(text.__getitem__, map(slice, range(size), repeat(None), repeat(size))))
+        del columns, text  # left alive, either would sit under the finished rows
+    strings = sorted(keys)  # ascending: the first rows are at the end
+    del keys
     rows: list[tuple[int, ...]] = []
     while strings:
         r = min(len(strings), _SLICE)
-        bits = "".join(reversed(strings[-r:])).encode().translate(_BIT_VALUES)
+        bits = b"".join(reversed(strings[-r:])).translate(_BIT_VALUES)
         del strings[-r:]
-        if not _covers_once(bits, r, m, at):
-            check_each()
-        # with no ids per row (n < 2, so the one complement is 0), zip would yield nothing
+        # with no ids per row (n < 2, so the one complement is empty), zip would yield nothing
         rows += zip(*[compress(cycle(range(m)), bits)] * half) if half else [()]
     return tuple(rows)
 
@@ -194,7 +250,7 @@ class _Gadgets:
         if d.kind != KIND_EXPANDED:
             raise ValueError("expand needs an expanded decomposition")
         g, h = d.graph, d.base
-        self.base = h
+        self.base, self.m = h, g.m
         if not is_cubic(g):
             raise ValueError("complementing a 2-factor needs a cubic expanded graph")
         # (v, mask of the base edges at v, {member & that mask: triangle edges})
@@ -237,43 +293,49 @@ class _Gadgets:
         each string from its head.  Bit i of a routing takes the i-th."""
         return [flip for e in _unmask(member) for flip in self.flips[e]]
 
-    def lift_walk(self, cycles: list[int]) -> Iterator[int]:
-        """lift(member) for every member of the base's cycle space, in enumerate_cycle_space
-        order: from lift(0) along gray_walk over the basis masks cycles (see _basis_masks),
-        each lift found from the one before by the basis cycle between them."""
-        # per basis cycle, the XOR of walk ^ idle over its edges and the (inc, states)
-        # of its vertices
-        steps = {}
-        for cycle in cycles:
-            flip, touched = 0, set()
-            for e in _unmask(cycle):
-                _, walk, idle = self.edges[e]
-                flip ^= walk ^ idle
-                touched.update(self.base.edges[e])
-            steps[cycle] = (flip, [self.vertex[v][1:] for v in touched])
-        factor = self.lift(0)
-        yield factor
-        for prev, cur in pairwise(gray_walk(0, cycles)):
-            flip, touched = steps[prev ^ cur]
-            factor ^= flip
-            try:
-                for inc, states in touched:
-                    factor ^= states[prev & inc] ^ states[cur & inc]
-            except KeyError:
-                self.lift(cur)  # raises the DegreeViolation naming the vertex
-                raise
-            yield factor
+    def cycle_space(self, cycles: list[int]) -> Iterator[_Family]:
+        """lift(member) for every member of the base's cycle space as one family, member j
+        being step j of gray_walk over the basis masks cycles (see _basis_masks), the
+        order of enumerate_cycle_space.  Bit j of held[e] says whether member j holds base
+        edge e, so each table entry is XORed into its host edges' columns where its
+        condition on those bits holds.  A member with no state at some base vertex ends
+        the family before it and raises what lift raises for it."""
+        gray, size = _gray_columns(len(cycles))
+        full = (1 << size) - 1
+        held = [0] * self.base.m
+        for column, cycle in zip(gray, cycles):
+            _toggle(held, cycle, column)
+        columns, missing = [0] * self.m, 0
+        for (_, walk, idle), x in zip(self.edges, held):
+            _toggle(columns, walk, x)
+            _toggle(columns, idle, x ^ full)
+        for _, inc, states in self.vertex:
+            ends = [(1 << e, held[e]) for e in _unmask(inc)]
+            stated = 0
+            for state, triangle in states.items():
+                hit = full
+                for bit, x in ends:
+                    hit &= x if state & bit else x ^ full
+                _toggle(columns, triangle, hit)
+                stated |= hit
+            missing |= stated ^ full
+        if not missing:
+            yield columns, size
+            return
+        j = (missing & -missing).bit_length() - 1
+        yield [column & (1 << j) - 1 for column in columns], j
+        self.lift(next(islice(gray_walk(0, cycles), j, None)))  # raises, naming the vertex
 
-    def long_walk(self, lengths: dict[int, int]) -> Iterator[int]:
+    def long_walk(self, lengths: dict[int, int]) -> Iterator[_Family]:
         """The lift of the base's longest 2-factor by lengths (max_length_two_factor) under
-        every routing, along gray_walk; more than CAP routings raise CapExceeded.  The
-        member is chosen at the first step, so chained after another walk, it is chosen
-        only once that walk is exhausted."""
+        every routing, in gray_walk order, as one family; more than CAP routings raise
+        CapExceeded.  The member is chosen at the first step, so chained after another
+        family, it is chosen only once that family is built."""
         member = max_length_two_factor(self.base, lengths).mask
         flips = self.routes(member)
         if 1 << len(flips) > CAP:
             raise CapExceeded(1 << len(flips), CAP)
-        yield from gray_walk(self.lift(member), flips)
+        yield _walk_family(self.m, self.lift(member), flips)
 
 
 def expand(member: EdgeSubset, d: Decomposition, routing: int = 0) -> EdgeSubset:
@@ -295,7 +357,7 @@ def expand(member: EdgeSubset, d: Decomposition, routing: int = 0) -> EdgeSubset
     for i, flip in enumerate(flips):
         if routing >> i & 1:
             factor ^= flip
-    _rows(d.graph, [factor])
+    _rows(d.graph, [_columns(d.graph.m, [factor])])
     return EdgeSubset(d.graph, factor)
 
 
@@ -305,7 +367,7 @@ def complement_matching(g: Multigraph, factor: EdgeSubset) -> EdgeSubset:
         raise ValueError("complementation needs a cubic host")
     if factor.host != g:
         raise DegreeViolation("argument is not a 2-factor of the host")
-    return EdgeSubset.of(g, _rows(g, [factor.mask])[0])
+    return EdgeSubset.of(g, _rows(g, [_columns(g.m, [factor.mask])])[0])
 
 
 @dataclass(frozen=True)
@@ -323,16 +385,17 @@ class Certificate:
     bound_ok: bool
 
 
-def _ring_factors(g: Multigraph, ring) -> Iterator[int]:
-    """The 2^d + 1 2-factors of a ring of d diamonds, a string closed on itself: the idle
-    factor of every 4-cycle, then its every routing (ports cross in either order)."""
+def _ring_factors(g: Multigraph, ring) -> list[_Family]:
+    """The 2^d + 1 2-factors of a ring of d diamonds, a string closed on itself, as two
+    families: the idle factor of every 4-cycle, then its every routing (ports cross in
+    either order)."""
     size = (1 << len(ring)) + 1
     if size > CAP:
         raise CapExceeded(size, CAP)
     walk, idle, cycles = _string(g, 0, [(*dia.ports, *dia.internals) for dia in ring])
     # the joins between consecutive diamonds: the edges at the ports in no 4-cycle
     joins = _mask(e for dia in ring for p in dia.ports for e in g.incident(p)) & ~idle
-    return chain([idle], gray_walk(walk | joins, cycles))
+    return [_columns(g.m, [idle]), _walk_family(g.m, walk | joins, cycles)]
 
 
 def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
@@ -347,10 +410,11 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
     d = classify(g)
     if d.kind == KIND_K4:
         full, pairs = (1 << g.m) - 1, combinations(enumerate(g.edges), 2)
-        rows = _rows(g, [full ^ 1 << e ^ 1 << f for (e, a), (f, b) in pairs if {*a}.isdisjoint(b)])
+        factors = [full ^ 1 << e ^ 1 << f for (e, a), (f, b) in pairs if {*a}.isdisjoint(b)]
+        families: Iterable[_Family] = [_columns(g.m, factors)]
         branch = "k4"
     elif d.kind == KIND_RING:
-        rows = _rows(g, _ring_factors(g, d.ring))
+        families = _ring_factors(g, d.ring)
         branch = "ring"
     else:
         if both_branches:
@@ -362,13 +426,13 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
         # the cap refuses before the tables, which cost O(n·m) bits, are built
         cycles = _basis_masks(d.base, CAP) if branch != "long-2-factor" else None
         gadgets = _Gadgets(d)
-        families = []
+        sources = []
         if cycles is not None:
-            families.append(gadgets.lift_walk(cycles))
+            sources.append(gadgets.cycle_space(cycles))
         if branch != "cycle-space":
-            families.append(gadgets.long_walk(dict(enumerate(d.lengths()))))
-        rows = _rows(g, chain.from_iterable(families))
-
+            sources.append(gadgets.long_walk(dict(enumerate(d.lengths()))))
+        families = chain.from_iterable(sources)
+    rows = _rows(g, families)
     count = len(rows)
     if not count**12 > 2**g.n:
         dump = "\n".join(" ".join(map(str, row)) for row in rows)
@@ -394,20 +458,23 @@ def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:
     edges share a vertex and none is a loop (for odd n, n // 2 masks have
     too few bits).  Then the row's ids are distinct, low is their bitmask,
     and two such rows have equal sums exactly when they hold the same ids.
-    Anything else, an id that is not an int included, goes through the
-    per-row loop, which words every problem; a row with a float, str or
-    other non-int id is worded as such and skipped, bool ids count as 0
-    and 1, and a row that is no perfect matching is worded by the first
-    vertex whose degree in it is not 1.
+    The codes are a dict, so an id outside range(m), negative ones
+    included, raises KeyError, and the pass runs only when every row's
+    plain sum of ids is an int, so a float or other non-int id never meets
+    the codes.  Anything else goes through the per-row loop, which words
+    every problem; a row with a float, str or other non-int id is worded
+    as such and skipped, bool ids count as 0 and 1, and a row that is no
+    perfect matching, by its length or its coded sum, is worded by the
+    first vertex whose degree in it is not 1.
     """
     n, m, rows = g.n, g.m, cert.matchings
     s, full = m + n.bit_length(), (1 << n) - 1
-    code = [(1 << u | 1 << v) << s | 1 << e for e, (u, v) in enumerate(g.edges)]
+    code = {e: (1 << u | 1 << v) << s | 1 << e for e, (u, v) in enumerate(g.edges)}
     try:
         if (
             cert.n == n
             and set(map(len, rows)) == {n // 2}
-            and min(chain.from_iterable(rows), default=0) >= 0
+            and set(map(type, map(sum, rows))) == {int}
         ):
             sums = set(map(sum, map(map, repeat(code.__getitem__), rows)))
             bound_holds = len(rows) ** 12 > 2**n
@@ -418,7 +485,7 @@ def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:
                 and cert.bound_ok == bound_holds
             ):
                 return []
-    except (TypeError, IndexError):  # an id that is not an int, or one past range(m)
+    except (TypeError, KeyError):  # an id that is not an int, or one outside range(m)
         pass
     problems: list[str] = []
     if cert.n != n:
@@ -431,9 +498,9 @@ def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:
         if row and (min(row) < 0 or max(row) >= m):
             problems.append(f"matching {idx} has an out-of-range edge index")
             continue
-        deg = subset_degrees(g, row)
-        bad = next((v for v, dv in enumerate(deg) if dv != 1), None)
-        if bad is not None:
+        if len(row) != n // 2 or sum(map(code.__getitem__, row)) >> s != full:
+            deg = subset_degrees(g, row)
+            bad = next((v for v, dv in enumerate(deg) if dv != 1), None)
             problems.append(
                 f"matching {idx} is not a perfect matching: vertex {bad} has degree {deg[bad]}"
             )

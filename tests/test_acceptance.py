@@ -241,9 +241,10 @@ def test_criterion_14_certify_the_full_cycle_space_family():
 
 
 def test_criterion_14_certify_peak_memory():
-    # 32 768 rows of 42 ids take about 12 MiB as tuples; the factor list kept for the
-    # in-order error check and one slice of joined bit strings come on top, as the sorted
-    # bit strings are dropped a slice at a time while the rows grow
+    # 32 768 rows of 42 ids take about 12 MiB as tuples; one slice of joined byte rows
+    # comes on top, as the sorted byte rows are dropped a slice at a time while the rows
+    # grow.  The family is 126 columns of 4 KiB, dropped once its byte rows are read off:
+    # the traced peak is about 12.4 MiB
     g = criterion_14_host()
     tracemalloc.start()
     try:

@@ -3,7 +3,7 @@ import random
 import time
 from bisect import bisect_left
 from functools import cache
-from itertools import combinations, islice, pairwise
+from itertools import combinations, pairwise
 
 import pytest
 from hypothesis import given, settings
@@ -38,7 +38,7 @@ from clawmatch import (
 )
 from clawmatch import expansion, graphs, structure
 from clawmatch.cli import main
-from clawmatch.cyclespace import _basis_masks
+from clawmatch.cyclespace import _basis_masks, gray_walk
 from clawmatch.errors import _count_text
 from clawmatch.graphs import _mask, _unmask
 from bruteforce import (
@@ -319,10 +319,13 @@ def test_a_family_at_the_bound_is_rejected():
 
 def four_walk_values(monkeypatch):
     """Cut every Gray walk certify takes to its first 4 values, so a branch emits 4 rows."""
-    walk = expansion.gray_walk
-    monkeypatch.setattr(
-        expansion, "gray_walk", lambda start, flips: islice(walk(start, flips), 4)
-    )
+    walk = expansion._gray_columns
+
+    def four(d):
+        columns, size = walk(d)
+        return [column & 15 for column in columns], min(size, 4)
+
+    monkeypatch.setattr(expansion, "_gray_columns", four)
 
 
 def test_certify_refuses_a_family_at_the_bound(monkeypatch):
@@ -486,6 +489,9 @@ def one_edit_certificates(g, cert):
     }
 
 
+NOT_A_MATCHING = ("dropped id", "repeated id")  # the edits above that break a row's matching
+
+
 def test_valid_certificates_are_accepted_without_a_row_test(monkeypatch):
     calls = counted_row_checks(monkeypatch)
     for g, cert in corpus_certificates():
@@ -496,7 +502,9 @@ def test_valid_certificates_are_accepted_without_a_row_test(monkeypatch):
             calls.clear()
             problems = certificate_problems(g, broken)
             assert problems and problems == reference_certificate_problems(g, broken), edit
-            assert "degrees" in calls, edit  # the per-row loop words the problem
+            # the per-row loop words the problem, and counts the degrees of no row but the
+            # one edit that leaves a row no perfect matching
+            assert calls == (["degrees"] if edit in NOT_A_MATCHING else []), edit
 
 
 def test_a_longer_row_with_every_vertex_bit_is_not_a_matching():
@@ -663,10 +671,24 @@ def test_certify_agrees_with_reference_lift_and_oracle(data):
     assert verify_certificate(g, cert)
 
 
+def family_factors(family, count=None):
+    """The first count factor masks (all by default) of a family, read off its columns."""
+    columns, size = family
+    bits = range(size if count is None else min(size, count))
+    return [_mask(e for e, column in enumerate(columns) if column >> j & 1) for j in bits]
+
+
+def cycle_space_factors(d, count=None):
+    """The first count factors (all by default) of d's cycle-space family, in walk order."""
+    (family,) = expansion._Gadgets(d).cycle_space(_basis_masks(d.base, expansion.CAP))
+    return family_factors(family, count)
+
+
 def lifts_along_the_walk(d):
-    """The cycle-space lifts of d's base from lift_walk and from lift, member by member."""
+    """The cycle-space lifts of d's base from its family's columns and from lift, member by
+    member."""
     gadgets = expansion._Gadgets(d)
-    walk = list(gadgets.lift_walk(_basis_masks(d.base, expansion.CAP)))
+    walk = cycle_space_factors(d)
     members = [_mask(c.members) for c in enumerate_cycle_space(d.base, 1 << 10)]
     return walk, [gadgets.lift(c) for c in members]
 
@@ -700,6 +722,46 @@ def test_lift_walk_equals_lift_on_random_hosts(data):
     else:
         walk, lifted = lifts_along_the_walk(d)
         assert walk == lifted
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_gray_columns_are_the_gray_walk_read_by_flip(d):
+    # with flip i the single edge i, step j of the walk is the mask of the flips it has in
+    columns, size = expansion._gray_columns(d)
+    assert size == 1 << d
+    assert family_factors((columns, size)) == list(gray_walk(0, [1 << i for i in range(d)]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_walk_family_holds_the_gray_walk_in_order(data):
+    m = data.draw(st.integers(0, 12), label="m")
+    masks = st.integers(0, (1 << m) - 1)
+    start = data.draw(masks, label="start")
+    flips = data.draw(st.lists(masks, max_size=6), label="flips")
+    family = expansion._walk_family(m, start, flips)
+    assert family_factors(family) == list(gray_walk(start, flips))
+    factors = data.draw(st.lists(masks, max_size=20), label="factors")
+    assert family_factors(expansion._columns(m, factors)) == factors
+
+
+def test_the_cycle_space_family_ends_before_the_first_member_with_no_state(monkeypatch):
+    g, d, members = cycle_space_host()
+    inc = _mask(d.base.incident(1))
+    j = next(j for j, c in enumerate(members) if c & inc)
+
+    def corrupt(tables):
+        del tables.vertex[1][2][members[j] & inc]
+
+    with_corrupted_gadgets(monkeypatch, corrupt)
+    gadgets = expansion._Gadgets(d)
+    family = gadgets.cycle_space(_basis_masks(d.base, expansion.CAP))
+    first = next(family)
+    assert first[1] == j > 0
+    assert family_factors(first) == [gadgets.lift(c) for c in members[:j]]
+    with pytest.raises(DegreeViolation) as walked:
+        next(family)
+    assert str(walked.value).startswith("base vertex 1 has degree 2 in the member")
 
 
 def test_certify_walks_each_string_once(monkeypatch):
@@ -972,7 +1034,7 @@ def test_missing_triangle_state_raises_what_lift_raises(monkeypatch):
         gadgets.lift(first)
     assert str(lifted.value).startswith("base vertex 0 has degree 2 in the member")
     with pytest.raises(DegreeViolation) as walked:
-        list(gadgets.lift_walk(_basis_masks(d.base, expansion.CAP)))
+        list(gadgets.cycle_space(_basis_masks(d.base, expansion.CAP)))
     assert str(walked.value) == str(lifted.value)
     monkeypatch.setattr(expansion, "classify", lambda host: d)
     with pytest.raises(DegreeViolation) as certified:
@@ -989,6 +1051,22 @@ def corpus_factor_pools():
         full = (1 << g.m) - 1
         pools.append((g, tuple(full ^ _mask(row) for row in cert.matchings)))
     return tuple(pools)
+
+
+def rows_of(g, factors):
+    """expansion._rows on the factor masks factors gives, as one family; if factors raises,
+    the family holds the factors it gave before, and the error follows it."""
+
+    def families():
+        given = []
+        try:
+            given.extend(factors)
+        except GraphError as exc:
+            yield expansion._columns(g.m, given)
+            raise exc
+        yield expansion._columns(g.m, given)
+
+    return expansion._rows(g, families())
 
 
 def rows_or_error(rows):
@@ -1018,7 +1096,7 @@ def test_rows_return_and_raise_what_the_old_generator_did(data):
             raise DegreeViolation(f"the source stopped after {stop} factors")
 
     expected = rows_or_error(lambda: sorted(set(list(reference_rows(g, source())))))
-    assert rows_or_error(lambda: expansion._rows(g, source())) == expected
+    assert rows_or_error(lambda: rows_of(g, source())) == expected
 
 
 def test_a_source_that_raises_has_the_factors_it_gave_checked_first():
@@ -1032,10 +1110,10 @@ def test_a_source_that_raises_has_the_factors_it_gave_checked_first():
     with pytest.raises(DegreeViolation) as old:
         list(reference_rows(g, [bad]))
     with pytest.raises(DegreeViolation) as new:
-        expansion._rows(g, source(pool[1], bad))
+        rows_of(g, source(pool[1], bad))
     assert str(new.value) == str(old.value) == "expansion is not a 2-factor at vertices [0, 1]"
     with pytest.raises(CapExceeded):
-        expansion._rows(g, source(*pool))
+        rows_of(g, source(*pool))
 
 
 def test_a_longer_complement_with_every_vertex_bit_is_not_a_row():
@@ -1046,7 +1124,7 @@ def test_a_longer_complement_with_every_vertex_bit_is_not_a_row():
     factor = ((1 << PRISM.m) - 1) ^ _mask(row)
     expected = rows_or_error(lambda: list(reference_rows(PRISM, [factor])))
     assert expected[0] is DegreeViolation
-    assert rows_or_error(lambda: expansion._rows(PRISM, [factor])) == expected
+    assert rows_or_error(lambda: rows_of(PRISM, [factor])) == expected
 
 
 @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
@@ -1057,20 +1135,20 @@ def test_rows_are_ordered_by_their_ids_not_by_their_masks(order):
     masks = [_mask(row) for row in rows]
     assert masks[0] > masks[1]
     full = (1 << K4.m) - 1
-    assert expansion._rows(K4, [full ^ masks[i] for i in order]) == rows
+    assert rows_of(K4, [full ^ masks[i] for i in order]) == rows
 
 
 def test_rows_of_a_graph_with_no_vertices_are_one_empty_row():
     # n/2 = 0 ids per row: zip over zero copies of the id stream would yield no row
-    assert expansion._rows(Multigraph(0, ()), [0]) == ((),)
-    assert expansion._rows(Multigraph(0, ()), []) == ()
+    assert rows_of(Multigraph(0, ()), [0]) == ((),)
+    assert rows_of(Multigraph(0, ()), []) == ()
 
 
 def test_rows_holding_edge_0_or_the_top_edge_are_read_at_the_full_width():
     # every bit string has m characters, whether or not its row holds edge m - 1
     checked = 0
     for g, pool in corpus_factor_pools():
-        rows = expansion._rows(g, pool)
+        rows = rows_of(g, pool)
         assert rows == tuple(sorted(set(reference_rows(g, pool))))
         tops = {g.m - 1 in row for row in rows}
         checked += {0 in row for row in rows} == tops == {True, False}
@@ -1080,11 +1158,10 @@ def test_rows_holding_edge_0_or_the_top_edge_are_read_at_the_full_width():
 def test_rows_of_a_family_spanning_slices_are_the_old_rows():
     base = random_base(28, seed=14)
     g, d = build(base, [0] * base.m)
-    walk = expansion._Gadgets(d).lift_walk(_basis_masks(d.base, expansion.CAP))
-    factors = list(islice(walk, 3 * expansion._SLICE + 7))
+    factors = cycle_space_factors(d, 3 * expansion._SLICE + 7)
     random.Random(14).shuffle(factors)
     assert len(factors) % expansion._SLICE
-    assert expansion._rows(g, factors) == tuple(sorted(set(reference_rows(g, factors))))
+    assert rows_of(g, factors) == tuple(sorted(set(reference_rows(g, factors))))
 
 
 def test_a_complement_of_another_popcount_raises_what_the_old_generator_did():
@@ -1093,7 +1170,7 @@ def test_a_complement_of_another_popcount_raises_what_the_old_generator_did():
         factors = [*pool, pool[-1] ^ 1 << e, *pool]  # the complement has n/2 +- 1 ids
         expected = rows_or_error(lambda: list(reference_rows(g, factors)))
         assert expected[0] is DegreeViolation
-        assert rows_or_error(lambda: expansion._rows(g, factors)) == expected
+        assert rows_or_error(lambda: rows_of(g, factors)) == expected
 
 
 LOOPED = Multigraph(2, ((0, 0), (0, 1), (1, 1)))  # cubic: a loop counts twice at its end
@@ -1109,12 +1186,12 @@ def test_rows_of_a_looped_cubic_multigraph_are_what_the_old_generator_gave(row):
     factor = ((1 << LOOPED.m) - 1) ^ _mask(row)
     expected = rows_or_error(lambda: list(reference_rows(LOOPED, [factor])))
     assert (expected == [(1,)]) == (row == (1,))
-    assert rows_or_error(lambda: expansion._rows(LOOPED, [factor])) == expected
+    assert rows_or_error(lambda: rows_of(LOOPED, [factor])) == expected
 
 
 def test_rows_of_the_theta_graph_are_its_three_edges():
     factors = [((1 << THETA.m) - 1) ^ 1 << e for e in (2, 0, 1)]
-    assert expansion._rows(THETA, factors) == ((0,), (1,), (2,))
+    assert rows_of(THETA, factors) == ((0,), (1,), (2,))
 
 
 def column_check_cases(g: Multigraph):
@@ -1133,7 +1210,8 @@ def column_check_cases(g: Multigraph):
 def test_the_column_check_accepts_exactly_the_rows_covering_each_vertex_once(g):
     # with no popcount check in front: a row holding a vertex twice must fail as well
     def covers(rows):
-        return expansion._covers_once(bytes(sum(rows, [])), len(rows), g.m, g._incidence)
+        columns = [_mask(j for j, row in enumerate(rows) if row[e]) for e in range(g.m)]
+        return not expansion._not_once(columns, (1 << len(rows)) - 1, g._incidence)
 
     rows, good = column_check_cases(g)
     once = [all(sum(row[e] for e in g.incident(v)) == 1 for v in range(g.n)) for row in rows]
@@ -1150,8 +1228,7 @@ def spanning_family() -> tuple[Multigraph, tuple[int, ...]]:
     """Criterion 14's host and 2.5 slices' worth of its cycle-space factors, shuffled."""
     base = random_base(28, seed=14)
     g, d = build(base, [0] * base.m)
-    walk = expansion._Gadgets(d).lift_walk(_basis_masks(d.base, expansion.CAP))
-    factors = list(islice(walk, 2 * expansion._SLICE + expansion._SLICE // 2))
+    factors = cycle_space_factors(d, 2 * expansion._SLICE + expansion._SLICE // 2)
     random.Random(14).shuffle(factors)
     return g, tuple(factors)
 
@@ -1172,7 +1249,7 @@ def test_a_non_matching_complement_in_any_slice_raises_what_the_old_generator_di
     family.insert(len(family) // 3, ((1 << g.m) - 1) ^ _mask(bad))
     expected = rows_or_error(lambda: list(reference_rows(g, family)))
     assert expected[0] is DegreeViolation
-    assert rows_or_error(lambda: expansion._rows(g, family)) == expected
+    assert rows_or_error(lambda: rows_of(g, family)) == expected
 
 
 def test_rows_that_pass_the_column_check_skip_the_per_factor_loop(monkeypatch):
@@ -1184,7 +1261,7 @@ def test_rows_that_pass_the_column_check_skip_the_per_factor_loop(monkeypatch):
         raise AssertionError("the per-factor loop ran on rows that pass")
 
     monkeypatch.setattr(expansion, "subset_degrees", no_degrees)
-    assert expansion._rows(g, factors) == expected
+    assert rows_of(g, factors) == expected
 
 
 def test_both_branches_choose_the_long_member_after_the_cycle_space_family(monkeypatch):
@@ -1218,7 +1295,7 @@ def test_both_branches_choose_the_long_member_after_the_cycle_space_family(monke
         raise NoTwoFactor("the long branch raised")
 
     with_corrupted_gadgets(monkeypatch, corrupt)
-    walk = expansion._Gadgets(d).lift_walk(_basis_masks(d.base, expansion.CAP))
+    walk = cycle_space_factors(d)
     with pytest.raises(DegreeViolation) as old:
         list(reference_rows(g, walk))
     monkeypatch.setattr(expansion, "max_length_two_factor", no_factor)

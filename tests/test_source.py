@@ -16,9 +16,12 @@
   names neither `sorted` nor `set`, which `_rows` does.
 - A mask's bit string has one reader: only `graphs._bit_strings` names
   `bin`, and `_unmask` and `_rows` both go through it.  `_rows` sorts the
-  strings with no `key=`, and names `_unmask` and `subset_degrees` only in
-  `check_each`, the per-factor loop that words a bad factor, so no row is
-  unmasked or counted one by one: rows pass by the column check.
+  rows with no `key=`, names no `_unmask`, and names `subset_degrees` only
+  in `check_each`, which words a bad factor, so no row is unmasked or
+  counted one by one: rows pass by the column check.
+- Families are lifted whole: no module defines `lift_walk`, no call of
+  `lift` sits in a loop or comprehension, and `certify` names no
+  `gray_walk` (`_Gadgets` steps it only to name a member on the error path).
 - Every `int.from_bytes` call passes its byte order, which has no default
   before Python 3.11 (`pyproject.toml` declares 3.10).
 - `counting` imports only `errors` and `graphs` from the package, so the
@@ -240,9 +243,9 @@ def test_rows_sort_with_no_key_and_unmask_only_to_word_an_error():
     ]
     assert sorts, "the scan finds the sort of _rows"
     assert all(keyword.arg != "key" for call in sorts for keyword in call.keywords)
-    found, inside = _rows_names("_unmask")
-    assert found, "the scan finds _unmask in the error path"
-    assert inside == found
+    # not even the error path unmasks: it reads the bad factor's ids off its columns
+    assert _rows_names("_unmask") == (0, 0)
+    assert _rows_names("compress")[1], "the scan finds the error path's reads"
 
 
 @pytest.mark.parametrize("name", ["subset_degrees"])
@@ -252,21 +255,47 @@ def test_rows_check_by_columns_and_read_end_masks_only_to_word_an_error(name):
     assert inside == found
 
 
+def _from_bytes_calls(tree: ast.AST) -> list[tuple[int, bool]]:
+    """(line, whether it passes its byte order) for every int.from_bytes call in tree,
+    called directly or mapped, where a mapped call must map it over a second iterable."""
+    found = []
+    for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        if getattr(call.func, "attr", None) == "from_bytes":
+            byteorder = any(keyword.arg == "byteorder" for keyword in call.keywords)
+            found.append((call.lineno, len(call.args) >= 2 or byteorder))
+        elif getattr(call.func, "id", None) == "map" and call.args:
+            if getattr(call.args[0], "attr", None) == "from_bytes":
+                found.append((call.lineno, len(call.args) >= 3))
+    return found
+
+
 def test_every_int_from_bytes_passes_its_byte_order():
-    # the byte order has a default only from Python 3.11; a call mapped over bytes objects
-    # must map it over a second iterable
-    checked = 0
+    # the byte order has a default only from Python 3.11
     for path in MODULES:
-        for call in (n for n in ast.walk(parse(path)) if isinstance(n, ast.Call)):
-            if getattr(call.func, "attr", None) == "from_bytes":
-                checked += 1
-                byteorder = any(keyword.arg == "byteorder" for keyword in call.keywords)
-                assert len(call.args) >= 2 or byteorder, f"{path.stem}: line {call.lineno}"
-            elif getattr(call.func, "id", None) == "map" and call.args:
-                if getattr(call.args[0], "attr", None) == "from_bytes":
-                    checked += 1
-                    assert len(call.args) >= 3, f"{path.stem}: line {call.lineno}"
-    assert checked, "the scan finds the int.from_bytes calls of _rows"
+        assert all(ok for _, ok in _from_bytes_calls(parse(path))), path.stem
+    # the scan finds each form, with and without the byte order
+    calls = ("int.from_bytes(b, 'big')", "int.from_bytes(b)", "map(int.from_bytes, s, r)")
+    sample = "\n".join((*calls, "map(int.from_bytes, s)"))
+    assert _from_bytes_calls(ast.parse(sample)) == [(1, True), (2, False), (3, True), (4, False)]
+
+
+def test_families_are_lifted_whole_not_member_by_member():
+    assert [p.name for p in MODULES if "lift_walk" in _functions_defined(p)] == []
+    # lift is called on one member, never in a loop or comprehension over members
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    lifted_in_loops = [
+        f"{path.stem}: line {node.lineno}"
+        for path in MODULES
+        for loop in ast.walk(parse(path))
+        if isinstance(loop, loops)
+        for node in ast.walk(loop)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "lift"
+    ]
+    assert lifted_in_loops == []
+    assert "expansion._Gadgets" in _top_level_readers("lift"), "the scan finds lift's callers"
+    # certify steps no Gray walk: its families are built as columns
+    assert "gray_walk" not in _names_in(SRC / "expansion.py", "certify")
+    assert "expansion._Gadgets" in _top_level_readers("gray_walk"), "the error path steps it"
 
 
 def _package_imports(path: Path) -> set[str]:

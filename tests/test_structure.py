@@ -293,6 +293,22 @@ def test_verify_cover_refuses_broken_covers():
         assert str(exc.value) == "decomposition does not cover the host edge set exactly", name
 
 
+def test_verify_cover_refuses_what_only_its_port_and_label_checks_see():
+    # a ring of one diamond on K4: its port pair is K4's sixth edge, so without the
+    # port-join check the other five would make a full diamond
+    one_diamond = Diamond((0, 1, 2, 3), ports=(0, 1), internals=(2, 3))
+    k4_ring = structure.Decomposition(KIND_RING, K4, ring=(one_diamond,))
+    # a triangle listing a corner twice labels every vertex and keeps every side count
+    g, d = build(TRIPLE_BOND, [1, 0, 0])
+    doubled = dataclasses.replace(
+        d, triangles=((*d.triangles[0], d.triangles[0][0]),) + d.triangles[1:]
+    )
+    for bad in (k4_ring, doubled):
+        with pytest.raises(StructureViolation) as exc:
+            _verify_cover(bad)
+        assert str(exc.value) == "decomposition does not cover the host edge set exactly"
+
+
 def test_contract_roundtrip_examples():
     g, _ = build(K4, [0] * 6)
     d = classify(g)
