@@ -130,7 +130,7 @@ def _cmd_cycle_space(args) -> int:
 def _cmd_certify(args) -> int:
     g = _load(args.file)
     cert = expansion.certify(g, both_branches=args.both_branches)
-    _emit(formats.serialize_certificate(cert))
+    # decided before the first line, so a refusal or a disagreement leaves stdout empty
     if args.verify_oracle:
         oracle = {
             m.sorted_tuple() for m in counting.enumerate_perfect_matchings(g, expansion.CAP)
@@ -139,6 +139,8 @@ def _cmd_certify(args) -> int:
         # hold fewer rows than there are matchings, so none is required to appear
         if any(row not in oracle for row in cert.matchings):
             raise StructureViolation("certificate disagrees with the oracle enumeration")
+    _emit(formats.serialize_certificate(cert))
+    if args.verify_oracle:
         _emit("oracle_check=ok\n")
     return 0
 

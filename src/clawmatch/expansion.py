@@ -28,57 +28,38 @@ The tables hold:
   routing-bit order).
 The entries of different base vertices and base edges share no host edge,
 so a lift is the XOR of its disjoint pieces and a routing an XOR of flips.
-Every family certify emits is built bit-sliced, as columns: one int per
-host edge whose bit j says whether the edge is in factor j, with no
-Python step per member.  Factor j is step j of cyclespace.gray_walk, and
-the walk's steps that have flip i in are the bits of one int
-(_gray_columns), so a family that XORs flips into a start is the start's
-columns with each flip's edges toggled by its int (_walk_family): the
-long-2-factor branch walks the flips of its one member, and a ring of
-diamonds, a string closed on itself, walks its joins and bit-0 walks over
-its 4-cycles after its idle factor (every 4-cycle); its joins are the
-edges at its ports in no 4-cycle.  In the cycle-space branch, whether
-member j holds base edge e is bit j of the XOR of the ints of the basis
-cycles through e, so each table entry is a Boolean function of those
-bits: a base edge XORs its walk into the columns where the member holds
-it and its idle where not, and a base vertex XORs each state's triangle
-edges where the member's edges at it are that state's.  A member with no
-state at some vertex ends the family before it and raises what lift
-raises.  K4's factors are the complements of its 3 pairings, its pairs
-of edges with disjoint ends, read off its edge list; K4, expand and
-complement_matching give their factor masks to _rows through _columns.
-Every row certify, expand and complement_matching make comes from _rows,
-which takes families and returns the certificate's rows, sorted and
-distinct, each checked exactly: in a cubic host a factor is a 2-factor
-iff its complement is a perfect matching, and a row is one iff it holds
-exactly one edge at every vertex and no loop.  _rows checks that on the
-complement columns whole, with big-int operations (_not_once), and words
-the first bad factor by its degree count (subset_degrees), its ids read
-off its column bit; a source of families that raises has the families it
-gave checked first.  It then turns each family's complement columns into
-m-byte rows: the columns' bit strings (graphs._bit_strings) end to end,
-read every size-th byte.  The rows are deduplicated and sorted as bytes,
-with no key: at one width and popcount, descending byte order is
-ascending id-tuple order.  A slice of rows at a time becomes ids through
-one compress over cycle(range(m)), grouped n/2 at a time by zip.
-certificate_problems checks rows parsed from text, which need not be
-well formed.  It accepts a valid certificate in one pass of C-level
-calls that sums a code per id, whose high field is the row's end-vertex
-bitmask sum and whose low field keys the row for the duplicate check
-(see its docstring); any other certificate goes through a per-row loop
-that words each problem, a row that is no perfect matching by the first
-vertex whose degree in it is not 1, counted only for a row whose coded
-sum shows it is not one.
+Every family is built bit-sliced, as columns: one int per edge whose bit
+j says whether the edge is in member or factor j, with no Python step per
+member.  There is one lift, _Gadgets.lift, from a family of base members
+(bit j of held[e]: member j holds base edge e) to the family of their
+lifts, each table entry a Boolean function of those bits.  A walk of flips
+from a start, in cyclespace.gray_walk's order, is the start's columns with
+each flip's edges toggled by the int of the steps that have it in
+(_gray_columns, _walk_family).  The cycle-space branch lifts the walk over
+the basis cycles; the long-2-factor branch lifts its one member in every
+step and toggles in its diamonds' flips; expand lifts a one-member family;
+a ring of diamonds, a string closed on itself, walks its joins (the edges
+at its ports in no 4-cycle) and bit-0 walks over its 4-cycles after its
+idle factor (every 4-cycle).  K4's factors are the complements of its 3
+pairings, its pairs of edges with disjoint ends, read off its edge list;
+K4 and complement_matching give their factor masks to _rows through
+_columns.  Every row certify, expand and complement_matching make comes
+from _rows, which takes a list of families, all built before any is
+checked, checks every factor exactly, family by family in order, and
+returns the certificate's rows, sorted and distinct (see its docstring).
+certificate_problems checks rows parsed from text, which need not be well
+formed, in one pass of C-level calls for a valid certificate and a per-row
+loop that words each problem otherwise (see its docstring).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, cycle, islice, repeat
-from typing import Iterable, Iterator
+from itertools import combinations, compress, cycle, repeat
+from typing import Iterable
 
 from .counting import enumerate_perfect_matchings, max_length_two_factor
-from .cyclespace import _basis_masks, gray_walk
+from .cyclespace import _basis_masks
 from .errors import BoundFailure, CapExceeded, DegreeViolation
 from .graphs import (
     EdgeSubset,
@@ -125,9 +106,10 @@ def _gray_columns(d: int) -> _Family:
 
 
 def _toggle(columns: list[int], mask: int, column: int) -> None:
-    """XOR column into the columns of the edges of mask."""
-    for e in _unmask(mask):
-        columns[e] ^= column
+    """XOR column into the columns of the edges of mask, unless it is 0."""
+    if column:
+        for e in _unmask(mask):
+            columns[e] ^= column
 
 
 def _columns(m: int, factors: Iterable[int]) -> _Family:
@@ -164,23 +146,23 @@ def _not_once(columns: list[int], full: int, at: Iterable[tuple[int, ...]]) -> i
     return wrong
 
 
-def _rows(g: Multigraph, families: Iterable[_Family]) -> tuple[tuple[int, ...], ...]:
+def _rows(g: Multigraph, families: list[_Family]) -> tuple[tuple[int, ...], ...]:
     """The edge ids of the complements of the factors of the families, sorted and
     distinct, once each is seen to be a perfect matching of the cubic graph g, which holds
-    iff its factor is a 2-factor.  Otherwise the first factor, family by family, that is
-    not one raises DegreeViolation; a source that raises has the families it gave checked
-    first.
+    iff its factor is a 2-factor.  Otherwise the first factor, family by family in the
+    order of the list, that is not one raises DegreeViolation.
 
     Each step is a pass of big-int or C-level calls, with no Python step per row.  The
     complement columns are checked whole (_not_once): a row must hold exactly one edge at
     each vertex (g._incidence, where a loop appears once) and no loop, which is what a
     perfect matching is, and in a cubic host what a factor of degree 2 at every vertex
-    leaves.  check_each words the first bad factor by that degree count, its edge ids read
-    off bit j of its family's columns.
+    leaves.  The error branch words the first bad factor by that degree count, its edge
+    ids read off bit j of its family's columns.
 
-    A family's complement columns are then written as bit strings (graphs._bit_strings)
-    end to end, so row j, the m 0/1 characters of factor j's complement from edge 0 up, is
-    every size-th byte from byte j.  The rows are deduplicated as bytes and sorted as they
+    Once every family passes, each is popped off the list, so no family outlives its
+    rows, and its complement columns are written as bit strings (graphs._bit_strings) end
+    to end: row j, the m 0/1 characters of factor j's complement from edge 0 up, is every
+    size-th byte from byte j.  The rows are deduplicated as bytes and sorted as they
     are, with no key: at one width and popcount, descending byte order is ascending
     id-tuple order, so no row tuple is hashed or compared.  Slices of _SLICE rows are
     taken off the end of the sorted list, the first rows first, joined in reverse and
@@ -190,30 +172,21 @@ def _rows(g: Multigraph, families: Iterable[_Family]) -> tuple[tuple[int, ...], 
     """
     m, half, at = g.m, g.n // 2, g._incidence
     loops = [e for e, (u, v) in enumerate(g.edges) if u == v]
-    given: list[_Family] = []
-
-    def check_each() -> None:
-        for columns, size in given:
-            full = (1 << size) - 1
-            complements = list(map(full.__xor__, columns))
-            wrong = _not_once(complements, full, at)
-            for e in loops:
-                wrong |= complements[e]
-            if wrong:
-                j = (wrong & -wrong).bit_length() - 1  # the first bad factor
-                deg = subset_degrees(g, compress(range(m), map((1 << j).__and__, columns)))
-                bad = [v for v, dv in enumerate(deg) if dv != 2]
-                raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
-
-    try:
-        given.extend(families)  # keeps what the source gave before it raised
-    except Exception:
-        check_each()
-        raise
-    check_each()
+    for columns, size in families:
+        full = (1 << size) - 1
+        complements = list(map(full.__xor__, columns))
+        wrong = _not_once(complements, full, at)
+        for e in loops:
+            wrong |= complements[e]
+        del complements  # left alive, it would sit under the rows
+        if wrong:
+            j = (wrong & -wrong).bit_length() - 1  # the first bad factor
+            deg = subset_degrees(g, compress(range(m), map((1 << j).__and__, columns)))
+            bad = [v for v, dv in enumerate(deg) if dv != 2]
+            raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
     keys: set[bytes] = set()
-    while given:
-        columns, size = given.pop()
+    while families:
+        columns, size = families.pop()
         full = (1 << size) - 1
         # the complement columns' bit strings end to end: row j is every size-th byte from j
         text = "".join(_bit_strings(map(full.__xor__, columns), size)).encode()
@@ -263,79 +236,81 @@ class _Gadgets:
                 # the member uses the other two edges at v: route through e's corner
                 states[inc ^ 1 << e] = states[0] & _mask(g.incident(d.corner(e, v)))
             self.vertex.append((v, inc, states))
-        # (bit of base edge e, host edges when traversed, host edges when idle), and
+        # per base edge e, (host edges when traversed, host edges when idle), and
         # flips[e][i], the XOR from bit 0 to bit 1 of the i-th diamond from e's head
-        self.edges: list[tuple[int, int, int]] = []
+        self.edges: list[tuple[int, int]] = []
         self.flips: list[list[int]] = []
-        for e, rep in enumerate(d.replacements):
+        for rep in d.replacements:
             passages = string_passages(g, rep) if rep.string else ()
             walk, idle, flips = _string(g, _mask(rep.connectors), passages)
-            self.edges.append((1 << e, walk, idle))
+            self.edges.append((walk, idle))
             self.flips.append(flips)
 
-    def lift(self, member: int) -> int:
-        """The bit-0 lift of a base member mask; odd members raise DegreeViolation."""
-        factor = 0
-        for v, inc, states in self.vertex:
-            state = states.get(member & inc)
-            if state is None:
-                raise DegreeViolation(
-                    f"base vertex {v} has degree {(member & inc).bit_count()} in the member, "
-                    "expected 0 or 2"
-                )
-            factor ^= state
-        for bit, walk, idle in self.edges:
-            factor ^= walk if member & bit else idle
-        return factor
+    def lift(self, family: _Family) -> _Family:
+        """The bit-0 lift of every member of a family over the base's edges, bit j of
+        held[e] saying whether member j holds base edge e.  Each table entry is taken
+        where its condition on those bits holds: a base edge's walk where the member holds
+        it and its idle where not, a base vertex's state where the member's edges at it
+        are that state's.  The entries taken where one column says are XORed together
+        first, so a family with few distinct columns (one member, or one member in every
+        step) unmasks a few host masks, not one per entry.  A member with no state at some
+        base vertex raises DegreeViolation, the lowest such member worded by the first
+        base vertex where it has none."""
+        held, size = family
+        full = (1 << size) - 1
+        pieces, missing = {}, 0  # column: the XOR of the entries taken where it says
+        for (walk, idle), x in zip(self.edges, held):
+            pieces[x] = pieces.get(x, 0) ^ walk
+            pieces[x ^ full] = pieces.get(x ^ full, 0) ^ idle
+        for v, _, states in self.vertex:
+            ends = [(1 << e, held[e]) for e in self.base.incident(v)]
+            stated = 0
+            for state, triangle in states.items():
+                hit = full
+                for bit, x in ends:
+                    hit &= x if state & bit else x ^ full
+                pieces[hit] = pieces.get(hit, 0) ^ triangle
+                stated |= hit
+            missing |= stated ^ full
+        if missing:
+            j = (missing & -missing).bit_length() - 1  # the lowest member with no state
+            member = _mask(e for e, x in enumerate(held) if x >> j & 1)
+            v, inc = next((v, inc) for v, inc, states in self.vertex if member & inc not in states)
+            raise DegreeViolation(
+                f"base vertex {v} has degree {(member & inc).bit_count()} in the member, "
+                "expected 0 or 2"
+            )
+        columns = [0] * self.m
+        for column, edges in pieces.items():
+            _toggle(columns, edges, column)
+        return columns, size
 
     def routes(self, member: int) -> list[int]:
         """The flips of every diamond a base member mask crosses: base edges by id,
         each string from its head.  Bit i of a routing takes the i-th."""
         return [flip for e in _unmask(member) for flip in self.flips[e]]
 
-    def cycle_space(self, cycles: list[int]) -> Iterator[_Family]:
-        """lift(member) for every member of the base's cycle space as one family, member j
-        being step j of gray_walk over the basis masks cycles (see _basis_masks), the
-        order of enumerate_cycle_space.  Bit j of held[e] says whether member j holds base
-        edge e, so each table entry is XORed into its host edges' columns where its
-        condition on those bits holds.  A member with no state at some base vertex ends
-        the family before it and raises what lift raises for it."""
-        gray, size = _gray_columns(len(cycles))
-        full = (1 << size) - 1
-        held = [0] * self.base.m
-        for column, cycle in zip(gray, cycles):
-            _toggle(held, cycle, column)
-        columns, missing = [0] * self.m, 0
-        for (_, walk, idle), x in zip(self.edges, held):
-            _toggle(columns, walk, x)
-            _toggle(columns, idle, x ^ full)
-        for _, inc, states in self.vertex:
-            ends = [(1 << e, held[e]) for e in _unmask(inc)]
-            stated = 0
-            for state, triangle in states.items():
-                hit = full
-                for bit, x in ends:
-                    hit &= x if state & bit else x ^ full
-                _toggle(columns, triangle, hit)
-                stated |= hit
-            missing |= stated ^ full
-        if not missing:
-            yield columns, size
-            return
-        j = (missing & -missing).bit_length() - 1
-        yield [column & (1 << j) - 1 for column in columns], j
-        self.lift(next(islice(gray_walk(0, cycles), j, None)))  # raises, naming the vertex
+    def cycle_space(self, cycles: list[int]) -> _Family:
+        """The lift of every member of the base's cycle space, member j being step j of
+        gray_walk over the basis masks cycles (see _basis_masks), the order of
+        enumerate_cycle_space."""
+        return self.lift(_walk_family(self.base.m, 0, cycles))
 
-    def long_walk(self, lengths: dict[int, int]) -> Iterator[_Family]:
+    def long_walk(self, lengths: dict[int, int]) -> _Family:
         """The lift of the base's longest 2-factor by lengths (max_length_two_factor) under
-        every routing, in gray_walk order, as one family; more than CAP routings raise
-        CapExceeded.  The member is chosen at the first step, so chained after another
-        family, it is chosen only once that family is built."""
+        every routing, in gray_walk order; more than CAP routings raise CapExceeded.  Every
+        step holds the member, and flip i is toggled in the steps that have it in."""
         member = max_length_two_factor(self.base, lengths).mask
         flips = self.routes(member)
         if 1 << len(flips) > CAP:
             raise CapExceeded(1 << len(flips), CAP)
-        yield _walk_family(self.m, self.lift(member), flips)
+        gray, size = _gray_columns(len(flips))
+        held = [0] * self.base.m
+        _toggle(held, member, (1 << size) - 1)
+        columns, size = self.lift((held, size))
+        for column, flip in zip(gray, flips):
+            _toggle(columns, flip, column)
+        return columns, size
 
 
 def expand(member: EdgeSubset, d: Decomposition, routing: int = 0) -> EdgeSubset:
@@ -350,15 +325,17 @@ def expand(member: EdgeSubset, d: Decomposition, routing: int = 0) -> EdgeSubset
     gadgets = _Gadgets(d)
     if member.host != d.base:
         raise ValueError("member is not hosted on the decomposition's base")
-    factor = gadgets.lift(member.mask)
+    columns, _ = gadgets.lift(_columns(d.base.m, [member.mask]))
     flips = gadgets.routes(member.mask)
     if not 0 <= routing < 1 << len(flips):
         raise ValueError(f"routing must lie in range(2**{len(flips)}), one bit per crossed diamond")
+    routed = 0  # the chosen flips' XOR, unmasked once
     for i, flip in enumerate(flips):
         if routing >> i & 1:
-            factor ^= flip
-    _rows(d.graph, [_columns(d.graph.m, [factor])])
-    return EdgeSubset(d.graph, factor)
+            routed ^= flip
+    _toggle(columns, routed, 1)
+    _rows(d.graph, [(columns, 1)])
+    return EdgeSubset(d.graph, _mask(compress(range(d.graph.m), columns)))
 
 
 def complement_matching(g: Multigraph, factor: EdgeSubset) -> EdgeSubset:
@@ -411,7 +388,7 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
     if d.kind == KIND_K4:
         full, pairs = (1 << g.m) - 1, combinations(enumerate(g.edges), 2)
         factors = [full ^ 1 << e ^ 1 << f for (e, a), (f, b) in pairs if {*a}.isdisjoint(b)]
-        families: Iterable[_Family] = [_columns(g.m, factors)]
+        families = [_columns(g.m, factors)]
         branch = "k4"
     elif d.kind == KIND_RING:
         families = _ring_factors(g, d.ring)
@@ -426,12 +403,9 @@ def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
         # the cap refuses before the tables, which cost O(n·m) bits, are built
         cycles = _basis_masks(d.base, CAP) if branch != "long-2-factor" else None
         gadgets = _Gadgets(d)
-        sources = []
-        if cycles is not None:
-            sources.append(gadgets.cycle_space(cycles))
+        families = [gadgets.cycle_space(cycles)] if cycles is not None else []
         if branch != "cycle-space":
-            sources.append(gadgets.long_walk(dict(enumerate(d.lengths()))))
-        families = chain.from_iterable(sources)
+            families.append(gadgets.long_walk(dict(enumerate(d.lengths()))))
     rows = _rows(g, families)
     count = len(rows)
     if not count**12 > 2**g.n:

@@ -15,6 +15,7 @@ from clawmatch import (
     build,
     certify,
     counting,
+    expansion,
     figure1_graph,
     parse_graph,
     random_base,
@@ -180,7 +181,23 @@ def test_certify_oracle_disagreement_exits_3(capsys, monkeypatch, k4_file):
     code, out, err = run(capsys, "certify", k4_file, "--verify-oracle")
     assert code == 3
     assert err == "internal error: certificate disagrees with the oracle enumeration\n"
-    assert out == serialize_certificate(certify(K4))
+    assert out == ""  # the oracle decides before the certificate's first line
+
+
+def test_certify_oracle_refusal_leaves_stdout_empty(capsys, monkeypatch, tmp_path):
+    # the certificate's 16 rows fit the cap; the host's other matchings overflow it
+    g, _ = build(random_base(6, 3), [1, 1, 1, 0, 0, 0, 0, 0, 0])
+    path = tmp_path / "host.txt"
+    path.write_text(serialize_graph(g))
+    monkeypatch.setattr(expansion, "CAP", 16)
+    assert len(certify(g).matchings) == 16
+    code, out, err = run(capsys, "certify", str(path), "--verify-oracle")
+    assert code == 2
+    assert out == ""
+    assert err == "error: enumeration needs 17 items, cap is 16\n"
+    code, out, _ = run(capsys, "certify", str(path))
+    assert code == 0
+    assert out == serialize_certificate(certify(g))
 
 
 def test_certify_rejects_bridged_input(capsys, tmp_path):

@@ -128,6 +128,47 @@ def test_expand_rejects_odd_members_and_wrong_routing():
         expand(member, d, 1 << 0)  # selects a nonexistent diamond
 
 
+@pytest.mark.parametrize(
+    "base, lengths",
+    [(K4, [1, 0, 0, 0, 0, 0]), (PRISM, [0, 1, 0, 0, 0, 2, 0, 0, 0])],
+    ids=["K4", "prism"],
+)
+def test_expand_words_every_odd_member_by_its_first_odd_base_vertex(base, lengths):
+    _, d = build(base, lengths)
+    h = d.base
+    odd = 0
+    for mask in range(1 << h.m):
+        degrees = [sum(mask >> e & 1 for e in h.incident(v)) for v in range(h.n)]
+        v = next((v for v, dv in enumerate(degrees) if dv in (1, 3)), None)
+        if v is None:
+            continue
+        odd += 1
+        with pytest.raises(DegreeViolation) as exc:
+            expand(EdgeSubset.of(h, _unmask(mask)), d)
+        assert str(exc.value) == (
+            f"base vertex {v} has degree {degrees[v]} in the member, expected 0 or 2"
+        )
+    assert odd == (1 << h.m) - (1 << h.m - h.n + 1)  # all but the cycle space
+
+
+@pytest.mark.parametrize("k", [6, 60])
+def test_a_lift_unmasks_one_host_mask_per_distinct_column(monkeypatch, k):
+    # the entries taken where one column says are XORed together first, so one member,
+    # alone or in every step of a walk, unmasks one host mask whatever the base's size
+    g, d = build(random_base(k, 1), [1] * (3 * k // 2))
+    member = EdgeSubset(d.base, _basis_masks(d.base, 1 << 40)[0])
+    gadgets = expansion._Gadgets(d)
+    unmask, calls = expansion._unmask, []
+    monkeypatch.setattr(expansion, "_unmask", lambda mask: calls.append(mask) or unmask(mask))
+    lifted = _mask(reference_lift(member, d, 0))
+    for size in (1, 8):
+        held = [(1 << size) - 1 if member.mask >> e & 1 else 0 for e in range(d.base.m)]
+        calls.clear()
+        columns, _ = gadgets.lift((held, size))
+        assert len(calls) == 1
+        assert columns == [(1 << size) - 1 if lifted >> e & 1 else 0 for e in range(g.m)]
+
+
 def test_expansion_validity_every_member_every_routing():
     for h, lengths in ((TRIPLE_BOND, [1, 0, 0]), (TRIPLE_BOND, [1, 1, 0]), (K4, [1, 0, 0, 0, 0, 0])):
         g, d = build(h, lengths)
@@ -680,17 +721,16 @@ def family_factors(family, count=None):
 
 def cycle_space_factors(d, count=None):
     """The first count factors (all by default) of d's cycle-space family, in walk order."""
-    (family,) = expansion._Gadgets(d).cycle_space(_basis_masks(d.base, expansion.CAP))
+    family = expansion._Gadgets(d).cycle_space(_basis_masks(d.base, expansion.CAP))
     return family_factors(family, count)
 
 
 def lifts_along_the_walk(d):
-    """The cycle-space lifts of d's base from its family's columns and from lift, member by
-    member."""
-    gadgets = expansion._Gadgets(d)
+    """The cycle-space lifts of d's base from its family's columns and from reference_lift,
+    the tests' independent lift, member by member."""
     walk = cycle_space_factors(d)
-    members = [_mask(c.members) for c in enumerate_cycle_space(d.base, 1 << 10)]
-    return walk, [gadgets.lift(c) for c in members]
+    members = enumerate_cycle_space(d.base, 1 << 10)
+    return walk, [_mask(reference_lift(c, d, 0)) for c in members]
 
 
 def assert_walk_and_certify_agree_with_reference(g, name):
@@ -745,23 +785,37 @@ def test_a_walk_family_holds_the_gray_walk_in_order(data):
     assert family_factors(expansion._columns(m, factors)) == factors
 
 
-def test_the_cycle_space_family_ends_before_the_first_member_with_no_state(monkeypatch):
+def first_member_with_no_state(d, members, missing):
+    """The DegreeViolation text for the first of members, in walk order, with no state at
+    some base vertex once the states missing, (vertex, member edges at it) pairs, are
+    gone: worded by the first such vertex, its degree counted off d.base.incident."""
+    for c in members:
+        for v in range(d.base.n):
+            at = [e for e in d.base.incident(v) if c >> e & 1]
+            if (v, _mask(at)) in missing:
+                return f"base vertex {v} has degree {len(at)} in the member, expected 0 or 2"
+    return None
+
+
+def test_the_cycle_space_lift_names_the_first_member_with_no_state():
+    # every pair of entered states deleted: the lift raises for the lowest member that
+    # meets either, at the first base vertex where that member meets one
     g, d, members = cycle_space_host()
-    inc = _mask(d.base.incident(1))
-    j = next(j for j, c in enumerate(members) if c & inc)
-
-    def corrupt(tables):
-        del tables.vertex[1][2][members[j] & inc]
-
-    with_corrupted_gadgets(monkeypatch, corrupt)
-    gadgets = expansion._Gadgets(d)
-    family = gadgets.cycle_space(_basis_masks(d.base, expansion.CAP))
-    first = next(family)
-    assert first[1] == j > 0
-    assert family_factors(first) == [gadgets.lift(c) for c in members[:j]]
-    with pytest.raises(DegreeViolation) as walked:
-        next(family)
-    assert str(walked.value).startswith("base vertex 1 has degree 2 in the member")
+    entered = [
+        (v, state) for v, inc, states in expansion._Gadgets(d).vertex for state in states if state
+    ]
+    assert len(entered) == 3 * d.base.n
+    named = set()
+    for missing in combinations(entered, 2):
+        gadgets = expansion._Gadgets(d)
+        for v, state in missing:
+            del gadgets.vertex[v][2][state]
+        expected = first_member_with_no_state(d, members, missing)
+        with pytest.raises(DegreeViolation) as walked:
+            gadgets.cycle_space(_basis_masks(d.base, expansion.CAP))
+        assert str(walked.value) == expected
+        named.add(expected)
+    assert len(named) == d.base.n  # every base vertex is the one named for some pair
 
 
 def test_certify_walks_each_string_once(monkeypatch):
@@ -966,16 +1020,29 @@ def cycle_space_host():
     return g, d, [_mask(c.members) for c in enumerate_cycle_space(d.base, 1 << 10)]
 
 
-def assert_certify_raises_on_first(monkeypatch, capsys, tmp_path, g, d, corrupt, member, stray):
-    """certify, the CLI and the walk against lift under corrupted tables, where member is
-    the first member, in walk order, whose lift takes the corrupted entry that stray toggles."""
+def assert_certify_raises_on_first(monkeypatch, capsys, tmp_path, g, d, corrupt, takes, stray):
+    """certify, the CLI and the cycle-space lift under corrupted tables, where takes(member)
+    says whether a member's lift takes the corrupted entry that stray toggles: the walk
+    holds the reference lifts with stray toggled in exactly those, and the first raises."""
+    members = [_mask(c.members) for c in enumerate_cycle_space(d.base, 1 << 10)]
+    member = next(c for c in members if takes(c))
     assert member != 0  # the walk takes the corrupted entry only after step 0
     chosen = EdgeSubset.of(d.base, _unmask(member))
     expected = old_degree_scan(g, reference_lift(chosen, d, 0) ^ {stray})
     assert expected == sorted(g.edges[stray])
     with_corrupted_gadgets(monkeypatch, corrupt)
     walk, lifted = lifts_along_the_walk(d)
-    assert walk == lifted
+    assert walk == [f ^ (1 << stray if takes(c) else 0) for c, f in zip(members, lifted)]
+    # expand lifts one member, so every entry it takes shares column 1: the stray edge is
+    # still toggled, not ORed in where another taken entry holds it
+    for c, f in zip(members, lifted):
+        if takes(c):
+            with pytest.raises(DegreeViolation) as alone:
+                expand(EdgeSubset(d.base, c), d)
+            bad = old_degree_scan(g, set(_unmask(f ^ 1 << stray)))
+            assert str(alone.value) == f"expansion is not a 2-factor at vertices {bad}"
+        else:
+            assert expand(EdgeSubset(d.base, c), d).mask == f
     message = f"expansion is not a 2-factor at vertices {expected}"
     monkeypatch.setattr(expansion, "classify", lambda host: d)
     with pytest.raises(DegreeViolation) as exc:
@@ -1000,7 +1067,10 @@ def test_corrupted_entered_triangle_state_on_the_cycle_space_branch(
     def corrupt(tables):
         tables.vertex[0][2][first & inc] ^= 1 << stray
 
-    assert_certify_raises_on_first(monkeypatch, capsys, tmp_path, g, d, corrupt, first, stray)
+    def takes(c):
+        return c & inc == first & inc
+
+    assert_certify_raises_on_first(monkeypatch, capsys, tmp_path, g, d, corrupt, takes, stray)
 
 
 @TRIANGLE_PAIRS
@@ -1014,10 +1084,13 @@ def test_corrupted_walk_mask_on_the_cycle_space_branch(monkeypatch, capsys, tmp_
     stray = g.edge_between(*(d.triangles[v][i] for i in pair))
 
     def corrupt(tables):
-        bit, walk, idle = tables.edges[e]
-        tables.edges[e] = (bit, walk ^ 1 << stray, idle)
+        walk, idle = tables.edges[e]
+        tables.edges[e] = (walk ^ 1 << stray, idle)
 
-    assert_certify_raises_on_first(monkeypatch, capsys, tmp_path, g, d, corrupt, first, stray)
+    def takes(c):
+        return c >> e & 1
+
+    assert_certify_raises_on_first(monkeypatch, capsys, tmp_path, g, d, corrupt, takes, stray)
 
 
 def test_missing_triangle_state_raises_what_lift_raises(monkeypatch):
@@ -1031,11 +1104,14 @@ def test_missing_triangle_state_raises_what_lift_raises(monkeypatch):
     with_corrupted_gadgets(monkeypatch, corrupt)
     gadgets = expansion._Gadgets(d)
     with pytest.raises(DegreeViolation) as lifted:
-        gadgets.lift(first)
-    assert str(lifted.value).startswith("base vertex 0 has degree 2 in the member")
+        gadgets.lift(expansion._columns(d.base.m, [first]))
+    assert str(lifted.value) == "base vertex 0 has degree 2 in the member, expected 0 or 2"
     with pytest.raises(DegreeViolation) as walked:
-        list(gadgets.cycle_space(_basis_masks(d.base, expansion.CAP)))
+        gadgets.cycle_space(_basis_masks(d.base, expansion.CAP))
     assert str(walked.value) == str(lifted.value)
+    with pytest.raises(DegreeViolation) as expanded:
+        expand(EdgeSubset.of(d.base, _unmask(first)), d)
+    assert str(expanded.value) == str(lifted.value)
     monkeypatch.setattr(expansion, "classify", lambda host: d)
     with pytest.raises(DegreeViolation) as certified:
         certify(g)
@@ -1054,19 +1130,8 @@ def corpus_factor_pools():
 
 
 def rows_of(g, factors):
-    """expansion._rows on the factor masks factors gives, as one family; if factors raises,
-    the family holds the factors it gave before, and the error follows it."""
-
-    def families():
-        given = []
-        try:
-            given.extend(factors)
-        except GraphError as exc:
-            yield expansion._columns(g.m, given)
-            raise exc
-        yield expansion._columns(g.m, given)
-
-    return expansion._rows(g, families())
+    """expansion._rows on the factor masks factors, as one family."""
+    return expansion._rows(g, [expansion._columns(g.m, factors)])
 
 
 def rows_or_error(rows):
@@ -1088,32 +1153,30 @@ def test_rows_return_and_raise_what_the_old_generator_did(data):
     for e in data.draw(strays, label="stray edges") if factors else ():
         i = data.draw(st.integers(0, len(factors) - 1), label="factor")
         factors[i] ^= 1 << e
-    stop = data.draw(st.none() | st.integers(0, len(factors)), label="source raises after")
-
-    def source():
-        yield from factors[:stop]
-        if stop is not None:
-            raise DegreeViolation(f"the source stopped after {stop} factors")
-
-    expected = rows_or_error(lambda: sorted(set(list(reference_rows(g, source())))))
-    assert rows_or_error(lambda: rows_of(g, source())) == expected
+    # the factors split into families, empty ones included, are checked in order
+    cuts = data.draw(st.lists(st.integers(0, len(factors)), max_size=3), label="cuts")
+    bounds = [0, *sorted(cuts), len(factors)]
+    families = [expansion._columns(g.m, factors[a:b]) for a, b in pairwise(bounds)]
+    expected = rows_or_error(lambda: sorted(set(reference_rows(g, factors))))
+    assert rows_or_error(lambda: expansion._rows(g, families)) == expected
 
 
-def test_a_source_that_raises_has_the_factors_it_gave_checked_first():
+def test_rows_check_the_families_in_the_order_given():
     g, pool = corpus_factor_pools()[0]
-    bad = pool[0] ^ 1  # edge 0 toggled: its two ends have odd degree
-
-    def source(*factors):
-        yield from factors
-        raise CapExceeded(expansion.CAP + 1, expansion.CAP)
-
-    with pytest.raises(DegreeViolation) as old:
-        list(reference_rows(g, [bad]))
-    with pytest.raises(DegreeViolation) as new:
-        rows_of(g, source(pool[1], bad))
-    assert str(new.value) == str(old.value) == "expansion is not a 2-factor at vertices [0, 1]"
-    with pytest.raises(CapExceeded):
-        rows_of(g, source(*pool))
+    bad = pool[0] ^ 1  # edge 0 toggled: its ends 0 and 1 have odd degree
+    worse = pool[0] ^ 1 << g.m - 1  # the top edge toggled: its two ends have odd degree
+    texts = {}
+    for factor in (bad, worse):
+        with pytest.raises(DegreeViolation) as old:
+            list(reference_rows(g, [factor]))
+        texts[factor] = str(old.value)
+    assert texts[bad] == "expansion is not a 2-factor at vertices [0, 1]" != texts[worse]
+    for first, second in ((bad, worse), (worse, bad)):
+        # the first family's bad factor, its bit 1, is named before the second's, its bit 0
+        families = [expansion._columns(g.m, [pool[1], first]), expansion._columns(g.m, [second])]
+        with pytest.raises(DegreeViolation) as new:
+            expansion._rows(g, families)
+        assert str(new.value) == texts[first]
 
 
 def test_a_longer_complement_with_every_vertex_bit_is_not_a_row():
@@ -1284,12 +1347,13 @@ def test_both_branches_choose_the_long_member_after_the_cycle_space_family(monke
             certify(g, both_branches=True)
     assert calls == []
 
-    # a bad cycle-space row surfaces before the long branch's own error
+    # every family is built before any is checked: the long branch's error surfaces
+    # before a bad cycle-space row, which surfaces once the long branch builds its family
     stray = g.edge_between(*d.triangles[0][:2])
 
     def corrupt(tables):
-        bit, walk, idle = tables.edges[2]
-        tables.edges[2] = (bit, walk ^ 1 << stray, idle)
+        walk, idle = tables.edges[2]
+        tables.edges[2] = (walk ^ 1 << stray, idle)
 
     def no_factor(*args):
         raise NoTwoFactor("the long branch raised")
@@ -1298,7 +1362,10 @@ def test_both_branches_choose_the_long_member_after_the_cycle_space_family(monke
     walk = cycle_space_factors(d)
     with pytest.raises(DegreeViolation) as old:
         list(reference_rows(g, walk))
-    monkeypatch.setattr(expansion, "max_length_two_factor", no_factor)
     with pytest.raises(DegreeViolation) as new:
         certify(g, both_branches=True)
     assert str(new.value) == str(old.value)
+    monkeypatch.setattr(expansion, "max_length_two_factor", no_factor)
+    with pytest.raises(NoTwoFactor) as raised:
+        certify(g, both_branches=True)
+    assert str(raised.value) == "the long branch raised"

@@ -20,7 +20,9 @@ from clawmatch import (
     is_cubic,
     is_three_edge_connected,
     is_two_edge_connected,
+    parse_graph,
     ring_of_diamonds,
+    serialize_graph,
     subset_degrees,
 )
 from bruteforce import (
@@ -85,6 +87,37 @@ def test_multigraph_rejects_bad_endpoints():
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Multigraph(n, edges)
+
+
+def test_multigraph_refuses_bool_counts_and_endpoints():
+    # bool is an int subclass, but True would be written "True", which no document reads
+    for n, edges, message in (
+        (True, (), "vertex count is not an int: True"),
+        (2, ((True, False),), "edge 0 endpoint is not an int: (True, False)"),
+        (2, ((0, 1), (1, False)), "edge 1 endpoint is not an int: (1, False)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Multigraph(n, edges)
+
+
+class Vertex(int):
+    pass
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.data())
+def test_every_multigraph_the_constructor_accepts_reads_back_from_its_document(data):
+    # counts and endpoints drawn as ints, bools or another int subclass
+    values = st.integers(0, 5) | st.booleans() | st.integers(0, 5).map(Vertex)
+    n = data.draw(values, label="n")
+    edges = data.draw(st.lists(st.tuples(values, values), max_size=6), label="edges")
+    ends = [x for edge in edges for x in edge]
+    try:
+        g = Multigraph(n, edges)
+    except ValueError:
+        assert isinstance(n, bool) or any(isinstance(x, bool) or not 0 <= x < n for x in ends)
+        return
+    assert parse_graph(serialize_graph(g)) == g
 
 
 def test_has_edge_is_false_outside_the_vertex_range():

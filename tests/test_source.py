@@ -16,12 +16,14 @@
   names neither `sorted` nor `set`, which `_rows` does.
 - A mask's bit string has one reader: only `graphs._bit_strings` names
   `bin`, and `_unmask` and `_rows` both go through it.  `_rows` sorts the
-  rows with no `key=`, names no `_unmask`, and names `subset_degrees` only
-  in `check_each`, which words a bad factor, so no row is unmasked or
-  counted one by one: rows pass by the column check.
-- Families are lifted whole: no module defines `lift_walk`, no call of
-  `lift` sits in a loop or comprehension, and `certify` names no
-  `gray_walk` (`_Gadgets` steps it only to name a member on the error path).
+  rows with no `key=`, names no `_unmask`, and names `subset_degrees` and
+  reads a factor's ids only in its error branch, which words a bad factor,
+  so no row is unmasked or counted one by one: rows pass by the column check.
+- Families are lifted whole: no module defines `lift_walk`, and no call of
+  `lift` sits in a loop or comprehension.  Every family is built before
+  any is checked: `expansion` names no `gray_walk`, `islice` or `chain` and
+  has no `yield`, `_rows` has no `try` and no nested function, and only
+  `cyclespace.enumerate_cycle_space` steps `gray_walk`.
 - Every `int.from_bytes` call passes its byte order, which has no default
   before Python 3.11 (`pyproject.toml` declares 3.10).
 - `counting` imports only `errors` and `graphs` from the package, so the
@@ -224,12 +226,16 @@ def test_only_the_bit_string_reads_bin():
     assert "expansion._rows" in _top_level_readers("_bit_strings")
 
 
+def _raises(node: ast.AST) -> bool:
+    return isinstance(node, ast.Raise)
+
+
 def _rows_names(name: str) -> tuple[int, int]:
     """How many times expansion._rows names name bare, and how many of those lie in its
-    check_each, the per-factor loop that words a bad factor."""
+    error branch, the one `if` that raises, which words a bad factor."""
     rows = list(ast.walk(_definition(SRC / "expansion.py", "_rows")))
-    (check_each,) = [n for n in rows if isinstance(n, ast.FunctionDef) and n.name == "check_each"]
-    inside = set(map(id, ast.walk(check_each)))
+    (branch,) = [n for n in rows if isinstance(n, ast.If) and any(map(_raises, n.body))]
+    inside = set(map(id, ast.walk(branch)))
     found = [id(n) for n in rows if isinstance(n, ast.Name) and n.id == name]
     return len(found), len(inside.intersection(found))
 
@@ -245,7 +251,8 @@ def test_rows_sort_with_no_key_and_unmask_only_to_word_an_error():
     assert all(keyword.arg != "key" for call in sorts for keyword in call.keywords)
     # not even the error path unmasks: it reads the bad factor's ids off its columns
     assert _rows_names("_unmask") == (0, 0)
-    assert _rows_names("compress")[1], "the scan finds the error path's reads"
+    # the ids of the bad factor are the one compress over range(m), in the error branch
+    assert _rows_names("compress")[1] == 1
 
 
 @pytest.mark.parametrize("name", ["subset_degrees"])
@@ -293,9 +300,21 @@ def test_families_are_lifted_whole_not_member_by_member():
     ]
     assert lifted_in_loops == []
     assert "expansion._Gadgets" in _top_level_readers("lift"), "the scan finds lift's callers"
-    # certify steps no Gray walk: its families are built as columns
-    assert "gray_walk" not in _names_in(SRC / "expansion.py", "certify")
-    assert "expansion._Gadgets" in _top_level_readers("gray_walk"), "the error path steps it"
+
+
+def test_every_family_is_built_before_any_is_checked():
+    # no Gray walk is stepped and no family is a generator: each is a list of columns
+    tree = parse(SRC / "expansion.py")
+    named = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert {"gray_walk", "islice", "chain", "Iterator"}.isdisjoint(named)
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Yield, ast.YieldFrom))]
+    # _rows checks a list in order: no handler reorders errors, no nested check
+    rows = list(ast.walk(_definition(SRC / "expansion.py", "_rows")))[1:]
+    assert not [n for n in rows if isinstance(n, (ast.Try, ast.FunctionDef, ast.Lambda))]
+    # the scans do find them: cyclespace's walk yields, and one enumeration steps it
+    walks = [n for n in ast.walk(parse(SRC / "cyclespace.py")) if isinstance(n, ast.Yield)]
+    assert walks and _top_level_readers("gray_walk") == ["cyclespace.enumerate_cycle_space"]
 
 
 def _package_imports(path: Path) -> set[str]:
