@@ -129,7 +129,7 @@ def _cmd_cycle_space(args) -> int:
 
 def _cmd_certify(args) -> int:
     g = _load(args.file)
-    cert = expansion.certify(g, both_branches=args.both_branches)
+    cert = expansion.certify(g)
     # decided before the first line, so a refusal or a disagreement leaves stdout empty
     if args.verify_oracle:
         oracle = {
@@ -195,7 +195,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="emit a perfect-matching certificate")
     p.add_argument("file")
-    p.add_argument("--both-branches", action="store_true")
     p.add_argument("--verify-oracle", action="store_true")
     p.set_defaults(fn=_cmd_certify)
 

@@ -53,7 +53,7 @@ class InvalidBase(GraphError):
 
 
 class StructureViolation(GraphError):
-    """Internal decomposition invariant failed on input that passed validation."""
+    """An invariant of the decomposition or the lift failed on input that passed validation."""
 
 
 def _count_text(count: int) -> str:

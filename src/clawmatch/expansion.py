@@ -39,14 +39,14 @@ each flip's edges toggled by the int of the steps that have it in
 the basis cycles; the long-2-factor branch lifts its one member in every
 step and toggles in its diamonds' flips; expand lifts a one-member family;
 a ring of diamonds, a string closed on itself, walks its joins (the edges
-at its ports in no 4-cycle) and bit-0 walks over its 4-cycles after its
-idle factor (every 4-cycle).  K4's factors are the complements of its 3
-pairings, its pairs of edges with disjoint ends, read off its edge list;
-K4 and complement_matching give their factor masks to _rows through
+at its ports in no 4-cycle) and bit-0 walks over its 4-cycles one bit
+above its idle factor (every 4-cycle).  K4's factors are the complements
+of its 3 pairings, its pairs of edges with disjoint ends, read off its edge
+list; K4 and complement_matching give their factor masks to _rows through
 _columns.  Every row certify, expand and complement_matching make comes
-from _rows, which takes a list of families, all built before any is
-checked, checks every factor exactly, family by family in order, and
-returns the certificate's rows, sorted and distinct (see its docstring).
+from _rows, which takes one family, built whole, checks every factor
+exactly, and returns its rows sorted: they are distinct by the injective
+lift, and a repeat is an internal error, not a dedupe (see its docstring).
 certificate_problems checks rows parsed from text, which need not be well
 formed, in one pass of C-level calls for a valid certificate and a per-row
 loop that words each problem otherwise (see its docstring).
@@ -55,12 +55,12 @@ loop that words each problem otherwise (see its docstring).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, compress, cycle, repeat
+from itertools import combinations, compress, cycle, pairwise, repeat, starmap
 from typing import Iterable
 
 from .counting import enumerate_perfect_matchings, max_length_two_factor
 from .cyclespace import _basis_masks
-from .errors import BoundFailure, CapExceeded, DegreeViolation
+from .errors import BoundFailure, CapExceeded, DegreeViolation, StructureViolation
 from .graphs import (
     EdgeSubset,
     Multigraph,
@@ -146,54 +146,52 @@ def _not_once(columns: list[int], full: int, at: Iterable[tuple[int, ...]]) -> i
     return wrong
 
 
-def _rows(g: Multigraph, families: list[_Family]) -> tuple[tuple[int, ...], ...]:
-    """The edge ids of the complements of the factors of the families, sorted and
-    distinct, once each is seen to be a perfect matching of the cubic graph g, which holds
-    iff its factor is a 2-factor.  Otherwise the first factor, family by family in the
-    order of the list, that is not one raises DegreeViolation.
+def _rows(g: Multigraph, family: _Family) -> tuple[tuple[int, ...], ...]:
+    """The edge ids of the complements of a family's factors, sorted, once each is seen
+    to be a perfect matching of the cubic graph g, which holds iff its factor is a
+    2-factor.  Otherwise the first factor that is not one raises DegreeViolation.  The
+    factors are distinct by the injective lift, so a repeated row raises
+    StructureViolation: it is an internal error, not a row to drop.
 
     Each step is a pass of big-int or C-level calls, with no Python step per row.  The
     complement columns are checked whole (_not_once): a row must hold exactly one edge at
     each vertex (g._incidence, where a loop appears once) and no loop, which is what a
     perfect matching is, and in a cubic host what a factor of degree 2 at every vertex
     leaves.  The error branch words the first bad factor by that degree count, its edge
-    ids read off bit j of its family's columns.
+    ids read off bit j of the columns.
 
-    Once every family passes, each is popped off the list, so no family outlives its
-    rows, and its complement columns are written as bit strings (graphs._bit_strings) end
-    to end: row j, the m 0/1 characters of factor j's complement from edge 0 up, is every
-    size-th byte from byte j.  The rows are deduplicated as bytes and sorted as they
-    are, with no key: at one width and popcount, descending byte order is ascending
-    id-tuple order, so no row tuple is hashed or compared.  Slices of _SLICE rows are
-    taken off the end of the sorted list, the first rows first, joined in reverse and
-    translated to 0/1 bytes; one compress over cycle(range(m)) reads off their ids and zip
-    groups those n/2 at a time.  Each slice leaves the list once read, so the byte rows
-    shrink as the id rows grow and no joined string spans the family.
+    Once the family passes, its complement columns are written as bit strings
+    (graphs._bit_strings) end to end: row j, the m 0/1 characters of factor j's
+    complement from edge 0 up, is every size-th byte from byte j.  The rows are sorted as
+    bytes as they are, with no key: at one width and popcount, descending byte order is
+    ascending id-tuple order, so no row tuple is hashed or compared, and equal rows end
+    up adjacent.  Slices of _SLICE rows are taken off the end of the sorted list, the
+    first rows first, joined in reverse and translated to 0/1 bytes; one compress over
+    cycle(range(m)) reads off their ids and zip groups those n/2 at a time.  Each slice
+    leaves the list once read, so the byte rows shrink as the id rows grow and no joined
+    string spans the family.
     """
     m, half, at = g.m, g.n // 2, g._incidence
     loops = [e for e, (u, v) in enumerate(g.edges) if u == v]
-    for columns, size in families:
-        full = (1 << size) - 1
-        complements = list(map(full.__xor__, columns))
-        wrong = _not_once(complements, full, at)
-        for e in loops:
-            wrong |= complements[e]
-        del complements  # left alive, it would sit under the rows
-        if wrong:
-            j = (wrong & -wrong).bit_length() - 1  # the first bad factor
-            deg = subset_degrees(g, compress(range(m), map((1 << j).__and__, columns)))
-            bad = [v for v, dv in enumerate(deg) if dv != 2]
-            raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
-    keys: set[bytes] = set()
-    while families:
-        columns, size = families.pop()
-        full = (1 << size) - 1
-        # the complement columns' bit strings end to end: row j is every size-th byte from j
-        text = "".join(_bit_strings(map(full.__xor__, columns), size)).encode()
-        keys.update(map(text.__getitem__, map(slice, range(size), repeat(None), repeat(size))))
-        del columns, text  # left alive, either would sit under the finished rows
-    strings = sorted(keys)  # ascending: the first rows are at the end
-    del keys
+    columns, size = family
+    full = (1 << size) - 1
+    complements = list(map(full.__xor__, columns))
+    wrong = _not_once(complements, full, at)
+    for e in loops:
+        wrong |= complements[e]
+    del complements  # left alive, it would sit under the rows
+    if wrong:
+        j = (wrong & -wrong).bit_length() - 1  # the first bad factor
+        deg = subset_degrees(g, compress(range(m), map((1 << j).__and__, columns)))
+        bad = [v for v, dv in enumerate(deg) if dv != 2]
+        raise DegreeViolation(f"expansion is not a 2-factor at vertices {bad}")
+    # the complement columns' bit strings end to end: row j is every size-th byte from j
+    text = "".join(_bit_strings(map(full.__xor__, columns), size)).encode()
+    strings = list(map(text.__getitem__, map(slice, range(size), repeat(None), repeat(size))))
+    del family, columns, text  # left alive, any would sit under the finished rows
+    strings.sort()  # ascending: the first rows are at the end
+    if any(starmap(bytes.__eq__, pairwise(strings))):
+        raise StructureViolation("a row repeats: the lift to 2-factors is not injective")
     rows: list[tuple[int, ...]] = []
     while strings:
         r = min(len(strings), _SLICE)
@@ -334,7 +332,7 @@ def expand(member: EdgeSubset, d: Decomposition, routing: int = 0) -> EdgeSubset
         if routing >> i & 1:
             routed ^= flip
     _toggle(columns, routed, 1)
-    _rows(d.graph, [(columns, 1)])
+    _rows(d.graph, (columns, 1))
     return EdgeSubset(d.graph, _mask(compress(range(d.graph.m), columns)))
 
 
@@ -344,14 +342,15 @@ def complement_matching(g: Multigraph, factor: EdgeSubset) -> EdgeSubset:
         raise ValueError("complementation needs a cubic host")
     if factor.host != g:
         raise DegreeViolation("argument is not a 2-factor of the host")
-    return EdgeSubset.of(g, _rows(g, [_columns(g.m, [factor.mask])])[0])
+    return EdgeSubset.of(g, _rows(g, _columns(g.m, [factor.mask]))[0])
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """A deduplicated family of perfect matchings beating 2^(n/12).
+    """A family of perfect matchings beating 2^(n/12), distinct by the injective lift.
 
     matchings are canonical rows (sorted edge ids, rows sorted);
+    branch is k4, ring, cycle-space or long-2-factor;
     bound_ok records the exact-integer comparison count^12 > 2^n.
     """
 
@@ -362,51 +361,47 @@ class Certificate:
     bound_ok: bool
 
 
-def _ring_factors(g: Multigraph, ring) -> list[_Family]:
-    """The 2^d + 1 2-factors of a ring of d diamonds, a string closed on itself, as two
-    families: the idle factor of every 4-cycle, then its every routing (ports cross in
-    either order)."""
+def _ring_factors(g: Multigraph, ring) -> _Family:
+    """The 2^d + 1 2-factors of a ring of d diamonds, a string closed on itself, as one
+    family: factor 0 is the idle factor of every 4-cycle, and factor j + 1 the routing of
+    step j of the walk (ports cross in either order)."""
     size = (1 << len(ring)) + 1
     if size > CAP:
         raise CapExceeded(size, CAP)
     walk, idle, cycles = _string(g, 0, [(*dia.ports, *dia.internals) for dia in ring])
     # the joins between consecutive diamonds: the edges at the ports in no 4-cycle
     joins = _mask(e for dia in ring for p in dia.ports for e in g.incident(p)) & ~idle
-    return [_columns(g.m, [idle]), _walk_family(g.m, walk | joins, cycles)]
+    columns, _ = _walk_family(g.m, walk | joins, cycles)
+    return [w << 1 | idle >> e & 1 for e, w in enumerate(columns)], size
 
 
-def certify(g: Multigraph, *, both_branches: bool = False) -> Certificate:
+def certify(g: Multigraph) -> Certificate:
     """Emit an explicit family of perfect matchings with |family|^12 > 2^n.
 
     Dispatch follows the structure: K4 and rings get their closed-form
     families; otherwise the cycle-space branch fires when the base has
-    k >= n/6 vertices and the long-2-factor branch when k < n/6.  The
-    flag runs both branches and unions them.  A branch of more than CAP
-    rows raises CapExceeded.
+    k >= n/6 vertices and the long-2-factor branch when k < n/6.  A family
+    of more than CAP rows raises CapExceeded.  Its rows are distinct by the
+    injective lift, so a repeat raises StructureViolation (see _rows).
     """
     d = classify(g)
     if d.kind == KIND_K4:
         full, pairs = (1 << g.m) - 1, combinations(enumerate(g.edges), 2)
         factors = [full ^ 1 << e ^ 1 << f for (e, a), (f, b) in pairs if {*a}.isdisjoint(b)]
-        families = [_columns(g.m, factors)]
+        family = _columns(g.m, factors)
         branch = "k4"
     elif d.kind == KIND_RING:
-        families = _ring_factors(g, d.ring)
+        family = _ring_factors(g, d.ring)
         branch = "ring"
-    else:
-        if both_branches:
-            branch = "both"
-        elif 6 * d.base.n >= g.n:
-            branch = "cycle-space"
-        else:
-            branch = "long-2-factor"
+    elif 6 * d.base.n >= g.n:
         # the cap refuses before the tables, which cost O(n·m) bits, are built
-        cycles = _basis_masks(d.base, CAP) if branch != "long-2-factor" else None
-        gadgets = _Gadgets(d)
-        families = [gadgets.cycle_space(cycles)] if cycles is not None else []
-        if branch != "cycle-space":
-            families.append(gadgets.long_walk(dict(enumerate(d.lengths()))))
-    rows = _rows(g, families)
+        cycles = _basis_masks(d.base, CAP)
+        family = _Gadgets(d).cycle_space(cycles)
+        branch = "cycle-space"
+    else:
+        family = _Gadgets(d).long_walk(dict(enumerate(d.lengths())))
+        branch = "long-2-factor"
+    rows = _rows(g, family)
     count = len(rows)
     if not count**12 > 2**g.n:
         dump = "\n".join(" ".join(map(str, row)) for row in rows)
@@ -439,7 +434,8 @@ def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:
     every problem; a row with a float, str or other non-int id is worded
     as such and skipped, bool ids count as 0 and 1, and a row that is no
     perfect matching, by its length or its coded sum, is worded by the
-    first vertex whose degree in it is not 1.
+    first vertex whose degree in it is not 1.  It keys a perfect row by
+    that exact coded sum and any other row by its sorted ids, in one set.
     """
     n, m, rows = g.n, g.m, cert.matchings
     s, full = m + n.bit_length(), (1 << n) - 1
@@ -464,7 +460,7 @@ def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:
     problems: list[str] = []
     if cert.n != n:
         problems.append(f"certificate n={cert.n} does not match the graph n={n}")
-    seen: set[tuple[int, ...]] = set()
+    seen: set[int | tuple[int, ...]] = set()
     for idx, row in enumerate(cert.matchings):
         if not all(map(isinstance, row, repeat(int))):  # bool ids pass, as 0 and 1
             problems.append(f"matching {idx} has a non-integer edge index")
@@ -472,13 +468,14 @@ def certificate_problems(g: Multigraph, cert: Certificate) -> list[str]:
         if row and (min(row) < 0 or max(row) >= m):
             problems.append(f"matching {idx} has an out-of-range edge index")
             continue
-        if len(row) != n // 2 or sum(map(code.__getitem__, row)) >> s != full:
+        key: int | tuple[int, ...] = sum(map(code.__getitem__, row))
+        if len(row) != n // 2 or key >> s != full:
             deg = subset_degrees(g, row)
             bad = next((v for v, dv in enumerate(deg) if dv != 1), None)
             problems.append(
                 f"matching {idx} is not a perfect matching: vertex {bad} has degree {deg[bad]}"
             )
-        key = tuple(sorted(row))
+            key = tuple(sorted(row))  # the coded sum is exact for perfect rows only
         if key in seen:
             problems.append(f"matching {idx} duplicates an earlier row")
         seen.add(key)

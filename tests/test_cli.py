@@ -173,6 +173,19 @@ def test_certify_command(capsys, k4_file):
     assert "oracle_check=ok" in out
 
 
+def test_certify_has_no_both_branches_flag(capsys, k4_file):
+    # certify emits the one family its branch test picks: there is no union to ask for
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--both-branches", k4_file])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ")
+    assert "unrecognized arguments: --both-branches" in err and "Traceback" not in err
+    with pytest.raises(SystemExit):
+        main(["certify", "--help"])
+    assert "--both-branches" not in capsys.readouterr().out
+
+
 def test_certify_oracle_disagreement_exits_3(capsys, monkeypatch, k4_file):
     enumerate_all = counting.enumerate_perfect_matchings
     monkeypatch.setattr(
@@ -505,7 +518,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 # sha256 of each demo's stdout; a refactor that changes what a demo prints fails here
 DEMO_STDOUT_SHA256 = {
-    "certificates.py": "a7a14a3ce40603db93c13a5b1f8e60f2e3b0a986f7a074b09b0442bbf9954f40",
+    "certificates.py": "5427212738a9380ef9e8d8af5019dff06de3364ca967800bb94027288c41012f",
     "cycle_space_lifting.py": "2bab105641cdf909f85012b916f449e30e9245cb4d93e92ae204de64bb638a7a",
     "structure_walkthrough.py": "9d19fc071572bdc33a0626a9fdddd7aa5172bcc7076c3c11d17af5cc0aa9e690",
     "why_bridgeless_matters.py": "50de6972c2aed7e20ca934e226a2342655788ed0c0d150f7353b6ce3df915da0",

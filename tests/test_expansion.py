@@ -18,7 +18,7 @@ from clawmatch import (
     EdgeSubset,
     GraphError,
     Multigraph,
-    NoTwoFactor,
+    StructureViolation,
     build,
     certificate_problems,
     certify,
@@ -216,6 +216,22 @@ def test_certify_ring_families():
         assert set(cert.matchings) == oracle
 
 
+def test_a_ring_family_is_its_idle_factor_then_its_walk():
+    g = ring_of_diamonds(4)
+    ring = classify(g).ring
+    factors = family_factors(expansion._ring_factors(g, ring))
+    # each diamond's 4-cycle: the edges from its ports to its internals
+    cycles = [
+        _mask(e for e, ends in enumerate(g.edges) if {*ends} & {*ports} and {*ends} & {*inside})
+        for ports, inside in ((dia.ports, dia.internals) for dia in ring)
+    ]
+    assert len(factors) == 2**4 + 1
+    assert factors[0] == sum(cycles)
+    # then gray_walk's order: step j turns the diamond of j's lowest set bit
+    for j, (a, b) in enumerate(pairwise(factors[1:]), 1):
+        assert a ^ b == cycles[(j & -j).bit_length() - 1]
+
+
 def test_certify_ring_branch_respects_the_cap(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(expansion, "CAP", 33)
     assert len(certify(ring_of_diamonds(5)).matchings) == 2**5 + 1 == 33
@@ -285,15 +301,6 @@ def test_certify_long_branch_size():
     # the longest 2-factor of the base uses the length-2 and length-1 edges
     assert len(cert.matchings) == 2**3
     assert verify_certificate(g, cert)
-
-
-def test_certify_both_branches_unions():
-    g, _ = build(TRIPLE_BOND, [2, 1, 0])
-    single = certify(g)
-    both = certify(g, both_branches=True)
-    assert both.branch == "both"
-    assert set(single.matchings) <= set(both.matchings)
-    assert verify_certificate(g, both)
 
 
 def test_certify_generated_equals_deduped_on_corpus():
@@ -499,6 +506,15 @@ def test_a_reversed_repeat_of_the_first_row_is_a_duplicate():
     assert problems == reference_certificate_problems(g, twin)
 
 
+def test_rows_that_are_no_matching_are_told_apart_by_their_ids_not_their_coded_sums():
+    # on the prism, rung 7 has twice rung 6's end mask and twice its id bit, so edge 6
+    # taken twice has the coded sum of edge 7: only a perfect row is keyed by that sum
+    cert = Certificate(PRISM, ((7,), (6, 6)), PRISM.n, "cycle-space", False)
+    problems = certificate_problems(PRISM, cert)
+    assert not [p for p in problems if "duplicates" in p]
+    assert problems == reference_certificate_problems(PRISM, cert)
+
+
 def counted_row_checks(monkeypatch):
     """Record each call to the degree scan that decides and words a failed row."""
     calls = []
@@ -680,17 +696,14 @@ def test_expand_matches_reference_lift_on_corpus():
                 assert expand(c, d, r).members == reference_lift(c, d, r), name
 
 
-def reference_certificate_rows(g, d, both_branches=False):
+def reference_certificate_rows(g, d):
     """The certificate rows certify should emit, lifted by the reference."""
-    use_cycle = 6 * d.base.n >= g.n
-    lifts = []
-    if use_cycle or both_branches:
-        members = enumerate_cycle_space(d.base, 1 << 10)
-        lifts += [reference_lift(c, d, 0) for c in members]
-    if not use_cycle or both_branches:
+    if 6 * d.base.n >= g.n:
+        lifts = [reference_lift(c, d, 0) for c in enumerate_cycle_space(d.base, 1 << 10)]
+    else:
         lengths = {e: rep.length for e, rep in enumerate(d.replacements)}
         chosen = max_length_two_factor(d.base, lengths)
-        lifts += [reference_lift(chosen, d, r) for r in routings(chosen, d)]
+        lifts = [reference_lift(chosen, d, r) for r in routings(chosen, d)]
     full = frozenset(range(g.m))
     return tuple(sorted({tuple(sorted(full - f)) for f in lifts}))
 
@@ -737,10 +750,10 @@ def assert_walk_and_certify_agree_with_reference(g, name):
     d = classify(g)
     walk, lifted = lifts_along_the_walk(d)
     assert walk == lifted, name
-    both = d.total_length() > 0  # hosts with diamonds reach the walk through both branches
-    cert = certify(g, both_branches=both)
-    assert cert.branch == ("both" if both else "cycle-space"), name
-    assert cert.matchings == reference_certificate_rows(g, d, both_branches=both), name
+    # certify takes one branch: the long one when the base has fewer than n/6 vertices
+    cert = certify(g)
+    assert cert.branch == ("cycle-space" if 6 * d.base.n >= g.n else "long-2-factor"), name
+    assert cert.matchings == reference_certificate_rows(g, d), name
 
 
 def test_lift_walk_equals_lift_on_corpus():
@@ -930,8 +943,7 @@ def test_certify_looks_no_edge_up_by_its_ends(monkeypatch):
         Multigraph, "edge_between", lambda h, u, v: lookups.append((u, v)) or edge_between(h, u, v)
     )
     for name, g in certify_corpus():
-        for both in (False, True):
-            assert verify_certificate(g, certify(g, both_branches=both)), name
+        assert verify_certificate(g, certify(g)), name
     assert lookups == []
     # the wrapper does count: the tests' reference lift finds every edge by its ends
     g, d = build(TRIPLE_BOND, [1, 0, 0])
@@ -1131,7 +1143,19 @@ def corpus_factor_pools():
 
 def rows_of(g, factors):
     """expansion._rows on the factor masks factors, as one family."""
-    return expansion._rows(g, [expansion._columns(g.m, factors)])
+    return expansion._rows(g, expansion._columns(g.m, factors))
+
+
+REPEATED_ROW = "a row repeats: the lift to 2-factors is not injective"
+
+
+def reference_family_rows(g, factors):
+    """What _rows gives for a family: the first bad factor's DegreeViolation, then the
+    repeated-row StructureViolation if two factors are equal, else the rows sorted."""
+    rows = list(reference_rows(g, factors))
+    if len(set(rows)) < len(rows):
+        raise StructureViolation(REPEATED_ROW)
+    return sorted(rows)
 
 
 def rows_or_error(rows):
@@ -1153,30 +1177,8 @@ def test_rows_return_and_raise_what_the_old_generator_did(data):
     for e in data.draw(strays, label="stray edges") if factors else ():
         i = data.draw(st.integers(0, len(factors) - 1), label="factor")
         factors[i] ^= 1 << e
-    # the factors split into families, empty ones included, are checked in order
-    cuts = data.draw(st.lists(st.integers(0, len(factors)), max_size=3), label="cuts")
-    bounds = [0, *sorted(cuts), len(factors)]
-    families = [expansion._columns(g.m, factors[a:b]) for a, b in pairwise(bounds)]
-    expected = rows_or_error(lambda: sorted(set(reference_rows(g, factors))))
-    assert rows_or_error(lambda: expansion._rows(g, families)) == expected
-
-
-def test_rows_check_the_families_in_the_order_given():
-    g, pool = corpus_factor_pools()[0]
-    bad = pool[0] ^ 1  # edge 0 toggled: its ends 0 and 1 have odd degree
-    worse = pool[0] ^ 1 << g.m - 1  # the top edge toggled: its two ends have odd degree
-    texts = {}
-    for factor in (bad, worse):
-        with pytest.raises(DegreeViolation) as old:
-            list(reference_rows(g, [factor]))
-        texts[factor] = str(old.value)
-    assert texts[bad] == "expansion is not a 2-factor at vertices [0, 1]" != texts[worse]
-    for first, second in ((bad, worse), (worse, bad)):
-        # the first family's bad factor, its bit 1, is named before the second's, its bit 0
-        families = [expansion._columns(g.m, [pool[1], first]), expansion._columns(g.m, [second])]
-        with pytest.raises(DegreeViolation) as new:
-            expansion._rows(g, families)
-        assert str(new.value) == texts[first]
+    expected = rows_or_error(lambda: reference_family_rows(g, factors))
+    assert rows_or_error(lambda: rows_of(g, factors)) == expected
 
 
 def test_a_longer_complement_with_every_vertex_bit_is_not_a_row():
@@ -1212,7 +1214,7 @@ def test_rows_holding_edge_0_or_the_top_edge_are_read_at_the_full_width():
     checked = 0
     for g, pool in corpus_factor_pools():
         rows = rows_of(g, pool)
-        assert rows == tuple(sorted(set(reference_rows(g, pool))))
+        assert rows == tuple(sorted(reference_rows(g, pool)))
         tops = {g.m - 1 in row for row in rows}
         checked += {0 in row for row in rows} == tops == {True, False}
     assert checked
@@ -1224,7 +1226,7 @@ def test_rows_of_a_family_spanning_slices_are_the_old_rows():
     factors = cycle_space_factors(d, 3 * expansion._SLICE + 7)
     random.Random(14).shuffle(factors)
     assert len(factors) % expansion._SLICE
-    assert rows_of(g, factors) == tuple(sorted(set(reference_rows(g, factors))))
+    assert rows_of(g, factors) == tuple(sorted(reference_rows(g, factors)))
 
 
 def test_a_complement_of_another_popcount_raises_what_the_old_generator_did():
@@ -1300,7 +1302,7 @@ def spanning_family() -> tuple[Multigraph, tuple[int, ...]]:
 def test_a_non_matching_complement_in_any_slice_raises_what_the_old_generator_did(place):
     # the bad row sits a quarter of the way into slice place, the first rows' slice being 0
     g, factors = spanning_family()
-    rows = sorted(set(reference_rows(g, factors)))
+    rows = sorted(reference_rows(g, factors))
     assert len(rows) // expansion._SLICE == 2
     row = rows[place * expansion._SLICE + expansion._SLICE // 4]
     # trading its last edge for the nearest other leaves n/2 ids that meet at a vertex
@@ -1317,7 +1319,7 @@ def test_a_non_matching_complement_in_any_slice_raises_what_the_old_generator_di
 
 def test_rows_that_pass_the_column_check_skip_the_per_factor_loop(monkeypatch):
     g, factors = spanning_family()
-    expected = tuple(sorted(set(reference_rows(g, factors))))
+    expected = tuple(sorted(reference_rows(g, factors)))
     assert len(expected) > 2 * expansion._SLICE
 
     def no_degrees(h, members):
@@ -1327,45 +1329,49 @@ def test_rows_that_pass_the_column_check_skip_the_per_factor_loop(monkeypatch):
     assert rows_of(g, factors) == expected
 
 
-def test_both_branches_choose_the_long_member_after_the_cycle_space_family(monkeypatch):
-    g, d = build(TRIPLE_BOND, [2, 1, 0])  # the long branch's member leaves out base edge 2
+def test_each_branch_builds_its_own_family_alone(monkeypatch):
     calls = []
-    longest = expansion.max_length_two_factor
-    monkeypatch.setattr(
-        expansion, "max_length_two_factor", lambda *args: calls.append(args) or longest(*args)
-    )
-    assert certify(g, both_branches=True).branch == "both"
-    assert len(calls) == 1
+    for name in ("max_length_two_factor", "_basis_masks", "_Gadgets"):
+        real = getattr(expansion, name)
+        monkeypatch.setattr(
+            expansion, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    g, _ = build(TRIPLE_BOND, [2, 1, 0])  # k = 2 < n/6 = 3
+    assert certify(g).branch == "long-2-factor"
+    assert calls == ["_Gadgets", "max_length_two_factor"]
 
     def overflow(h, cap):
+        calls.append("_basis_masks")
         raise CapExceeded(cap + 1, cap)
 
+    # the cycle-space branch: the cap refuses before the tables are built or the long
+    # branch runs
     calls.clear()
-    with monkeypatch.context() as patched:
-        patched.setattr(expansion, "_basis_masks", overflow)
-        with pytest.raises(CapExceeded):
-            certify(g, both_branches=True)
-    assert calls == []
+    monkeypatch.setattr(expansion, "_basis_masks", overflow)
+    with pytest.raises(CapExceeded):
+        certify(build(K4, [0] * 6)[0])
+    assert calls == ["_basis_masks"]
 
-    # every family is built before any is checked: the long branch's error surfaces
-    # before a bad cycle-space row, which surfaces once the long branch builds its family
-    stray = g.edge_between(*d.triangles[0][:2])
+
+def test_a_lift_that_is_not_injective_raises_instead_of_dropping_rows(
+    monkeypatch, capsys, tmp_path
+):
+    g, d = build(K4, [3] * 6)  # n = 84: the long branch routes a 4-cycle through 12 diamonds
+    path = tmp_path / "host.txt"
+    path.write_text(serialize_graph(g))
+    cert = certify(g)
+    assert (g.n, cert.branch, len(cert.matchings)) == (84, "long-2-factor", 2**12)
+
+    crossed = min(max_length_two_factor(d.base, dict(enumerate(d.lengths()))).members)
 
     def corrupt(tables):
-        walk, idle = tables.edges[2]
-        tables.edges[2] = (walk ^ 1 << stray, idle)
-
-    def no_factor(*args):
-        raise NoTwoFactor("the long branch raised")
+        # one diamond's two routings become one, so every row comes twice
+        tables.flips[crossed][0] = 0
 
     with_corrupted_gadgets(monkeypatch, corrupt)
-    walk = cycle_space_factors(d)
-    with pytest.raises(DegreeViolation) as old:
-        list(reference_rows(g, walk))
-    with pytest.raises(DegreeViolation) as new:
-        certify(g, both_branches=True)
-    assert str(new.value) == str(old.value)
-    monkeypatch.setattr(expansion, "max_length_two_factor", no_factor)
-    with pytest.raises(NoTwoFactor) as raised:
-        certify(g, both_branches=True)
-    assert str(raised.value) == "the long branch raised"
+    with pytest.raises(StructureViolation) as exc:
+        certify(g)
+    assert str(exc.value) == REPEATED_ROW
+    assert main(["certify", str(path)]) == 3
+    out = capsys.readouterr()
+    assert (out.out, out.err) == ("", f"internal error: {REPEATED_ROW}\n")

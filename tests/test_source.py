@@ -12,16 +12,20 @@
 - A row is decided by the degree count that words it: no module defines or
   names `_end_bits` or `_is_perfect_row`, and in `expansion` only `_rows`
   and `certificate_problems` name `subset_degrees`, each in its error path.
-- Rows are ordered and deduplicated in one place: `expansion.certify`
-  names neither `sorted` nor `set`, which `_rows` does.
+- Rows are ordered in one place and never deduplicated: `expansion.certify`
+  names none of `sorted`, `set` and `both_branches`, `_rows` sorts (it
+  names `sort` or `sorted`) and names no `set`, since a family's rows are
+  distinct by the injective lift and a repeat raises, and no module defines
+  a `--both-branches` option.
 - A mask's bit string has one reader: only `graphs._bit_strings` names
   `bin`, and `_unmask` and `_rows` both go through it.  `_rows` sorts the
   rows with no `key=`, names no `_unmask`, and names `subset_degrees` and
-  reads a factor's ids only in its error branch, which words a bad factor,
+  reads a factor's ids only in its degree-error branch, the `if` that raises
+  `DegreeViolation`, which words a bad factor,
   so no row is unmasked or counted one by one: rows pass by the column check.
 - Families are lifted whole: no module defines `lift_walk`, and no call of
-  `lift` sits in a loop or comprehension.  Every family is built before
-  any is checked: `expansion` names no `gray_walk`, `islice` or `chain` and
+  `lift` sits in a loop or comprehension.  A family is built whole before
+  it is checked: `expansion` names no `gray_walk`, `islice` or `chain` and
   has no `yield`, `_rows` has no `try` and no nested function, and only
   `cyclespace.enumerate_cycle_space` steps `gray_walk`.
 - Every `int.from_bytes` call passes its byte order, which has no default
@@ -208,16 +212,40 @@ def _definition(path: Path, name: str) -> ast.AST:
     return top
 
 
-def _names_in(path: Path, definition: str) -> set[str]:
-    """The bare names the top-level definition of path reads."""
-    top = _definition(path, definition)
-    return {node.id for node in ast.walk(top) if isinstance(node, ast.Name)}
+def _identifiers(path: Path, definition: str) -> set[str]:
+    """Every bare name, attribute, parameter and keyword the top-level definition of path
+    names."""
+    found = set()
+    for node in ast.walk(_definition(path, definition)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.arg, ast.keyword)):
+            found.add(node.arg)
+    return found
 
 
 def test_rows_are_ordered_and_deduplicated_in_rows_alone():
-    assert {"sorted", "set"}.isdisjoint(_names_in(SRC / "expansion.py", "certify"))
-    # the scan does find them: _rows sorts and deduplicates the complements
-    assert {"sorted", "set"} <= _names_in(SRC / "expansion.py", "_rows")
+    # a family's rows are distinct by the injective lift: _rows sorts, and a repeat raises
+    certify = _identifiers(SRC / "expansion.py", "certify")
+    assert {"sorted", "set", "both_branches"}.isdisjoint(certify)
+    rows = _identifiers(SRC / "expansion.py", "_rows")
+    assert {"sort", "sorted"} & rows, "the scan finds the sort of _rows"
+    assert "set" not in rows
+    # the scan does find a set, a keyword and a parameter where a definition names them
+    assert {"set", "n", "cert"} <= _identifiers(SRC / "expansion.py", "certificate_problems")
+
+
+def test_no_module_defines_a_both_branches_option():
+    strings = {
+        node.value
+        for path in MODULES
+        for node in ast.walk(parse(path))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert "--both-branches" not in strings
+    assert "--verify-oracle" in strings, "the scan finds the options certify defines"
 
 
 def test_only_the_bit_string_reads_bin():
@@ -226,15 +254,19 @@ def test_only_the_bit_string_reads_bin():
     assert "expansion._rows" in _top_level_readers("_bit_strings")
 
 
-def _raises(node: ast.AST) -> bool:
-    return isinstance(node, ast.Raise)
+def _raises_degree_violation(node: ast.AST) -> bool:
+    func = getattr(getattr(node, "exc", None), "func", None)
+    return isinstance(node, ast.Raise) and getattr(func, "id", None) == "DegreeViolation"
 
 
 def _rows_names(name: str) -> tuple[int, int]:
     """How many times expansion._rows names name bare, and how many of those lie in its
-    error branch, the one `if` that raises, which words a bad factor."""
+    degree-error branch, the one `if` that raises DegreeViolation, which words a bad
+    factor (the repeated-row `if` raises StructureViolation)."""
     rows = list(ast.walk(_definition(SRC / "expansion.py", "_rows")))
-    (branch,) = [n for n in rows if isinstance(n, ast.If) and any(map(_raises, n.body))]
+    (branch,) = [
+        n for n in rows if isinstance(n, ast.If) and any(map(_raises_degree_violation, n.body))
+    ]
     inside = set(map(id, ast.walk(branch)))
     found = [id(n) for n in rows if isinstance(n, ast.Name) and n.id == name]
     return len(found), len(inside.intersection(found))
@@ -309,7 +341,7 @@ def test_every_family_is_built_before_any_is_checked():
     named |= {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) for a in n.names}
     assert {"gray_walk", "islice", "chain", "Iterator"}.isdisjoint(named)
     assert not [n for n in ast.walk(tree) if isinstance(n, (ast.Yield, ast.YieldFrom))]
-    # _rows checks a list in order: no handler reorders errors, no nested check
+    # _rows checks one family: no handler reorders errors, no nested check
     rows = list(ast.walk(_definition(SRC / "expansion.py", "_rows")))[1:]
     assert not [n for n in rows if isinstance(n, (ast.Try, ast.FunctionDef, ast.Lambda))]
     # the scans do find them: cyclespace's walk yields, and one enumeration steps it
